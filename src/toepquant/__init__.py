@@ -22,7 +22,6 @@ from .estimators import (
     Correction,
     EstimateResult,
     banded_estimate,
-    dot_a,
     quantized_estimate,
     relative_error,
     ruler_estimate,

@@ -27,6 +27,7 @@ from .bounds import evaluate_bounds
 from .estimators import Correction, banded_estimate, quantized_estimate, ruler_estimate, threshold_estimate
 from .exceptions import (
     EmptyInputError,
+    IndexOutOfRangeError,
     InvalidArgumentError,
     NotPSDError,
     NumericError,
@@ -70,10 +71,18 @@ def _parse_ruler_spec(text: str) -> tuple[float | None, tuple[int, ...] | None]:
     return float(text), None
 
 
+def _zero_based(one_based: tuple[int, ...], d: int) -> np.ndarray:
+    """Ruler indices given 1-based, range-checked in the terms they were given in."""
+    idx = np.asarray(one_based, dtype=np.int64)
+    if idx.size and (idx.min() < 1 or idx.max() > d):
+        raise IndexOutOfRangeError(f"ruler indices must lie in [1, {d}], got [{idx.min()}, {idx.max()}]")
+    return idx - 1
+
+
 def _ruler_from_spec(text: str, d: int) -> Ruler:
     alpha, one_based = _parse_ruler_spec(text)
     if one_based is not None:
-        return Ruler(d, np.asarray(one_based, dtype=np.int64) - 1)
+        return Ruler(d, _zero_based(one_based, d))
     return full_ruler(d) if d == 1 else ruler_alpha(d, alpha)
 
 
@@ -114,7 +123,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             num_freqs=args.k if args.k is not None else 8,
             bandwidth=args.m if args.m is not None else 5,
             alpha=alpha if alpha is not None else 1.0,
-            indices=(np.asarray(one_based) - 1) if one_based is not None else None,
+            indices=_zero_based(one_based, args.d) if one_based is not None else None,
             delta=args.delta,
             dither=dither,
             correction=correction,

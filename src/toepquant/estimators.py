@@ -15,11 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import (
-    IndexOutOfRangeError,
-    InvalidArgumentError,
-    MisuseError,
-)
+from .exceptions import InvalidArgumentError, MisuseError
 from .quantization import Dither
 from .rulers import Ruler
 from .sampling import SampleBatch
@@ -28,7 +24,6 @@ from .toeplitz import SymToeplitz, fro_norm, max_norm, op_norm, toep
 __all__ = [
     "Correction",
     "EstimateResult",
-    "dot_a",
     "ruler_estimate",
     "quantized_estimate",
     "threshold_estimate",
@@ -81,13 +76,6 @@ def _pair_means(batch: SampleBatch) -> np.ndarray:
     dist = ruler.distance_matrix().ravel()
     sums = np.bincount(dist, weights=gram.ravel(), minlength=ruler.d)
     return sums / (batch.n * ruler.pair_counts)
-
-
-def dot_a(batch: SampleBatch, s: int) -> float:
-    """Averaged pair product of the batch at distance ``s``."""
-    if not 0 <= s < batch.ruler.d:
-        raise IndexOutOfRangeError(f"distance must lie in [0, {batch.ruler.d}), got {s}")
-    return float(_pair_means(batch)[s])
 
 
 def ruler_estimate(batch: SampleBatch) -> EstimateResult:

@@ -11,17 +11,24 @@ Five experiments are provided:
    dimension, full-rank and rank-10 matrices, sparse versus full ruler;
 5. banded matrices: thresholded estimator error versus dimension.
 
-Every result row is produced by one call of :func:`simulate_estimate` and
-is reproducible in isolation from its ``(seed, n)`` plus the row's
-configuration columns; the driver only fans trials out and aggregates.
+Every trial runs one pipeline: the covariance is drawn once per trial
+seed, the samples once per ``(seed, n)``, and every estimator arm of the
+experiment (tag, ruler, quantization level, dither, correction and
+post-processing) is evaluated on that one draw.  Each arm dithers from
+the observation stream as it stands right after sampling, so every result
+row equals one :func:`simulate_estimate` call at the row's ``(seed, n)``
+and configuration columns and is reproducible in isolation.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -79,6 +86,89 @@ class SimResult:
     zeta: float | None = None
 
 
+@dataclass(frozen=True)
+class _Arm:
+    """One estimator configuration, evaluated on a shared sample draw."""
+
+    tag: str
+    alpha: float
+    ruler: Ruler
+    quantizer: QuantizerConfig
+    correction: Correction = Correction.TRIANGULAR_QUARTER
+    threshold: float | None = None
+    threshold_auto: tuple[float, float] | None = None
+    band_est: int | None = None
+
+
+def _draw_truth(
+    seed: int, *, d: int, gen: str, num_freqs: int, bandwidth: int, normalize: bool
+) -> SymToeplitz:
+    """The covariance of a trial, from the generator stream of ``seed``."""
+    g = generator_rng(seed)
+    if gen == "vandermonde":
+        truth = gen_toeplitz_vandermonde(d, num_freqs, g)
+    elif gen == "banded":
+        truth = gen_banded(d, bandwidth, g)
+    else:
+        raise InvalidArgumentError(f"unknown generator {gen!r}")
+    if normalize:
+        truth = toep(truth.a / truth.a[0])
+    return truth
+
+
+def _run_arm(
+    arm: _Arm, truth: SymToeplitz, samples: np.ndarray, rng: np.random.Generator, seed: int
+) -> SimResult:
+    """Observe, estimate, post-process and score one arm; ``rng`` is the arm's own."""
+    batch = observe(samples, arm.ruler, arm.quantizer, rng, seed=seed)
+    if batch.delta == 0 and arm.correction is Correction.NONE:
+        est = ruler_estimate(batch)
+    else:
+        est = quantized_estimate(batch, arm.correction)
+
+    zeta = None
+    if arm.threshold_auto is not None:
+        c, p = arm.threshold_auto
+        zeta = threshold_zeta(big_k(op_norm(truth), batch.delta), arm.ruler.size, truth.d, p, batch.n, c)
+        est = threshold_estimate(est, zeta)
+    elif arm.threshold is not None:
+        zeta = float(arm.threshold)
+        est = threshold_estimate(est, zeta)
+    if arm.band_est is not None:
+        est = banded_estimate(est, arm.band_est)
+    return SimResult(truth, est, relative_error(truth, est, "op"), zeta)
+
+
+@dataclass
+class _Trial:
+    """One trial seed: its covariance is drawn on first use, then shared."""
+
+    seed: int
+    draw_truth: Callable[[int], SymToeplitz]
+    truth: SymToeplitz | None = None
+
+    def run(self, ns: Iterable[int], arms: Sequence[_Arm]) -> dict[int, list[tuple[SimResult, float]]]:
+        """Per ``n``: one sample draw, then every arm on it, with its seconds."""
+        return {n: self._draw(n, arms) for n in ns}
+
+    def _draw(self, n: int, arms: Sequence[_Arm]) -> list[tuple[SimResult, float]]:
+        # An arm's seconds are its own time plus an equal share of the shared
+        # work before it: the samples, and the covariance on the seed's first
+        # draw.  So the arms of a trial sum to the trial's wall time.
+        start = time.perf_counter()
+        if self.truth is None:
+            self.truth = self.draw_truth(self.seed)
+        rng = observation_rng(self.seed, n)
+        samples = sample_gaussian(self.truth, n, rng)
+        share = (time.perf_counter() - start) / len(arms)
+        out = []
+        for arm in arms:
+            start = time.perf_counter()
+            sim = _run_arm(arm, self.truth, samples, copy.deepcopy(rng), self.seed)
+            out.append((sim, time.perf_counter() - start + share))
+        return out
+
+
 def simulate_estimate(
     d: int,
     n: int,
@@ -106,37 +196,14 @@ def simulate_estimate(
     ``threshold_auto=(c, p)`` thresholds at ``c * K * sqrt((log|R| + 4p
     log d) / n)`` using the true operator norm in ``K``.
     """
-    g = generator_rng(seed)
-    if gen == "vandermonde":
-        truth = gen_toeplitz_vandermonde(d, num_freqs, g)
-    elif gen == "banded":
-        truth = gen_banded(d, bandwidth, g)
-    else:
-        raise InvalidArgumentError(f"unknown generator {gen!r}")
-    if normalize:
-        truth = toep(truth.a / truth.a[0])
-
+    truth_of = partial(
+        _draw_truth, d=d, gen=gen, num_freqs=num_freqs, bandwidth=bandwidth, normalize=normalize
+    )
     ruler = Ruler(d, np.asarray(indices)) if indices is not None else ruler_alpha(d, alpha)
-    rng = observation_rng(seed, n)
-    samples = sample_gaussian(truth, n, rng)
-    batch = observe(samples, ruler, QuantizerConfig(delta, dither), rng, seed=seed)
-    correction = Correction(correction)
-    if batch.delta == 0 and correction is Correction.NONE:
-        est = ruler_estimate(batch)
-    else:
-        est = quantized_estimate(batch, correction)
-
-    zeta = None
-    if threshold_auto is not None:
-        c, p = threshold_auto
-        zeta = threshold_zeta(big_k(op_norm(truth), delta), ruler.size, d, p, n, c)
-        est = threshold_estimate(est, zeta)
-    elif threshold is not None:
-        zeta = float(threshold)
-        est = threshold_estimate(est, zeta)
-    if band_est is not None:
-        est = banded_estimate(est, band_est)
-    return SimResult(truth, est, relative_error(truth, est, "op"), zeta)
+    arm = _Arm(
+        "", alpha, ruler, QuantizerConfig(delta, dither), Correction(correction), threshold, threshold_auto, band_est
+    )
+    return _Trial(seed, truth_of).run([n], [arm])[n][0][0]
 
 
 @dataclass(frozen=True)
@@ -199,9 +266,35 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"experiment must be 1..5, got {self.experiment}")
         if self.trials < 1:
             raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise InvalidArgumentError(f"n grid must be strictly increasing, got {self.n_grid}")
+        if self.threads < 1:
+            raise InvalidArgumentError(f"threads must be >= 1, got {self.threads}")
+        if any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
+            raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
+        for name, (fewest, most) in _GRID_SIZES[self.experiment].items():
+            values = getattr(self, name)
+            if not fewest <= len(values) <= most:
+                want = "no" if most == 0 else f"exactly {fewest}" if fewest == most else f"at least {fewest}"
+                raise InvalidArgumentError(
+                    f"experiment {self.experiment} takes {want} {name} value(s), got {tuple(values)}"
+                )
+        if not self.variants or not set(self.variants) <= set(_VARIANTS):
+            raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
         self.out_dir = Path(self.out_dir)
+
+
+_VARIANTS = ("fullrank", "rank10")
+
+# grid -> (fewest, most) values each experiment reads.  Experiments 1-3 run
+# at ``d`` and 4-5 over ``d_grid``; experiment 2 fits a line through its n
+# values; experiment 4 searches n itself; experiment 5 is one point per d.
+_ANY = math.inf
+_GRID_SIZES: dict[int, dict[str, tuple[float, float]]] = {
+    1: dict(d_grid=(0, 0), n_grid=(1, _ANY), deltas=(1, _ANY), alphas=(1, _ANY)),
+    2: dict(d_grid=(0, 0), n_grid=(3, _ANY), deltas=(1, _ANY), alphas=(1, _ANY)),
+    3: dict(d_grid=(0, 0), n_grid=(1, 1), deltas=(1, _ANY), alphas=(1, _ANY)),
+    4: dict(d_grid=(1, _ANY), n_grid=(0, 0), deltas=(1, 1), alphas=(1, _ANY)),
+    5: dict(d_grid=(1, _ANY), n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
+}
 
 
 _DEFAULTS: dict[int, dict] = {
@@ -286,21 +379,6 @@ class ExperimentOutput:
     paths: list[Path] = field(default_factory=list)
 
 
-def _run_tasks(tasks: dict, fn: Callable, threads: int) -> dict:
-    """Evaluate ``{key: args}`` with ``fn`` and deterministic key order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {key: pool.submit(fn, *args) for key, args in tasks.items()}
-            return {key: futures[key].result() for key in tasks}
-    return {key: fn(*args) for key, args in tasks.items()}
-
-
-def _timed(fn: Callable[[], SimResult]) -> tuple[SimResult, float]:
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
-
-
 def _median(values: Iterable[float]) -> float:
     return float(np.median(list(values)))
 
@@ -308,196 +386,145 @@ def _median(values: Iterable[float]) -> float:
 class _Runner:
     def __init__(self, cfg: ExperimentConfig, progress: Callable[[str], None] | None):
         self.cfg = cfg
-        self.progress = progress or (lambda msg: None)
+        self.note = progress or (lambda msg: None)
         self.rows: list[ResultRow] = []
         self.medians: list[dict] = []
         self.summary: list[dict] = []
 
-    def note(self, msg: str) -> None:
-        self.progress(msg)
+    def seeded_trials(self, d: int, gen: str, num_freqs: int, *key: int) -> list[_Trial]:
+        """The run's trials at seeds ``(cfg.seed, *key, trial)``."""
+        cfg = self.cfg
+        truth_of = partial(
+            _draw_truth, d=d, gen=gen, num_freqs=num_freqs, bandwidth=cfg.bandwidth, normalize=cfg.normalize
+        )
+        return [_Trial(derive_seed(cfg.seed, *key, t), truth_of) for t in range(cfg.trials)]
 
-    def add_row(self, row: ResultRow) -> None:
-        self.rows.append(row)
+    def run_trials(
+        self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[_Arm]
+    ) -> dict[tuple[int, int], list[tuple[SimResult, float]]]:
+        """Every trial at every n, trials spread over the workers.
+
+        Returns ``{(n, arm index): [(result, seconds) per trial]}``.
+        """
+
+        def run(trial: _Trial) -> dict[int, list[tuple[SimResult, float]]]:
+            return trial.run(ns, arms)
+
+        if self.cfg.threads > 1:
+            with ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
+                per_trial = list(pool.map(run, trials))
+        else:
+            per_trial = list(map(run, trials))
+        return {(n, i): [draws[n][i] for draws in per_trial] for n in ns for i in range(len(arms))}
+
+    def record(
+        self, d: int, n: int, arm: _Arm, trials: list[_Trial], cell: list[tuple[SimResult, float]]
+    ) -> float:
+        """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
+        cfg = self.cfg
+        delta = arm.quantizer.delta
+        for t, (trial, (sim, secs)) in enumerate(zip(trials, cell)):
+            self.rows.append(
+                ResultRow(cfg.experiment, d, arm.alpha, delta, n, arm.tag, t, sim.rel_error, secs, trial.seed)
+            )
+        med = _median(sim.rel_error for sim, _ in cell)
+        self.medians.append(
+            {
+                "experiment": cfg.experiment,
+                "d": d,
+                "alpha": arm.alpha,
+                "delta": delta,
+                "n": n,
+                "tag": arm.tag,
+                "trials": cfg.trials,
+                "median_rel_error": med,
+            }
+        )
+        return med
 
     # ----- experiments 1..3: error curves over a grid -----
 
     def run_curves(self) -> None:
         cfg = self.cfg
+        rulers = {alpha: ruler_alpha(cfg.d, alpha) for alpha in cfg.alphas}
         if cfg.experiment == 1:
-            combos = [
-                (a, dl, t)
-                for a in cfg.alphas
-                for di, dl in enumerate(cfg.deltas)
-                for t in _EXP1_TAGS
+            arms = [
+                _Arm(tag, alpha, rulers[alpha], QuantizerConfig(delta * scale, dither), corr)
+                for alpha in cfg.alphas
+                for di, delta in enumerate(cfg.deltas)
+                for tag, (scale, dither, corr) in _EXP1_TAGS.items()
                 # the raw-sample baseline is delta-independent; emit it once
-                if _EXP1_TAGS[t][0] != 0.0 or di == 0
+                if scale != 0.0 or di == 0
             ]
-            xs = list(cfg.n_grid)
-        elif cfg.experiment == 2:
-            combos = [(a, dl, "hatT") for a in cfg.alphas for dl in cfg.deltas]
-            xs = list(cfg.n_grid)
         else:
-            combos = [(a, dl, "hatT") for a in cfg.alphas for dl in cfg.deltas]
-            xs = [cfg.n_grid[0]]
+            arms = [
+                _Arm("hatT", alpha, rulers[alpha], QuantizerConfig(delta, Dither.TRIANGULAR))
+                for alpha in cfg.alphas
+                for delta in cfg.deltas
+            ]
+        trials = self.seeded_trials(cfg.d, "vandermonde", cfg.num_freqs, cfg.experiment)
+        cells = self.run_trials(trials, cfg.n_grid, arms)
 
-        tasks = {}
-        for alpha, delta, tag in combos:
-            for n in xs:
-                for trial in range(cfg.trials):
-                    seed = derive_seed(cfg.seed, cfg.experiment, trial)
-                    tasks[(alpha, delta, tag, n, trial)] = (alpha, delta, tag, n, seed)
-        results = _run_tasks(tasks, self._curve_trial, cfg.threads)
-
-        for alpha, delta, tag in combos:
-            for n in xs:
-                errs = []
-                for trial in range(cfg.trials):
-                    sim, secs = results[(alpha, delta, tag, n, trial)]
-                    seed = tasks[(alpha, delta, tag, n, trial)][4]
-                    eff_delta = delta * _EXP1_TAGS[tag][0] if cfg.experiment == 1 else delta
-                    self.add_row(
-                        ResultRow(cfg.experiment, cfg.d, alpha, eff_delta, n, tag, trial, sim.rel_error, secs, seed)
-                    )
-                    errs.append(sim.rel_error)
-                self.medians.append(
-                    {
-                        "experiment": cfg.experiment,
-                        "d": cfg.d,
-                        "alpha": alpha,
-                        "delta": delta * _EXP1_TAGS[tag][0] if cfg.experiment == 1 else delta,
-                        "n": n,
-                        "tag": tag,
-                        "trials": cfg.trials,
-                        "median_rel_error": _median(errs),
-                    }
-                )
-            self.note(f"experiment {cfg.experiment}: finished series alpha={alpha} delta={delta} tag={tag}")
-
-        if cfg.experiment == 2:
-            for alpha, delta, tag in combos:
-                pts = [
-                    (m["n"], m["median_rel_error"])
-                    for m in self.medians
-                    if (m["alpha"], m["delta"], m["tag"]) == (alpha, delta, tag)
-                ]
-                fit = fit_loglog_slope(pts)
+        for i, arm in enumerate(arms):
+            meds = [self.record(cfg.d, n, arm, trials, cells[(n, i)]) for n in cfg.n_grid]
+            self.note(
+                f"experiment {cfg.experiment}: finished series alpha={arm.alpha} "
+                f"delta={arm.quantizer.delta} tag={arm.tag}"
+            )
+            if cfg.experiment == 2:
+                fit = fit_loglog_slope(zip(cfg.n_grid, meds))
                 self.summary.append(
                     {
                         "experiment": 2,
                         "d": cfg.d,
-                        "alpha": alpha,
-                        "delta": delta,
-                        "tag": tag,
+                        "alpha": arm.alpha,
+                        "delta": arm.quantizer.delta,
+                        "tag": arm.tag,
                         "slope": fit["slope"],
                         "intercept": fit["intercept"],
                         "r2": fit["r2"],
                     }
                 )
 
-    def _curve_trial(self, alpha: float, delta: float, tag: str, n: int, seed: int):
-        cfg = self.cfg
-        if cfg.experiment == 1:
-            scale, dither, corr = _EXP1_TAGS[tag]
-            delta = delta * scale
-        else:
-            dither, corr = Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER
-        return _timed(
-            lambda: simulate_estimate(
-                cfg.d,
-                n,
-                seed,
-                num_freqs=cfg.num_freqs,
-                alpha=alpha,
-                delta=delta,
-                dither=dither,
-                correction=corr,
-                normalize=cfg.normalize,
-            )
-        )
-
     # ----- experiment 4: total complexity versus dimension -----
 
     def run_total_complexity(self) -> None:
         cfg = self.cfg
-        delta = cfg.deltas[0]
-        variants = [
-            (vi, tag, kfix)
-            for vi, (tag, kfix) in enumerate((("fullrank", None), ("rank10", cfg.rank_freqs)))
-            if tag in cfg.variants
-        ]
-        for vi, tag, kfix in variants:
+        quantizer = QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR)
+        for vi, (tag, kfix) in enumerate(zip(_VARIANTS, (None, cfg.rank_freqs))):
+            if tag not in cfg.variants:
+                continue
             for ai, alpha in enumerate(cfg.alphas):
                 for d in cfg.d_grid:
                     k = kfix if kfix is not None else max(1, d // 2)
-                    ruler = ruler_alpha(d, alpha)
-                    probe = self._make_probe(tag, vi, ai, alpha, d, k, delta)
+                    arm = _Arm(tag, alpha, ruler_alpha(d, alpha), quantizer)
+                    trials = self.seeded_trials(d, "vandermonde", k, 4, vi, ai, d)
+                    medians: dict[int, float] = {}
+
+                    def probe(n: int) -> float:
+                        if n not in medians:
+                            cell = self.run_trials(trials, [n], [arm])[(n, 0)]
+                            medians[n] = self.record(d, n, arm, trials, cell)
+                        return medians[n]
+
                     n_star, capped = self._bisect(probe, cfg.eps, cfg.n_cap)
+                    esc = arm.ruler.size
                     self.summary.append(
                         {
                             "experiment": 4,
                             "tag": tag,
                             "alpha": alpha,
                             "d": d,
-                            "esc": ruler.size,
+                            "esc": esc,
                             "n_star": n_star,
-                            "total": total_complexity(n_star, ruler.size),
+                            "total": total_complexity(n_star, esc),
                             "capped": int(capped),
                         }
                     )
                     self.note(
                         f"experiment 4: {tag} alpha={alpha} d={d}: n*={n_star}"
-                        f"{' (capped)' if capped else ''} esc={ruler.size}"
+                        f"{' (capped)' if capped else ''} esc={esc}"
                     )
-
-    def _make_probe(self, tag: str, vi: int, ai: int, alpha: float, d: int, k: int, delta: float):
-        cfg = self.cfg
-        cache: dict[int, float] = {}
-
-        def probe(n: int) -> float:
-            if n in cache:
-                return cache[n]
-            tasks = {
-                trial: (d, n, derive_seed(cfg.seed, 4, vi, ai, d, trial), k, alpha, delta)
-                for trial in range(cfg.trials)
-            }
-            results = _run_tasks(tasks, self._exp4_trial, cfg.threads)
-            errs = []
-            for trial in range(cfg.trials):
-                sim, secs = results[trial]
-                self.add_row(ResultRow(4, d, alpha, delta, n, tag, trial, sim.rel_error, secs, tasks[trial][2]))
-                errs.append(sim.rel_error)
-            med = _median(errs)
-            cache[n] = med
-            self.medians.append(
-                {
-                    "experiment": 4,
-                    "d": d,
-                    "alpha": alpha,
-                    "delta": delta,
-                    "n": n,
-                    "tag": tag,
-                    "trials": cfg.trials,
-                    "median_rel_error": med,
-                }
-            )
-            return med
-
-        return probe
-
-    def _exp4_trial(self, d: int, n: int, seed: int, k: int, alpha: float, delta: float):
-        return _timed(
-            lambda: simulate_estimate(
-                d,
-                n,
-                seed,
-                num_freqs=k,
-                alpha=alpha,
-                delta=delta,
-                dither=Dither.TRIANGULAR,
-                correction=Correction.TRIANGULAR_QUARTER,
-                normalize=self.cfg.normalize,
-            )
-        )
 
     @staticmethod
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
@@ -521,40 +548,20 @@ class _Runner:
 
     def run_banded(self) -> None:
         cfg = self.cfg
-        delta = cfg.deltas[0]
-        alpha = cfg.alphas[0]
-        n = cfg.n_grid[0]
+        (n,), (delta,), (alpha,) = cfg.n_grid, cfg.deltas, cfg.alphas
         m = cfg.bandwidth
-        tags = ("hatT", "breveZeta", "breveM")
+        quantizer = QuantizerConfig(delta, Dither.TRIANGULAR)
         for d in cfg.d_grid:
-            tasks = {}
-            for tag in tags:
-                for trial in range(cfg.trials):
-                    seed = derive_seed(cfg.seed, 5, trial)
-                    tasks[(tag, trial)] = (tag, d, n, seed, alpha, delta, m)
-            results = _run_tasks(tasks, self._exp5_trial, cfg.threads)
-            per_tag: dict[str, list[SimResult]] = {t: [] for t in tags}
-            for tag in tags:
-                errs = []
-                for trial in range(cfg.trials):
-                    sim, secs = results[(tag, trial)]
-                    seed = tasks[(tag, trial)][3]
-                    self.add_row(ResultRow(5, d, alpha, delta, n, tag, trial, sim.rel_error, secs, seed))
-                    per_tag[tag].append(sim)
-                    errs.append(sim.rel_error)
-                self.medians.append(
-                    {
-                        "experiment": 5,
-                        "d": d,
-                        "alpha": alpha,
-                        "delta": delta,
-                        "n": n,
-                        "tag": tag,
-                        "trials": cfg.trials,
-                        "median_rel_error": _median(errs),
-                    }
-                )
-            thresh = per_tag["breveZeta"]
+            ruler = ruler_alpha(d, alpha)
+            arms = [
+                _Arm("hatT", alpha, ruler, quantizer),
+                _Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),
+                _Arm("breveM", alpha, ruler, quantizer, band_est=m),
+            ]
+            trials = self.seeded_trials(d, "banded", cfg.num_freqs, 5)
+            cells = self.run_trials(trials, [n], arms)
+            meds = [self.record(d, n, arm, trials, cells[(n, i)]) for i, arm in enumerate(arms)]
+            thresh = [sim for sim, _ in cells[(n, 1)]]
             tail_zero = np.mean([np.all(s.estimate.a_hat[m:] == 0.0) for s in thresh])
             survival = np.mean([np.all(s.estimate.a_hat[:m] != 0.0) for s in thresh])
             self.summary.append(
@@ -564,7 +571,7 @@ class _Runner:
                     "d": d,
                     "n": n,
                     "delta": delta,
-                    "median_rel_error": _median([s.rel_error for s in thresh]),
+                    "median_rel_error": meds[1],
                     "median_zeta": _median([s.zeta for s in thresh]),
                     "tail_zero_fraction": float(tail_zero),
                     "nonzero_survival_fraction": float(survival),
@@ -573,21 +580,6 @@ class _Runner:
             self.note(
                 f"experiment 5: d={d}: tail-zero {tail_zero:.3f}, survival {survival:.3f}"
             )
-
-    def _exp5_trial(self, tag: str, d: int, n: int, seed: int, alpha: float, delta: float, m: int):
-        kwargs = dict(
-            gen="banded",
-            bandwidth=m,
-            alpha=alpha,
-            delta=delta,
-            dither=Dither.TRIANGULAR,
-            correction=Correction.TRIANGULAR_QUARTER,
-        )
-        if tag == "breveZeta":
-            kwargs["threshold_auto"] = (self.cfg.thresh_c, self.cfg.thresh_p)
-        elif tag == "breveM":
-            kwargs["band_est"] = m
-        return _timed(lambda: simulate_estimate(d, n, seed, **kwargs))
 
 
 def run_experiment(

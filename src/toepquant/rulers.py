@@ -75,19 +75,9 @@ class Ruler:
     def size(self) -> int:
         return int(self.indices.size)
 
-    def position_pairs(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row/column positions (into ``indices``) of the ordered pairs at distance ``s``."""
-        self._check_distance(s)
-        rows, cols = np.nonzero(self._dist == s)
-        return rows, cols
-
     def distance_matrix(self) -> np.ndarray:
         """|R| x |R| matrix of pairwise index distances."""
         return self._dist
-
-    def _check_distance(self, s: int) -> None:
-        if not 0 <= s < self.d:
-            raise IndexOutOfRangeError(f"distance must lie in [0, {self.d}), got {s}")
 
 
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
@@ -147,7 +137,9 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
 
 def pairs_at_distance(ruler: Ruler, s: int) -> set[tuple[int, int]]:
     """Ordered index pairs ``(j, k)`` of the ruler with ``|j - k| == s``."""
-    rows, cols = ruler.position_pairs(s)
+    if not 0 <= s < ruler.d:
+        raise IndexOutOfRangeError(f"distance must lie in [0, {ruler.d}), got {s}")
+    rows, cols = np.nonzero(ruler.distance_matrix() == s)
     idx = ruler.indices
     return {(int(idx[r]), int(idx[c])) for r, c in zip(rows, cols)}
 

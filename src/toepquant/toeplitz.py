@@ -51,18 +51,12 @@ class SymToeplitz:
     def d(self) -> int:
         return self.a.size
 
-    def entry(self, j: int, k: int) -> float:
-        return float(self.a[abs(j - k)])
-
     def dense(self) -> np.ndarray:
         s = np.arange(self.d)
         return self.a[np.abs(s[:, None] - s[None, :])]
 
     def __sub__(self, other: "SymToeplitz") -> "SymToeplitz":
         return SymToeplitz(self.a - other.a)
-
-    def __add__(self, other: "SymToeplitz") -> "SymToeplitz":
-        return SymToeplitz(self.a + other.a)
 
 
 def toep(a: np.ndarray) -> SymToeplitz:

@@ -15,6 +15,7 @@ from toepquant import (
     run_experiment,
     simulate_estimate,
 )
+from toepquant import experiments
 from toepquant._seeding import observation_rng
 from toepquant.cli import main
 
@@ -169,6 +170,15 @@ class TestEstimate:
         rec = {k: v for k, v in parse_csv(out)[1:]}
         assert len([k for k in rec if k.startswith("a[")]) == 10
 
+    @pytest.mark.parametrize("source", ["--input", "--simulate"])
+    def test_ruler_index_errors_are_one_based(self, capsys, tmp_path, source):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.random.default_rng(2).standard_normal((20, 16)), delimiter=",")
+        argv = ["--input", str(path)] if source == "--input" else ["--simulate", "--d", "16"]
+        code, _, err = run_cli(capsys, "estimate", *argv, "--ruler", "1,2,5,8,17")
+        assert code == 2
+        assert "must lie in [1, 16], got [1, 17]" in err
+
     def test_experiment_row_reproducible_via_cli(self, capsys, tmp_path):
         cfg = default_config(
             3, seed=21, out_dir=tmp_path, trials=2, n_grid=(60,),
@@ -248,6 +258,35 @@ class TestExp:
         assert (tmp_path / "experiment3.csv").exists()
         assert (tmp_path / "experiment3_medians.csv").exists()
         assert str(tmp_path / "experiment3.csv") in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp", "--id", "3", "--n-grid", ""],
+            ["--threads", "0", "exp", "--id", "5"],
+            ["--threads", "-3", "exp", "--id", "5"],
+            ["exp", "--id", "5", "--d-grid", ""],
+            ["exp", "--id", "2", "--n-grid", "100,1000"],
+            ["exp", "--id", "5", "--n-grid", "100,1000"],
+            ["exp", "--id", "5", "--deltas", "0.5,1"],
+            ["exp", "--id", "5", "--alphas", "0.5,1"],
+            ["exp", "--id", "4", "--n-grid", "100"],
+            ["exp", "--id", "4", "--deltas", "2,5"],
+            ["exp", "--id", "3", "--n-grid", "100,1000"],
+            ["exp", "--id", "1", "--d-grid", "16,32"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unusable_config_rejected_before_any_trial(self, capsys, tmp_path, monkeypatch, argv):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "sample_gaussian", no_trials)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "--out", str(out_dir), *argv)
+        assert code == 2
+        assert "invalid configuration" in err
+        assert not out_dir.exists()
 
     def test_invalid_id(self, capsys):
         # argparse exits the process with status 2 on bad choices

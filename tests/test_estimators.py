@@ -10,7 +10,6 @@ from toepquant import (
     SampleBatch,
     avg,
     banded_estimate,
-    dot_a,
     full_ruler,
     gen_banded,
     observe,
@@ -22,11 +21,7 @@ from toepquant import (
     threshold_estimate,
     toep,
 )
-from toepquant.exceptions import (
-    IndexOutOfRangeError,
-    InvalidArgumentError,
-    MisuseError,
-)
+from toepquant.exceptions import InvalidArgumentError, MisuseError
 
 
 def brute_force_estimate(rows, indices, d, delta, correction):
@@ -66,25 +61,23 @@ def result_with(a):
 
 
 class TestDotA:
+    """The averaged pair product at distance s, read as ``ruler_estimate(batch).a_hat[s]``."""
+
     def test_single_value(self):
         batch = raw_batch([[3.0]], 1)
-        assert dot_a(batch, 0) == 9.0
+        assert ruler_estimate(batch).a_hat[0] == 9.0
 
     def test_hand_sum(self):
         # ordered pairs at distance 1: (0,1) and (1,0) for both samples
         batch = raw_batch([[1.0, 2.0], [3.0, 4.0]], 2)
-        assert dot_a(batch, 1) == pytest.approx((1 * 2 + 2 * 1 + 3 * 4 + 4 * 3) / 4)
+        assert ruler_estimate(batch).a_hat[1] == pytest.approx((1 * 2 + 2 * 1 + 3 * 4 + 4 * 3) / 4)
 
     def test_unique_pair_is_plain_mean(self):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((7, 3))
         batch = raw_batch(rows, 3)
         want = np.mean(rows[:, 0] * rows[:, 2])
-        assert dot_a(batch, 2) == pytest.approx(want, rel=1e-14)
-
-    def test_distance_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            dot_a(raw_batch([[1.0]], 1), 1)
+        assert ruler_estimate(batch).a_hat[2] == pytest.approx(want, rel=1e-14)
 
 
 class TestRulerEstimate:

@@ -14,6 +14,7 @@ from toepquant import (
     total_complexity,
 )
 from toepquant.exceptions import DomainError, EmptyInputError, InvalidArgumentError
+from toepquant import experiments, sample_gaussian
 from toepquant.experiments import TRIAL_SCHEMA, ExperimentConfig
 
 
@@ -117,6 +118,41 @@ class TestConfig:
         assert cfg5.bandwidth == 5 and cfg5.d_grid == (32, 64, 128)
 
 
+# small configurations of each experiment, as default_config overrides
+SMALL_CONFIGS = {
+    1: dict(trials=2, n_grid=(50, 100), num_freqs=2),
+    2: dict(trials=2, n_grid=(50, 100, 200), deltas=(2.0,), alphas=(0.5, 1.0), num_freqs=2),
+    3: dict(trials=2, n_grid=(60,), deltas=(0.0, 2.0), alphas=(0.5, 1.0), num_freqs=2),
+    4: dict(trials=2, d_grid=(16,), alphas=(0.5, 1.0), eps=0.5, n_cap=1 << 12),
+    5: dict(trials=3, d_grid=(32, 40)),
+}
+
+EXP1_TAGS = {
+    "tildeT": (Dither.NONE, Correction.NONE),
+    "hatT": (Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER),
+    "dotT": (Dither.TRIANGULAR, Correction.NONE),
+    "hatTu": (Dither.UNIFORM, Correction.UNIFORM_SIXTH),
+    "hatTno": (Dither.NONE, Correction.NONE),
+}
+
+
+def simulate_kwargs(cfg, row):
+    """The simulate_estimate settings that produce one row of an experiment."""
+    dither, corr = EXP1_TAGS[row.tag] if cfg.experiment == 1 else (Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER)
+    kwargs = dict(alpha=row.alpha, delta=row.delta, dither=dither, correction=corr, normalize=cfg.normalize)
+    if cfg.experiment == 4:
+        kwargs["num_freqs"] = cfg.rank_freqs if row.tag == "rank10" else max(1, row.d // 2)
+    elif cfg.experiment == 5:
+        kwargs.update(gen="banded", bandwidth=cfg.bandwidth)
+        if row.tag == "breveZeta":
+            kwargs["threshold_auto"] = (cfg.thresh_c, cfg.thresh_p)
+        elif row.tag == "breveM":
+            kwargs["band_est"] = cfg.bandwidth
+    else:
+        kwargs["num_freqs"] = cfg.num_freqs
+    return kwargs
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -159,29 +195,28 @@ class TestRunExperiment:
                 if field != "seconds":
                     assert ra[field] == rb[field]
 
-    def test_exp1_rows_reproducible_in_isolation(self, tmp_path):
+    @pytest.mark.parametrize("experiment", [1, 2, 3, 4, 5])
+    def test_rows_reproducible_in_isolation(self, tmp_path, experiment):
+        # every arm of a trial shares one truth and one sample draw, yet each
+        # row must equal a lone simulate_estimate call, bit for bit
+        cfg = default_config(experiment, seed=9, out_dir=tmp_path, **SMALL_CONFIGS[experiment])
+        out = run_experiment(cfg)
+        assert out.rows
+        for row in out.rows:
+            sim = simulate_estimate(row.d, row.n, row.seed, **simulate_kwargs(cfg, row))
+            assert sim.rel_error == row.rel_error, row
+
+    def test_one_sample_draw_per_n_and_trial(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(t, n, rng):
+            calls.append(n)
+            return sample_gaussian(t, n, rng)
+
+        monkeypatch.setattr(experiments, "sample_gaussian", counting)
         out = self.small_exp1(tmp_path)
-        by_tag = {
-            "tildeT": (0.0, Dither.NONE, Correction.NONE),
-            "hatT": (5.0, Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER),
-            "dotT": (5.0, Dither.TRIANGULAR, Correction.NONE),
-            "hatTu": (5.0, Dither.UNIFORM, Correction.UNIFORM_SIXTH),
-            "hatTno": (5.0, Dither.NONE, Correction.NONE),
-        }
-        for row in out.rows[:10]:
-            delta, dither, corr = by_tag[row.tag]
-            sim = simulate_estimate(
-                row.d,
-                row.n,
-                row.seed,
-                num_freqs=out.config.num_freqs,
-                alpha=row.alpha,
-                delta=delta,
-                dither=dither,
-                correction=corr,
-                normalize=True,
-            )
-            assert sim.rel_error == row.rel_error
+        assert len({r.tag for r in out.rows}) == 5
+        assert sorted(calls) == [50, 50, 100, 100]
 
     def test_exp3_linear_axes(self, tmp_path):
         cfg = default_config(
