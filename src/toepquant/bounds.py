@@ -208,6 +208,6 @@ def evaluate_bounds(
         script_l_prime=lpv,
         lambda_low_rank=lam,
         script_k=skv,
-        zeta=c * skv,
+        zeta=threshold_zeta(kv, ruler.size, d, p, n, c),
         vsc_pred=vsc_predict(d, eps, prob_delta, alpha, lpv if lpv is not None else lv),
     )

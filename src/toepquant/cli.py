@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._seeding import generator_rng, observation_rng
+from ._seeding import observation_rng
 from .bounds import evaluate_bounds
-from .estimators import Correction, banded_estimate, quantized_estimate, ruler_estimate, threshold_estimate
+from .estimators import Correction, relative_error
+from .estimators import quantized_estimate, ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps them)
 from .exceptions import (
     EmptyInputError,
     IndexOutOfRangeError,
@@ -33,11 +34,11 @@ from .exceptions import (
     NumericError,
     ToepquantError,
 )
-from .experiments import default_config, run_experiment, simulate_estimate
+from .experiments import Arm, default_config, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, full_ruler, phi_bound, ruler_alpha
-from .sampling import gen_banded, gen_toeplitz_vandermonde, observe
-from .toeplitz import fro_norm, max_norm, op_norm
+from .sampling import GenSpec
+from .sampling import observe  # noqa: F401  (uncalled; perfbench/tracing.py wraps it)
 
 INVALID_CONFIG = 2
 NUMERIC_FAILURE = 3
@@ -87,12 +88,7 @@ def _ruler_from_spec(text: str, d: int) -> Ruler:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rng = generator_rng(seed)
-    if args.k is not None:
-        t = gen_toeplitz_vandermonde(args.d, args.k, rng)
-    else:
-        t = gen_banded(args.d, args.m, rng)
+    t = draw_truth(GenSpec(args.d, k=args.k, m=args.m), _resolve_seed(args))
     _csv_out([[s, repr(float(v))] for s, v in enumerate(t.a)], ["s", "a"])
     return 0
 
@@ -111,17 +107,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     dither = Dither(args.dither)
     correction = Correction(args.correction)
-    rows_out: list[list] = []
 
     alpha, one_based = _parse_ruler_spec(args.ruler)
     if args.simulate:
+        # the mixture recipe with 8 modes unless --k or --m picks one
+        spec = GenSpec(args.d, k=8 if args.k is None and args.m is None else args.k, m=args.m)
         sim = simulate_estimate(
-            args.d,
+            spec,
             args.n,
             seed,
-            gen="banded" if args.m is not None else "vandermonde",
-            num_freqs=args.k if args.k is not None else 8,
-            bandwidth=args.m if args.m is not None else 5,
             alpha=alpha if alpha is not None else 1.0,
             indices=_zero_based(one_based, args.d) if one_based is not None else None,
             delta=args.delta,
@@ -133,37 +127,26 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             band_est=args.bandwidth,
         )
         est = sim.estimate
-        for s, v in enumerate(est.a_hat):
-            rows_out.append([f"a[{s}]", repr(float(v))])
-        for norm, fn in (("op", op_norm), ("fro", fro_norm), ("max", max_norm)):
-            err = fn(est.matrix - sim.truth) / fn(sim.truth)
-            rows_out.append([f"rel_error_{norm}", repr(float(err))])
+        extra = [
+            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("op", "fro", "max")
+        ]
         if sim.zeta is not None:
-            rows_out.append(["zeta", repr(float(sim.zeta))])
-        rows_out.append(["seed", str(seed)])
+            extra.append(["zeta", repr(float(sim.zeta))])
     else:
         if args.threshold_auto:
             raise InvalidArgumentError(
                 "--threshold-auto needs the true matrix (simulation only); pass --threshold"
             )
         samples = _load_samples(Path(args.input))
-        d = samples.shape[1]
-        ruler = _ruler_from_spec(args.ruler, d)
-        rng = observation_rng(seed, samples.shape[0])
-        batch = observe(samples, ruler, QuantizerConfig(args.delta, dither), rng, seed=seed)
-        if batch.delta == 0 and correction is Correction.NONE:
-            est = ruler_estimate(batch)
-        else:
-            est = quantized_estimate(batch, correction)
-        if args.threshold is not None:
-            est = threshold_estimate(est, args.threshold)
-        if args.bandwidth is not None:
-            est = banded_estimate(est, args.bandwidth)
-        for s, v in enumerate(est.a_hat):
-            rows_out.append([f"a[{s}]", repr(float(v))])
-        rows_out.append(["seed", str(seed)])
+        ruler = _ruler_from_spec(args.ruler, samples.shape[1])
+        arm = Arm(
+            "", alpha, ruler, QuantizerConfig(args.delta, dither), correction, args.threshold, band_est=args.bandwidth
+        )
+        est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]), seed)
+        extra = []
 
-    _csv_out(rows_out, ["key", "value"])
+    coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a_hat)]
+    _csv_out(coefficients + extra + [["seed", str(seed)]], ["key", "value"])
     return 0
 
 

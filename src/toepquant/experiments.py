@@ -28,7 +28,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -42,19 +41,21 @@ from .estimators import (
     banded_estimate,
     quantized_estimate,
     relative_error,
-    ruler_estimate,
     threshold_estimate,
 )
+from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
 from .exceptions import DomainError, EmptyInputError, InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
-from .sampling import gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
+from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
 from .toeplitz import SymToeplitz, op_norm, toep
 
 __all__ = [
+    "Arm",
     "ExperimentConfig",
     "ResultRow",
     "SimResult",
+    "draw_truth",
     "simulate_estimate",
     "default_config",
     "run_experiment",
@@ -87,11 +88,16 @@ class SimResult:
 
 
 @dataclass(frozen=True)
-class _Arm:
-    """One estimator configuration, evaluated on a shared sample draw."""
+class Arm:
+    """One estimator: ruler, quantizer, diagonal correction and post-processing.
+
+    ``tag`` and ``alpha`` only label result rows.  ``threshold_auto=(c, p)``
+    thresholds at ``c * K * sqrt((log|R| + 4p log d) / n)`` with the true
+    operator norm in ``K``, so :meth:`estimate` then needs ``truth``.
+    """
 
     tag: str
-    alpha: float
+    alpha: float | None
     ruler: Ruler
     quantizer: QuantizerConfig
     correction: Correction = Correction.TRIANGULAR_QUARTER
@@ -99,44 +105,42 @@ class _Arm:
     threshold_auto: tuple[float, float] | None = None
     band_est: int | None = None
 
+    def estimate(
+        self, samples: np.ndarray, rng: np.random.Generator, seed: int, truth: SymToeplitz | None = None
+    ) -> tuple[EstimateResult, float | None]:
+        """Observe, estimate and post-process ``samples``; return the estimate and its threshold.
 
-def _draw_truth(
-    seed: int, *, d: int, gen: str, num_freqs: int, bandwidth: int, normalize: bool
-) -> SymToeplitz:
-    """The covariance of a trial, from the generator stream of ``seed``."""
+        ``rng`` draws the dither and is consumed.  At ``delta == 0`` with no
+        correction the estimate is the plain ruler estimator's.
+        """
+        batch = observe(samples, self.ruler, self.quantizer, rng, seed=seed)
+        est = quantized_estimate(batch, self.correction)
+        zeta = None
+        if self.threshold_auto is not None:
+            c, p = self.threshold_auto
+            zeta = threshold_zeta(big_k(op_norm(truth), batch.delta), self.ruler.size, truth.d, p, batch.n, c)
+        elif self.threshold is not None:
+            zeta = float(self.threshold)
+        if zeta is not None:
+            est = threshold_estimate(est, zeta)
+        if self.band_est is not None:
+            est = banded_estimate(est, self.band_est)
+        return est, zeta
+
+
+def draw_truth(spec: GenSpec, seed: int, normalize: bool = False) -> SymToeplitz:
+    """The covariance of trial ``seed``, drawn from its generator stream.
+
+    With ``normalize`` it is rescaled to unit diagonal.
+    """
     g = generator_rng(seed)
-    if gen == "vandermonde":
-        truth = gen_toeplitz_vandermonde(d, num_freqs, g)
-    elif gen == "banded":
-        truth = gen_banded(d, bandwidth, g)
+    if spec.k is not None:
+        truth = gen_toeplitz_vandermonde(spec.d, spec.k, g)
     else:
-        raise InvalidArgumentError(f"unknown generator {gen!r}")
+        truth = gen_banded(spec.d, spec.m, g)
     if normalize:
         truth = toep(truth.a / truth.a[0])
     return truth
-
-
-def _run_arm(
-    arm: _Arm, truth: SymToeplitz, samples: np.ndarray, rng: np.random.Generator, seed: int
-) -> SimResult:
-    """Observe, estimate, post-process and score one arm; ``rng`` is the arm's own."""
-    batch = observe(samples, arm.ruler, arm.quantizer, rng, seed=seed)
-    if batch.delta == 0 and arm.correction is Correction.NONE:
-        est = ruler_estimate(batch)
-    else:
-        est = quantized_estimate(batch, arm.correction)
-
-    zeta = None
-    if arm.threshold_auto is not None:
-        c, p = arm.threshold_auto
-        zeta = threshold_zeta(big_k(op_norm(truth), batch.delta), arm.ruler.size, truth.d, p, batch.n, c)
-        est = threshold_estimate(est, zeta)
-    elif arm.threshold is not None:
-        zeta = float(arm.threshold)
-        est = threshold_estimate(est, zeta)
-    if arm.band_est is not None:
-        est = banded_estimate(est, arm.band_est)
-    return SimResult(truth, est, relative_error(truth, est, "op"), zeta)
 
 
 @dataclass
@@ -144,39 +148,38 @@ class _Trial:
     """One trial seed: its covariance is drawn on first use, then shared."""
 
     seed: int
-    draw_truth: Callable[[int], SymToeplitz]
+    spec: GenSpec
+    normalize: bool
     truth: SymToeplitz | None = None
 
-    def run(self, ns: Iterable[int], arms: Sequence[_Arm]) -> dict[int, list[tuple[SimResult, float]]]:
+    def run(self, ns: Iterable[int], arms: Sequence[Arm]) -> dict[int, list[tuple[SimResult, float]]]:
         """Per ``n``: one sample draw, then every arm on it, with its seconds."""
         return {n: self._draw(n, arms) for n in ns}
 
-    def _draw(self, n: int, arms: Sequence[_Arm]) -> list[tuple[SimResult, float]]:
+    def _draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
         # An arm's seconds are its own time plus an equal share of the shared
         # work before it: the samples, and the covariance on the seed's first
         # draw.  So the arms of a trial sum to the trial's wall time.
         start = time.perf_counter()
         if self.truth is None:
-            self.truth = self.draw_truth(self.seed)
+            self.truth = draw_truth(self.spec, self.seed, self.normalize)
         rng = observation_rng(self.seed, n)
         samples = sample_gaussian(self.truth, n, rng)
         share = (time.perf_counter() - start) / len(arms)
         out = []
         for arm in arms:
             start = time.perf_counter()
-            sim = _run_arm(arm, self.truth, samples, copy.deepcopy(rng), self.seed)
+            est, zeta = arm.estimate(samples, copy.deepcopy(rng), self.seed, self.truth)
+            sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
             out.append((sim, time.perf_counter() - start + share))
         return out
 
 
 def simulate_estimate(
-    d: int,
+    spec: GenSpec,
     n: int,
     seed: int,
     *,
-    gen: str = "vandermonde",
-    num_freqs: int = 8,
-    bandwidth: int = 5,
     alpha: float = 1.0,
     indices: Sequence[int] | None = None,
     delta: float = 0.0,
@@ -189,21 +192,18 @@ def simulate_estimate(
 ) -> SimResult:
     """Run one fully seeded trial: draw, sample, observe, estimate.
 
-    The covariance comes from the generator stream of ``seed``; samples
-    and dither come from the observation stream of ``(seed, n)``.  With
-    ``normalize`` the matrix is rescaled to unit diagonal so that the
-    quantization level is measured against unit-variance coordinates.
-    ``threshold_auto=(c, p)`` thresholds at ``c * K * sqrt((log|R| + 4p
-    log d) / n)`` using the true operator norm in ``K``.
+    The covariance of recipe ``spec`` comes from the generator stream of
+    ``seed``; samples and dither come from the observation stream of
+    ``(seed, n)``.  With ``normalize`` the matrix is rescaled to unit
+    diagonal so that the quantization level is measured against
+    unit-variance coordinates.  The remaining settings are those of
+    :class:`Arm`.
     """
-    truth_of = partial(
-        _draw_truth, d=d, gen=gen, num_freqs=num_freqs, bandwidth=bandwidth, normalize=normalize
-    )
-    ruler = Ruler(d, np.asarray(indices)) if indices is not None else ruler_alpha(d, alpha)
-    arm = _Arm(
+    ruler = Ruler(spec.d, np.asarray(indices)) if indices is not None else ruler_alpha(spec.d, alpha)
+    arm = Arm(
         "", alpha, ruler, QuantizerConfig(delta, dither), Correction(correction), threshold, threshold_auto, band_est
     )
-    return _Trial(seed, truth_of).run([n], [arm])[n][0][0]
+    return _Trial(seed, spec, normalize).run([n], [arm])[n][0][0]
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"threads must be >= 1, got {self.threads}")
         if any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
             raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
-        for name, (fewest, most) in _GRID_SIZES[self.experiment].items():
+        for name, sizes in _READS[self.experiment].items():
+            if sizes is None:
+                continue
+            fewest, most = sizes
             values = getattr(self, name)
             if not fewest <= len(values) <= most:
                 want = "no" if most == 0 else f"exactly {fewest}" if fewest == most else f"at least {fewest}"
@@ -284,16 +287,26 @@ class ExperimentConfig:
 
 _VARIANTS = ("fullrank", "rank10")
 
-# grid -> (fewest, most) values each experiment reads.  Experiments 1-3 run
-# at ``d`` and 4-5 over ``d_grid``; experiment 2 fits a line through its n
-# values; experiment 4 searches n itself; experiment 5 is one point per d.
+# field -> what each experiment reads of it: (fewest, most) values of a
+# grid, or None for a scalar.  Experiments 1-3 run at ``d`` and 4-5 over
+# ``d_grid``; experiment 2 fits a line through its n values; experiment 4
+# searches n itself; experiment 5 is one point per d.  A grid listed as
+# (0, 0) must stay empty.  Every experiment also reads the fields in
+# ``_READ_BY_ALL``; default_config rejects setting any other field.
 _ANY = math.inf
-_GRID_SIZES: dict[int, dict[str, tuple[float, float]]] = {
-    1: dict(d_grid=(0, 0), n_grid=(1, _ANY), deltas=(1, _ANY), alphas=(1, _ANY)),
-    2: dict(d_grid=(0, 0), n_grid=(3, _ANY), deltas=(1, _ANY), alphas=(1, _ANY)),
-    3: dict(d_grid=(0, 0), n_grid=(1, 1), deltas=(1, _ANY), alphas=(1, _ANY)),
-    4: dict(d_grid=(1, _ANY), n_grid=(0, 0), deltas=(1, 1), alphas=(1, _ANY)),
-    5: dict(d_grid=(1, _ANY), n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
+_READ_BY_ALL = ("seed", "out_dir", "trials", "threads", "normalize")
+_READS: dict[int, dict[str, tuple[float, float] | None]] = {
+    1: dict(d_grid=(0, 0), n_grid=(1, _ANY), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
+    2: dict(d_grid=(0, 0), n_grid=(3, _ANY), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
+    3: dict(d_grid=(0, 0), n_grid=(1, 1), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
+    4: dict(
+        d_grid=(1, _ANY), n_grid=(0, 0), deltas=(1, 1), alphas=(1, _ANY),
+        rank_freqs=None, eps=None, n_cap=None, variants=None,
+    ),
+    5: dict(
+        d_grid=(1, _ANY), n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1),
+        bandwidth=None, thresh_c=None, thresh_p=None,
+    ),
 }
 
 
@@ -341,6 +354,9 @@ def default_config(experiment: int, **overrides) -> ExperimentConfig:
     """Config with this package's documented defaults for one experiment."""
     if experiment not in _DEFAULTS:
         raise InvalidArgumentError(f"experiment must be 1..5, got {experiment}")
+    unread = [name for name in overrides if name not in _READS[experiment] and name not in _READ_BY_ALL]
+    if unread:
+        raise InvalidArgumentError(f"experiment {experiment} does not use {', '.join(unread)}")
     params = dict(_DEFAULTS[experiment])
     params.update(overrides)
     return ExperimentConfig(experiment=experiment, **params)
@@ -391,16 +407,13 @@ class _Runner:
         self.medians: list[dict] = []
         self.summary: list[dict] = []
 
-    def seeded_trials(self, d: int, gen: str, num_freqs: int, *key: int) -> list[_Trial]:
-        """The run's trials at seeds ``(cfg.seed, *key, trial)``."""
+    def seeded_trials(self, spec: GenSpec, *key: int) -> list[_Trial]:
+        """The run's trials of recipe ``spec`` at seeds ``(cfg.seed, *key, trial)``."""
         cfg = self.cfg
-        truth_of = partial(
-            _draw_truth, d=d, gen=gen, num_freqs=num_freqs, bandwidth=cfg.bandwidth, normalize=cfg.normalize
-        )
-        return [_Trial(derive_seed(cfg.seed, *key, t), truth_of) for t in range(cfg.trials)]
+        return [_Trial(derive_seed(cfg.seed, *key, t), spec, cfg.normalize) for t in range(cfg.trials)]
 
     def run_trials(
-        self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[_Arm]
+        self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]
     ) -> dict[tuple[int, int], list[tuple[SimResult, float]]]:
         """Every trial at every n, trials spread over the workers.
 
@@ -418,7 +431,7 @@ class _Runner:
         return {(n, i): [draws[n][i] for draws in per_trial] for n in ns for i in range(len(arms))}
 
     def record(
-        self, d: int, n: int, arm: _Arm, trials: list[_Trial], cell: list[tuple[SimResult, float]]
+        self, d: int, n: int, arm: Arm, trials: list[_Trial], cell: list[tuple[SimResult, float]]
     ) -> float:
         """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
         cfg = self.cfg
@@ -449,7 +462,7 @@ class _Runner:
         rulers = {alpha: ruler_alpha(cfg.d, alpha) for alpha in cfg.alphas}
         if cfg.experiment == 1:
             arms = [
-                _Arm(tag, alpha, rulers[alpha], QuantizerConfig(delta * scale, dither), corr)
+                Arm(tag, alpha, rulers[alpha], QuantizerConfig(delta * scale, dither), corr)
                 for alpha in cfg.alphas
                 for di, delta in enumerate(cfg.deltas)
                 for tag, (scale, dither, corr) in _EXP1_TAGS.items()
@@ -458,11 +471,11 @@ class _Runner:
             ]
         else:
             arms = [
-                _Arm("hatT", alpha, rulers[alpha], QuantizerConfig(delta, Dither.TRIANGULAR))
+                Arm("hatT", alpha, rulers[alpha], QuantizerConfig(delta, Dither.TRIANGULAR))
                 for alpha in cfg.alphas
                 for delta in cfg.deltas
             ]
-        trials = self.seeded_trials(cfg.d, "vandermonde", cfg.num_freqs, cfg.experiment)
+        trials = self.seeded_trials(GenSpec(cfg.d, k=cfg.num_freqs), cfg.experiment)
         cells = self.run_trials(trials, cfg.n_grid, arms)
 
         for i, arm in enumerate(arms):
@@ -497,8 +510,8 @@ class _Runner:
             for ai, alpha in enumerate(cfg.alphas):
                 for d in cfg.d_grid:
                     k = kfix if kfix is not None else max(1, d // 2)
-                    arm = _Arm(tag, alpha, ruler_alpha(d, alpha), quantizer)
-                    trials = self.seeded_trials(d, "vandermonde", k, 4, vi, ai, d)
+                    arm = Arm(tag, alpha, ruler_alpha(d, alpha), quantizer)
+                    trials = self.seeded_trials(GenSpec(d, k=k), 4, vi, ai, d)
                     medians: dict[int, float] = {}
 
                     def probe(n: int) -> float:
@@ -554,11 +567,11 @@ class _Runner:
         for d in cfg.d_grid:
             ruler = ruler_alpha(d, alpha)
             arms = [
-                _Arm("hatT", alpha, ruler, quantizer),
-                _Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),
-                _Arm("breveM", alpha, ruler, quantizer, band_est=m),
+                Arm("hatT", alpha, ruler, quantizer),
+                Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),
+                Arm("breveM", alpha, ruler, quantizer, band_est=m),
             ]
-            trials = self.seeded_trials(d, "banded", cfg.num_freqs, 5)
+            trials = self.seeded_trials(GenSpec(d, m=m), 5)
             cells = self.run_trials(trials, [n], arms)
             meds = [self.record(d, n, arm, trials, cells[(n, i)]) for i, arm in enumerate(arms)]
             thresh = [sim for sim, _ in cells[(n, 1)]]

@@ -36,12 +36,14 @@ PSD_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GenSpec:
-    """How to draw a random covariance: cosine mixture (k) or banded (m)."""
+    """How to draw a random covariance: cosine mixture (k) or banded (m).
+
+    ``experiments.draw_truth`` draws a trial's covariance from a spec.
+    """
 
     d: int
     k: int | None = None
     m: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if (self.k is None) == (self.m is None):
@@ -50,11 +52,6 @@ class GenSpec:
             raise InvalidArgumentError(f"k must lie in [1, {self.d}], got {self.k}")
         if self.m is not None and not 1 <= self.m < self.d:
             raise InvalidArgumentError(f"m must lie in [1, {self.d}), got {self.m}")
-
-    def generate(self, rng: np.random.Generator) -> SymToeplitz:
-        if self.k is not None:
-            return gen_toeplitz_vandermonde(self.d, self.k, rng)
-        return gen_banded(self.d, self.m, rng)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 from toepquant import (
     Correction,
     Dither,
+    GenSpec,
     QuantizerConfig,
     Ruler,
     coverage_coefficient,
@@ -94,10 +95,9 @@ def test_criterion_03_dither_correction_separation():
     for tag, (dith, corr) in tags.items():
         errs = [
             simulate_estimate(
-                d,
+                GenSpec(d, k=8),
                 n,
                 int(np.random.SeedSequence((ACCEPT_SEED, 3, trial)).generate_state(1)[0]),
-                num_freqs=8,
                 alpha=0.5,
                 delta=delta,
                 dither=dith,

@@ -7,6 +7,7 @@ import pytest
 from toepquant import (
     Correction,
     Dither,
+    GenSpec,
     QuantizerConfig,
     default_config,
     full_ruler,
@@ -102,10 +103,9 @@ class TestEstimate:
         assert code == 0
         rec = {k: v for k, v in parse_csv(out)[1:]}
         sim = simulate_estimate(
-            8,
+            GenSpec(8, k=2),
             100,
             11,
-            num_freqs=2,
             alpha=0.5,
             delta=2.0,
             dither=Dither.TRIANGULAR,
@@ -142,6 +142,11 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input", str(path))
         assert code == 3
         assert "numeric" in err.lower()
+
+    def test_simulate_rejects_two_recipes(self, capsys):
+        code, _, err = run_cli(capsys, "estimate", "--simulate", "--k", "3", "--m", "2")
+        assert code == 2
+        assert "invalid configuration" in err
 
     def test_threshold_auto_rejected_for_input_files(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
@@ -232,6 +237,13 @@ class TestBounds:
         assert code == 0
         assert len(parse_csv(out)) == 5
 
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_nonpositive_c_rejected(self, capsys, c):
+        code, out, err = run_cli(capsys, "bounds", "--d", "16", f"--c={c}")
+        assert code == 2
+        assert "invalid configuration" in err
+        assert out == ""
+
 
 class TestExp:
     def test_tiny_experiment_three(self, capsys, tmp_path):
@@ -274,6 +286,13 @@ class TestExp:
             ["exp", "--id", "4", "--deltas", "2,5"],
             ["exp", "--id", "3", "--n-grid", "100,1000"],
             ["exp", "--id", "1", "--d-grid", "16,32"],
+            ["exp", "--id", "4", "--d", "32"],
+            ["exp", "--id", "5", "--d", "32"],
+            ["exp", "--id", "1", "--eps", "0.2"],
+            ["exp", "--id", "5", "--eps", "0.2"],
+            ["exp", "--id", "3", "--n-cap", "4096"],
+            ["exp", "--id", "2", "--m", "4"],
+            ["exp", "--id", "4", "--m", "4"],
         ],
         ids=lambda argv: " ".join(argv),
     )

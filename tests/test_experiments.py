@@ -6,6 +6,7 @@ import pytest
 from toepquant import (
     Correction,
     Dither,
+    GenSpec,
     default_config,
     emit_plot_script,
     fit_loglog_slope,
@@ -51,34 +52,31 @@ class TestTotalComplexity:
 class TestSimulateEstimate:
     def test_bit_reproducible(self):
         kwargs = dict(
-            num_freqs=4,
             alpha=0.5,
             delta=2.0,
             dither=Dither.TRIANGULAR,
             correction=Correction.TRIANGULAR_QUARTER,
             normalize=True,
         )
-        a = simulate_estimate(16, 200, 7, **kwargs)
-        b = simulate_estimate(16, 200, 7, **kwargs)
+        a = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
+        b = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
         assert a.rel_error == b.rel_error
         np.testing.assert_array_equal(a.estimate.a_hat, b.estimate.a_hat)
 
     def test_matrix_pinned_by_seed_across_n(self):
-        a = simulate_estimate(8, 50, 3, num_freqs=2)
-        b = simulate_estimate(8, 200, 3, num_freqs=2)
+        a = simulate_estimate(GenSpec(8, k=2), 50, 3)
+        b = simulate_estimate(GenSpec(8, k=2), 200, 3)
         np.testing.assert_array_equal(a.truth.a, b.truth.a)
 
     def test_normalize_unit_diagonal(self):
-        sim = simulate_estimate(8, 50, 3, num_freqs=2, normalize=True)
+        sim = simulate_estimate(GenSpec(8, k=2), 50, 3, normalize=True)
         assert sim.truth.a[0] == pytest.approx(1.0)
 
     def test_threshold_auto_records_zeta(self):
         sim = simulate_estimate(
-            16,
+            GenSpec(16, m=3),
             100,
             5,
-            gen="banded",
-            bandwidth=3,
             alpha=0.5,
             delta=1.0,
             correction=Correction.TRIANGULAR_QUARTER,
@@ -86,9 +84,10 @@ class TestSimulateEstimate:
         )
         assert sim.zeta is not None and sim.zeta > 0
 
-    def test_unknown_generator(self):
-        with pytest.raises(InvalidArgumentError):
-            simulate_estimate(8, 10, 0, gen="wishart")
+    def test_recipe_needs_exactly_one_kind(self):
+        for kinds in ({}, {"k": 2, "m": 3}):
+            with pytest.raises(InvalidArgumentError, match="exactly one"):
+                simulate_estimate(GenSpec(8, **kinds), 10, 0)
 
 
 class TestConfig:
@@ -99,6 +98,13 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(experiment=1, trials=0)
+
+    def test_unread_field_rejected(self):
+        # fields the CLI never sets are checked the same way
+        with pytest.raises(InvalidArgumentError, match="does not use num_freqs"):
+            default_config(5, num_freqs=3)
+        with pytest.raises(InvalidArgumentError, match="does not use variants"):
+            default_config(1, variants=("rank10",))
 
     def test_experiment_range(self):
         with pytest.raises(InvalidArgumentError):
@@ -136,21 +142,21 @@ EXP1_TAGS = {
 }
 
 
-def simulate_kwargs(cfg, row):
-    """The simulate_estimate settings that produce one row of an experiment."""
+def simulate_args(cfg, row):
+    """The simulate_estimate recipe and settings that produce one row of an experiment."""
     dither, corr = EXP1_TAGS[row.tag] if cfg.experiment == 1 else (Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER)
     kwargs = dict(alpha=row.alpha, delta=row.delta, dither=dither, correction=corr, normalize=cfg.normalize)
     if cfg.experiment == 4:
-        kwargs["num_freqs"] = cfg.rank_freqs if row.tag == "rank10" else max(1, row.d // 2)
+        spec = GenSpec(row.d, k=cfg.rank_freqs if row.tag == "rank10" else max(1, row.d // 2))
     elif cfg.experiment == 5:
-        kwargs.update(gen="banded", bandwidth=cfg.bandwidth)
+        spec = GenSpec(row.d, m=cfg.bandwidth)
         if row.tag == "breveZeta":
             kwargs["threshold_auto"] = (cfg.thresh_c, cfg.thresh_p)
         elif row.tag == "breveM":
             kwargs["band_est"] = cfg.bandwidth
     else:
-        kwargs["num_freqs"] = cfg.num_freqs
-    return kwargs
+        spec = GenSpec(row.d, k=cfg.num_freqs)
+    return spec, kwargs
 
 
 def read_rows(path):
@@ -203,7 +209,8 @@ class TestRunExperiment:
         out = run_experiment(cfg)
         assert out.rows
         for row in out.rows:
-            sim = simulate_estimate(row.d, row.n, row.seed, **simulate_kwargs(cfg, row))
+            spec, kwargs = simulate_args(cfg, row)
+            sim = simulate_estimate(spec, row.n, row.seed, **kwargs)
             assert sim.rel_error == row.rel_error, row
 
     def test_one_sample_draw_per_n_and_trial(self, tmp_path, monkeypatch):

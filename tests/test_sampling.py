@@ -15,7 +15,9 @@ from toepquant import (
     toep,
     toeplitz_from_modes,
 )
+from toepquant._seeding import generator_rng
 from toepquant.exceptions import InvalidArgumentError, NotPSDError, NumericError
+from toepquant.experiments import draw_truth
 
 
 def complex_mode_matrix(freqs, powers, d):
@@ -189,9 +191,12 @@ class TestObserve:
 
 class TestGenSpec:
     def test_dispatch(self):
-        rng = np.random.default_rng(32)
-        assert GenSpec(8, k=2).generate(rng).d == 8
-        assert GenSpec(8, m=3).generate(rng).a[3:].sum() == 0.0
+        # draw_truth draws each kind of recipe from the seed's generator stream
+        mixture = gen_toeplitz_vandermonde(8, 2, generator_rng(32))
+        np.testing.assert_array_equal(draw_truth(GenSpec(8, k=2), 32).a, mixture.a)
+        banded = draw_truth(GenSpec(8, m=3), 32)
+        np.testing.assert_array_equal(banded.a, gen_banded(8, 3, generator_rng(32)).a)
+        assert banded.a[3:].sum() == 0.0
 
     def test_requires_exactly_one_kind(self):
         with pytest.raises(InvalidArgumentError):
