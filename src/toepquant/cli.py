@@ -103,6 +103,12 @@ def cmd_ruler(args: argparse.Namespace) -> int:
     return 0
 
 
+# the options of ``estimate`` that only a simulation reads, with the defaults
+# --simulate applies; their parser default is None, so --input can reject
+# any that is given
+_SIMULATION_ONLY = {"d": 16, "n": 1000, "k": None, "m": None, "normalize": False, "thresh_c": 0.07, "thresh_p": 2.0}
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     dither = Dither(args.dither)
@@ -110,6 +116,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     alpha, one_based = _parse_ruler_spec(args.ruler)
     if args.simulate:
+        for name, default in _SIMULATION_ONLY.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         # the mixture recipe with 8 modes unless --k or --m picks one
         spec = GenSpec(args.d, k=8 if args.k is None and args.m is None else args.k, m=args.m)
         sim = simulate_estimate(
@@ -137,6 +146,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise InvalidArgumentError(
                 "--threshold-auto needs the true matrix (simulation only); pass --threshold"
             )
+        given = ["--" + name.replace("_", "-") for name in _SIMULATION_ONLY if getattr(args, name) is not None]
+        if given:
+            raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples = _load_samples(Path(args.input))
         ruler = _ruler_from_spec(args.ruler, samples.shape[1])
         arm = Arm(
@@ -247,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV of raw samples, one d-dimensional row per sample")
     src.add_argument("--simulate", action="store_true", help="draw matrix and samples from the seed")
-    p.add_argument("--d", type=int, default=16, help="dimension (simulation)")
-    p.add_argument("--n", type=int, default=1000, help="sample count (simulation)")
+    p.add_argument("--d", type=int, default=None, help="dimension (simulation; default 16)")
+    p.add_argument("--n", type=int, default=None, help="sample count (simulation; default 1000)")
     p.add_argument("--k", type=int, default=None, help="cosine modes of the simulated matrix")
     p.add_argument("--m", type=int, default=None, help="bandwidth of the simulated matrix")
     p.add_argument(
@@ -259,13 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--dither", choices=[d.value for d in Dither], default="triangular")
     p.add_argument("--correction", choices=[c.value for c in Correction], default="none")
-    p.add_argument("--normalize", action="store_true", help="rescale the simulated matrix to unit diagonal")
+    p.add_argument(
+        "--normalize", action="store_true", default=None, help="rescale the simulated matrix to unit diagonal"
+    )
     post = p.add_mutually_exclusive_group()
     post.add_argument("--threshold", type=float, default=None, help="zero coefficients below this value")
     post.add_argument("--threshold-auto", action="store_true", help="threshold at c*K*sqrt((log|R|+4p log d)/n)")
     post.add_argument("--bandwidth", type=int, default=None, help="zero coefficients at offsets >= this bandwidth")
-    p.add_argument("--thresh-c", type=float, default=0.07)
-    p.add_argument("--thresh-p", type=float, default=2.0)
+    p.add_argument("--thresh-c", type=float, default=None, help="c of --threshold-auto (default 0.07)")
+    p.add_argument("--thresh-p", type=float, default=None, help="p of --threshold-auto (default 2.0)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bounds", help="evaluate theoretical constants as CSV")

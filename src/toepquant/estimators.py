@@ -125,7 +125,10 @@ def banded_estimate(est: EstimateResult, m: int) -> EstimateResult:
 def relative_error(
     t: SymToeplitz, est: EstimateResult | SymToeplitz, norm: str = "op"
 ) -> float:
-    """``||T - T_hat|| / ||T||`` in the operator, Frobenius, or max norm."""
+    """``||T - T_hat|| / ||T||`` in the operator, Frobenius, or max norm.
+
+    The operator-norm denominator is ``t.op_norm``, computed once per ``t``.
+    """
     t_hat = est.matrix if isinstance(est, EstimateResult) else est
     if t.d != t_hat.d:
         raise InvalidArgumentError(f"dimension mismatch: {t.d} vs {t_hat.d}")
@@ -134,7 +137,7 @@ def relative_error(
         fn = norms[norm]
     except KeyError:
         raise InvalidArgumentError(f"norm must be one of {sorted(norms)}, got {norm!r}")
-    denom = fn(t)
+    denom = t.op_norm if norm == "op" else fn(t)
     if denom == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero matrix")
     return fn(t_hat - t) / denom

@@ -25,6 +25,8 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import os
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,7 +50,8 @@ from .exceptions import DomainError, EmptyInputError, InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
-from .toeplitz import SymToeplitz, op_norm, toep
+from .toeplitz import SymToeplitz, toep
+from .toeplitz import op_norm  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
 
 __all__ = [
     "Arm",
@@ -118,7 +121,7 @@ class Arm:
         zeta = None
         if self.threshold_auto is not None:
             c, p = self.threshold_auto
-            zeta = threshold_zeta(big_k(op_norm(truth), batch.delta), self.ruler.size, truth.d, p, batch.n, c)
+            zeta = threshold_zeta(big_k(truth.op_norm, batch.delta), self.ruler.size, truth.d, p, batch.n, c)
         elif self.threshold is not None:
             zeta = float(self.threshold)
         if zeta is not None:
@@ -282,7 +285,27 @@ class ExperimentConfig:
                 )
         if not self.variants or not set(self.variants) <= set(_VARIANTS):
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
+        # build every recipe and ruler of the run, so a dimension that cannot
+        # take them fails here rather than after the dimensions before it ran
+        for d in (self.d,) if self.experiment in (1, 2, 3) else self.d_grid:
+            for variant in self.variants if self.experiment == 4 else (None,):
+                self.spec(d, variant)
+            for alpha in self.alphas:
+                ruler_alpha(d, alpha)
         self.out_dir = Path(self.out_dir)
+
+    def spec(self, d: int, variant: str | None = None) -> GenSpec:
+        """The covariance recipe of the run's trials at dimension ``d``.
+
+        Experiment 4's full-rank variant mixes ``d // 2`` modes and its
+        rank10 variant ``rank_freqs``; experiment 5 is banded at
+        ``bandwidth``; experiments 1-3 mix ``num_freqs`` modes.
+        """
+        if self.experiment == 5:
+            return GenSpec(d, m=self.bandwidth)
+        if self.experiment == 4:
+            return GenSpec(d, k=self.rank_freqs if variant == "rank10" else max(1, d // 2))
+        return GenSpec(d, k=self.num_freqs)
 
 
 _VARIANTS = ("fullrank", "rank10")
@@ -475,7 +498,7 @@ class _Runner:
                 for alpha in cfg.alphas
                 for delta in cfg.deltas
             ]
-        trials = self.seeded_trials(GenSpec(cfg.d, k=cfg.num_freqs), cfg.experiment)
+        trials = self.seeded_trials(cfg.spec(cfg.d), cfg.experiment)
         cells = self.run_trials(trials, cfg.n_grid, arms)
 
         for i, arm in enumerate(arms):
@@ -504,14 +527,13 @@ class _Runner:
     def run_total_complexity(self) -> None:
         cfg = self.cfg
         quantizer = QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR)
-        for vi, (tag, kfix) in enumerate(zip(_VARIANTS, (None, cfg.rank_freqs))):
+        for vi, tag in enumerate(_VARIANTS):
             if tag not in cfg.variants:
                 continue
             for ai, alpha in enumerate(cfg.alphas):
                 for d in cfg.d_grid:
-                    k = kfix if kfix is not None else max(1, d // 2)
                     arm = Arm(tag, alpha, ruler_alpha(d, alpha), quantizer)
-                    trials = self.seeded_trials(GenSpec(d, k=k), 4, vi, ai, d)
+                    trials = self.seeded_trials(cfg.spec(d, tag), 4, vi, ai, d)
                     medians: dict[int, float] = {}
 
                     def probe(n: int) -> float:
@@ -571,7 +593,7 @@ class _Runner:
                 Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),
                 Arm("breveM", alpha, ruler, quantizer, band_est=m),
             ]
-            trials = self.seeded_trials(GenSpec(d, m=m), 5)
+            trials = self.seeded_trials(cfg.spec(d), 5)
             cells = self.run_trials(trials, [n], arms)
             meds = [self.record(d, n, arm, trials, cells[(n, i)]) for i, arm in enumerate(arms)]
             thresh = [sim for sim, _ in cells[(n, 1)]]
@@ -618,11 +640,25 @@ def run_experiment(
 
 
 def _write_outputs(out: ExperimentOutput) -> list[Path]:
+    """Write every output file of a run, or none of them.
+
+    The files are written to a temporary directory inside ``out_dir`` and
+    moved into place only once all of them are complete.
+    """
+    out_dir = out.config.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".partial-", dir=out_dir) as staging:
+        staged = _write_files(out, Path(staging))
+        for path in staged:
+            os.replace(path, out_dir / path.name)
+    return [out_dir / path.name for path in staged]
+
+
+def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
     cfg = out.config
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
 
-    trial_path = cfg.out_dir / f"experiment{cfg.experiment}.csv"
+    trial_path = directory / f"experiment{cfg.experiment}.csv"
     with open(trial_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_SCHEMA)
@@ -630,13 +666,13 @@ def _write_outputs(out: ExperimentOutput) -> list[Path]:
             writer.writerow(row.csv_values())
     paths.append(trial_path)
 
-    median_path = cfg.out_dir / f"experiment{cfg.experiment}_medians.csv"
+    median_path = directory / f"experiment{cfg.experiment}_medians.csv"
     _write_dicts(median_path, out.medians)
     paths.append(median_path)
 
     if out.summary:
         name = "slopes" if cfg.experiment == 2 else "summary"
-        summary_path = cfg.out_dir / f"experiment{cfg.experiment}_{name}.csv"
+        summary_path = directory / f"experiment{cfg.experiment}_{name}.csv"
         _write_dicts(summary_path, out.summary)
         paths.append(summary_path)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NotPSDError, NumericError
+from .exceptions import InvalidArgumentError, NumericError
 from .quantization import Dither, QuantizerConfig, draw_dither, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
@@ -30,8 +30,6 @@ __all__ = [
     "sample_gaussian",
     "observe",
 ]
-
-PSD_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,20 +131,12 @@ def gen_banded(d: int, m: int, rng: np.random.Generator) -> SymToeplitz:
 def sample_gaussian(t: SymToeplitz, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` zero-mean Gaussian vectors with covariance ``t``.
 
-    Factorizes through the symmetric eigendecomposition and clips small
-    negative eigenvalues, so exactly singular (low-rank) covariances are
-    fine; eigenvalues below ``-1e-8 * ||t||_2`` are rejected.
+    Applies ``t.psd_factor``, which is computed on the first draw of ``t``
+    (raising :class:`NotPSDError` if ``t`` is not PSD) and reused after.
     """
     if n < 1:
         raise InvalidArgumentError(f"sample count must be positive, got {n}")
-    w, u = np.linalg.eigh(t.dense())
-    scale = float(np.abs(w).max())
-    if w.min() < -PSD_REL_TOL * scale:
-        raise NotPSDError(
-            f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}"
-        )
-    factor = u * np.sqrt(np.clip(w, 0.0, None))
-    return rng.standard_normal((n, t.d)) @ factor.T
+    return rng.standard_normal((n, t.d)) @ t.psd_factor.T
 
 
 def observe(

@@ -8,6 +8,7 @@ matrices are plain ``numpy`` arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .exceptions import (
     IndexOutOfRangeError,
     InvalidArgumentError,
     InvalidDimensionError,
+    NotPSDError,
     NumericError,
 )
 
@@ -32,10 +34,16 @@ __all__ = [
     "best_rank_k",
 ]
 
+PSD_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SymToeplitz:
-    """A d-by-d symmetric Toeplitz matrix stored as its generating vector."""
+    """A d-by-d symmetric Toeplitz matrix stored as its generating vector.
+
+    The PSD factor and the operator norm are computed on first use and then
+    kept, so every draw and every error norm of one matrix shares them.
+    """
 
     a: np.ndarray
 
@@ -57,6 +65,29 @@ class SymToeplitz:
 
     def __sub__(self, other: "SymToeplitz") -> "SymToeplitz":
         return SymToeplitz(self.a - other.a)
+
+    @cached_property
+    def psd_factor(self) -> np.ndarray:
+        """``F`` with ``F F^T = T``, from the symmetric eigendecomposition.
+
+        Small negative eigenvalues are clipped, so exactly singular
+        (low-rank) matrices are fine; eigenvalues below
+        ``-PSD_REL_TOL * ||T||_2`` raise :class:`NotPSDError`, on every call.
+        """
+        w, u = np.linalg.eigh(self.dense())
+        scale = float(np.abs(w).max())
+        if w.min() < -PSD_REL_TOL * scale:
+            raise NotPSDError(
+                f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}"
+            )
+        factor = u * np.sqrt(np.clip(w, 0.0, None))
+        factor.flags.writeable = False
+        return factor
+
+    @cached_property
+    def op_norm(self) -> float:
+        """Operator norm ``||T||_2``; equals ``op_norm(T)`` bit for bit."""
+        return op_norm(self)
 
 
 def toep(a: np.ndarray) -> SymToeplitz:

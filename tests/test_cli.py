@@ -157,6 +157,19 @@ class TestEstimate:
         assert code == 2
         assert "threshold" in err
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--d", "2"], ["--n", "3"], ["--k", "1"], ["--m", "1"], ["--normalize"], ["--thresh-c", "0.1"], ["--thresh-p", "1"]],
+        ids=lambda option: option[0],
+    )
+    def test_simulation_options_rejected_for_input_files(self, capsys, tmp_path, option):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.ones((3, 2)), delimiter=",")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), *option)
+        assert code == 2
+        assert f"{option[0]} only apply to --simulate" in err
+        assert out == ""
+
     def test_explicit_index_ruler(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "samples.csv"
@@ -293,6 +306,12 @@ class TestExp:
             ["exp", "--id", "3", "--n-cap", "4096"],
             ["exp", "--id", "2", "--m", "4"],
             ["exp", "--id", "4", "--m", "4"],
+            # a recipe or ruler that does not fit a later dimension
+            ["--trials", "2", "exp", "--id", "5", "--d-grid", "32,4"],
+            ["exp", "--id", "5", "--d-grid", "64,32", "--m", "40"],
+            ["exp", "--id", "4", "--d-grid", "16,4"],
+            ["exp", "--id", "4", "--d-grid", "16,1"],
+            ["exp", "--id", "4", "--d-grid", "16", "--alphas", "0.5,2"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -12,6 +12,7 @@ from toepquant import (
     banded_estimate,
     full_ruler,
     gen_banded,
+    gen_toeplitz_vandermonde,
     observe,
     op_norm,
     quantized_estimate,
@@ -269,3 +270,15 @@ class TestRelativeError:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             relative_error(toep([1.0, 0.0]), toep([1.0]))
+
+    def test_cached_norm_matches_a_fresh_one_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        t = gen_toeplitz_vandermonde(24, 5, rng)
+        ests = [result_with(t.a + 0.1 * rng.standard_normal(24)) for _ in range(3)]
+        fresh = [relative_error(toep(t.a), est) for est in ests]
+        sample_gaussian(t, 10, rng)  # t is now factored and ...
+        relative_error(t, ests[0])  # ... its norm is cached
+        for est, first in zip(ests, fresh):
+            want = op_norm(est.matrix - t) / op_norm(t)
+            assert first == want
+            assert relative_error(t, est) == want

@@ -225,6 +225,40 @@ class TestRunExperiment:
         assert len({r.tag for r in out.rows}) == 5
         assert sorted(calls) == [50, 50, 100, 100]
 
+    def test_exp4_factors_each_truth_once(self, tmp_path, monkeypatch):
+        # the search probes many n on each trial's one covariance; only the
+        # first draw of a trial may factor it
+        factorizations = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            factorizations.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = default_config(
+            4, seed=2, out_dir=tmp_path, trials=3, d_grid=(16,), alphas=(1.0,), eps=0.2, variants=("fullrank",)
+        )
+        out = run_experiment(cfg)
+        probes = len(out.medians)
+        assert probes > 3
+        assert len(out.rows) == probes * 3
+        assert factorizations == [(16, 16)] * 3
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing(csv_path):
+            raise OSError("disk full")
+
+        cfg = default_config(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,), num_freqs=2)
+        monkeypatch.setattr(experiments, "emit_plot_script", failing)
+        with pytest.raises(OSError):
+            run_experiment(cfg)
+        assert list(cfg.out_dir.iterdir()) == []
+        monkeypatch.undo()
+        out = run_experiment(cfg)
+        assert sorted(cfg.out_dir.iterdir()) == sorted(out.paths)
+        assert [p.name for p in out.paths] == ["experiment3.csv", "experiment3_medians.csv", "experiment3_medians.gp"]
+
     def test_exp3_linear_axes(self, tmp_path):
         cfg = default_config(
             3,

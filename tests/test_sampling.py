@@ -140,6 +140,31 @@ class TestSampleGaussian:
         with pytest.raises(NotPSDError):
             sample_gaussian(toep([1.0, 1.2, 0.0]), 10, rng)
 
+    def test_not_psd_rejected_on_every_draw(self):
+        # a failed factorization is not cached, so the check runs again
+        t = toep([1.0, 1.2, 0.0])
+        rng = np.random.default_rng(25)
+        for _ in range(2):
+            with pytest.raises(NotPSDError):
+                sample_gaussian(t, 10, rng)
+
+    def test_factor_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        t = toep([2.0, 1.0, 0.0])
+        a = sample_gaussian(t, 8, np.random.default_rng(7))
+        b = sample_gaussian(t, 8, np.random.default_rng(7))
+        fresh = sample_gaussian(toep([2.0, 1.0, 0.0]), 8, np.random.default_rng(7))
+        assert calls == [(3, 3), (3, 3)]
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, fresh)
+
     def test_zero_samples_rejected(self):
         rng = np.random.default_rng(26)
         with pytest.raises(InvalidArgumentError):
