@@ -103,10 +103,11 @@ def cmd_ruler(args: argparse.Namespace) -> int:
     return 0
 
 
-# the options of ``estimate`` that only a simulation reads, with the defaults
-# --simulate applies; their parser default is None, so --input can reject
-# any that is given
-_SIMULATION_ONLY = {"d": 16, "n": 1000, "k": None, "m": None, "normalize": False, "thresh_c": 0.07, "thresh_p": 2.0}
+# the options of ``estimate`` that only a simulation reads, and the value
+# --simulate takes for each one not given; their parser default is None, so
+# --input can reject any that is given.  The mixture recipe's k = 8 applies
+# only when --m does not pick the banded recipe.
+_SIMULATION_DEFAULTS = {"d": 16, "n": 1000, "k": 8, "m": None, "normalize": False, "thresh_c": 0.07, "thresh_p": 2.0}
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -116,23 +117,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     alpha, one_based = _parse_ruler_spec(args.ruler)
     if args.simulate:
-        for name, default in _SIMULATION_ONLY.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        # the mixture recipe with 8 modes unless --k or --m picks one
-        spec = GenSpec(args.d, k=8 if args.k is None and args.m is None else args.k, m=args.m)
+        opt = {
+            name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _SIMULATION_DEFAULTS.items()
+        }
+        spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"])
         sim = simulate_estimate(
             spec,
-            args.n,
+            opt["n"],
             seed,
             alpha=alpha if alpha is not None else 1.0,
-            indices=_zero_based(one_based, args.d) if one_based is not None else None,
+            indices=_zero_based(one_based, opt["d"]) if one_based is not None else None,
             delta=args.delta,
             dither=dither,
             correction=correction,
-            normalize=args.normalize,
+            normalize=opt["normalize"],
             threshold=args.threshold,
-            threshold_auto=(args.thresh_c, args.thresh_p) if args.threshold_auto else None,
+            threshold_auto=(opt["thresh_c"], opt["thresh_p"]) if args.threshold_auto else None,
             band_est=args.bandwidth,
         )
         est = sim.estimate
@@ -146,7 +147,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise InvalidArgumentError(
                 "--threshold-auto needs the true matrix (simulation only); pass --threshold"
             )
-        given = ["--" + name.replace("_", "-") for name in _SIMULATION_ONLY if getattr(args, name) is not None]
+        given = ["--" + name.replace("_", "-") for name in _SIMULATION_DEFAULTS if getattr(args, name) is not None]
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples = _load_samples(Path(args.input))
@@ -259,9 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="CSV of raw samples, one d-dimensional row per sample")
     src.add_argument("--simulate", action="store_true", help="draw matrix and samples from the seed")
-    p.add_argument("--d", type=int, default=None, help="dimension (simulation; default 16)")
-    p.add_argument("--n", type=int, default=None, help="sample count (simulation; default 1000)")
-    p.add_argument("--k", type=int, default=None, help="cosine modes of the simulated matrix")
+    sim_default = _SIMULATION_DEFAULTS
+    p.add_argument("--d", type=int, default=None, help=f"dimension (simulation; default {sim_default['d']})")
+    p.add_argument("--n", type=int, default=None, help=f"sample count (simulation; default {sim_default['n']})")
+    p.add_argument(
+        "--k",
+        type=int,
+        default=None,
+        help=f"cosine modes of the simulated matrix (default {sim_default['k']} unless --m is given)",
+    )
     p.add_argument("--m", type=int, default=None, help="bandwidth of the simulated matrix")
     p.add_argument(
         "--ruler",
@@ -278,8 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     post.add_argument("--threshold", type=float, default=None, help="zero coefficients below this value")
     post.add_argument("--threshold-auto", action="store_true", help="threshold at c*K*sqrt((log|R|+4p log d)/n)")
     post.add_argument("--bandwidth", type=int, default=None, help="zero coefficients at offsets >= this bandwidth")
-    p.add_argument("--thresh-c", type=float, default=None, help="c of --threshold-auto (default 0.07)")
-    p.add_argument("--thresh-p", type=float, default=None, help="p of --threshold-auto (default 2.0)")
+    p.add_argument(
+        "--thresh-c", type=float, default=None, help=f"c of --threshold-auto (default {sim_default['thresh_c']})"
+    )
+    p.add_argument(
+        "--thresh-p", type=float, default=None, help=f"p of --threshold-auto (default {sim_default['thresh_p']})"
+    )
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bounds", help="evaluate theoretical constants as CSV")

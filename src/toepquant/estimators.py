@@ -127,7 +127,7 @@ def relative_error(
 ) -> float:
     """``||T - T_hat|| / ||T||`` in the operator, Frobenius, or max norm.
 
-    The operator-norm denominator is ``t.op_norm``, computed once per ``t``.
+    The operator-norm denominator is :func:`kept_op_norm`, computed once per ``t``.
     """
     t_hat = est.matrix if isinstance(est, EstimateResult) else est
     if t.d != t_hat.d:
@@ -137,7 +137,16 @@ def relative_error(
         fn = norms[norm]
     except KeyError:
         raise InvalidArgumentError(f"norm must be one of {sorted(norms)}, got {norm!r}")
-    denom = t.op_norm if norm == "op" else fn(t)
+    denom = kept_op_norm(t) if norm == "op" else fn(t)
     if denom == 0.0:
         raise ZeroDivisionError("relative error undefined for a zero matrix")
     return fn(t_hat - t) / denom
+
+
+def kept_op_norm(t: SymToeplitz) -> float:
+    """``op_norm(t)``, computed on the first call for ``t`` and kept on it.
+
+    The value is computed through this module's ``op_norm`` binding, which
+    ``perfbench/tracing.py`` wraps, so a traced run counts each norm.
+    """
+    return t.memo("op_norm", lambda: op_norm(t))

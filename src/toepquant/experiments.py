@@ -41,6 +41,7 @@ from .estimators import (
     Correction,
     EstimateResult,
     banded_estimate,
+    kept_op_norm,
     quantized_estimate,
     relative_error,
     threshold_estimate,
@@ -121,7 +122,7 @@ class Arm:
         zeta = None
         if self.threshold_auto is not None:
             c, p = self.threshold_auto
-            zeta = threshold_zeta(big_k(truth.op_norm, batch.delta), self.ruler.size, truth.d, p, batch.n, c)
+            zeta = threshold_zeta(big_k(kept_op_norm(truth), batch.delta), self.ruler.size, truth.d, p, batch.n, c)
         elif self.threshold is not None:
             zeta = float(self.threshold)
         if zeta is not None:
@@ -287,12 +288,16 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
         # build every recipe and ruler of the run, so a dimension that cannot
         # take them fails here rather than after the dimensions before it ran
-        for d in (self.d,) if self.experiment in (1, 2, 3) else self.d_grid:
+        dims = (self.d,) if self.experiment in (1, 2, 3) else self.d_grid
+        for d in dims:
             for variant in self.variants if self.experiment == 4 else (None,):
                 self.spec(d, variant)
-            for alpha in self.alphas:
-                ruler_alpha(d, alpha)
+        self._rulers = {(d, alpha): ruler_alpha(d, alpha) for d in dims for alpha in self.alphas}
         self.out_dir = Path(self.out_dir)
+
+    def ruler(self, d: int, alpha: float) -> Ruler:
+        """The run's ruler of parameter ``alpha`` at dimension ``d``, built once in ``__post_init__``."""
+        return self._rulers[d, alpha]
 
     def spec(self, d: int, variant: str | None = None) -> GenSpec:
         """The covariance recipe of the run's trials at dimension ``d``.
@@ -482,10 +487,9 @@ class _Runner:
 
     def run_curves(self) -> None:
         cfg = self.cfg
-        rulers = {alpha: ruler_alpha(cfg.d, alpha) for alpha in cfg.alphas}
         if cfg.experiment == 1:
             arms = [
-                Arm(tag, alpha, rulers[alpha], QuantizerConfig(delta * scale, dither), corr)
+                Arm(tag, alpha, cfg.ruler(cfg.d, alpha), QuantizerConfig(delta * scale, dither), corr)
                 for alpha in cfg.alphas
                 for di, delta in enumerate(cfg.deltas)
                 for tag, (scale, dither, corr) in _EXP1_TAGS.items()
@@ -494,7 +498,7 @@ class _Runner:
             ]
         else:
             arms = [
-                Arm("hatT", alpha, rulers[alpha], QuantizerConfig(delta, Dither.TRIANGULAR))
+                Arm("hatT", alpha, cfg.ruler(cfg.d, alpha), QuantizerConfig(delta, Dither.TRIANGULAR))
                 for alpha in cfg.alphas
                 for delta in cfg.deltas
             ]
@@ -532,7 +536,7 @@ class _Runner:
                 continue
             for ai, alpha in enumerate(cfg.alphas):
                 for d in cfg.d_grid:
-                    arm = Arm(tag, alpha, ruler_alpha(d, alpha), quantizer)
+                    arm = Arm(tag, alpha, cfg.ruler(d, alpha), quantizer)
                     trials = self.seeded_trials(cfg.spec(d, tag), 4, vi, ai, d)
                     medians: dict[int, float] = {}
 
@@ -587,7 +591,7 @@ class _Runner:
         m = cfg.bandwidth
         quantizer = QuantizerConfig(delta, Dither.TRIANGULAR)
         for d in cfg.d_grid:
-            ruler = ruler_alpha(d, alpha)
+            ruler = cfg.ruler(d, alpha)
             arms = [
                 Arm("hatT", alpha, ruler, quantizer),
                 Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),

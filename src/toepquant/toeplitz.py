@@ -7,8 +7,8 @@ matrices are plain ``numpy`` arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -36,16 +36,20 @@ __all__ = [
 
 PSD_REL_TOL = 1e-8
 
+_V = TypeVar("_V")
+
 
 @dataclass(frozen=True)
 class SymToeplitz:
     """A d-by-d symmetric Toeplitz matrix stored as its generating vector.
 
-    The PSD factor and the operator norm are computed on first use and then
-    kept, so every draw and every error norm of one matrix shares them.
+    Values that depend only on the matrix, such as its PSD factor and its
+    operator norm, are computed on first use and kept (see :meth:`memo`), so
+    every draw and every error norm of one matrix shares them.
     """
 
     a: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -66,14 +70,29 @@ class SymToeplitz:
     def __sub__(self, other: "SymToeplitz") -> "SymToeplitz":
         return SymToeplitz(self.a - other.a)
 
-    @cached_property
+    def memo(self, key: str, compute: Callable[[], _V]) -> _V:
+        """``compute()`` on the first call for ``key``; the kept value after.
+
+        A call that raises keeps nothing.  No lock is taken: threads that ask
+        for a new key at once may each compute it, and all get equal values.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
+    @property
     def psd_factor(self) -> np.ndarray:
         """``F`` with ``F F^T = T``, from the symmetric eigendecomposition.
 
-        Small negative eigenvalues are clipped, so exactly singular
-        (low-rank) matrices are fine; eigenvalues below
+        Computed once per matrix.  Small negative eigenvalues are clipped, so
+        exactly singular (low-rank) matrices are fine; eigenvalues below
         ``-PSD_REL_TOL * ||T||_2`` raise :class:`NotPSDError`, on every call.
         """
+        return self.memo("psd_factor", self._factor)
+
+    def _factor(self) -> np.ndarray:
         w, u = np.linalg.eigh(self.dense())
         scale = float(np.abs(w).max())
         if w.min() < -PSD_REL_TOL * scale:
@@ -83,11 +102,6 @@ class SymToeplitz:
         factor = u * np.sqrt(np.clip(w, 0.0, None))
         factor.flags.writeable = False
         return factor
-
-    @cached_property
-    def op_norm(self) -> float:
-        """Operator norm ``||T||_2``; equals ``op_norm(T)`` bit for bit."""
-        return op_norm(self)
 
 
 def toep(a: np.ndarray) -> SymToeplitz:

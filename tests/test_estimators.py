@@ -282,3 +282,24 @@ class TestRelativeError:
             want = op_norm(est.matrix - t) / op_norm(t)
             assert first == want
             assert relative_error(t, est) == want
+
+    def test_truth_norm_computed_once_through_the_module_binding(self, monkeypatch):
+        import toepquant.estimators as estimators
+
+        seen = []
+        norm = estimators.op_norm
+
+        def counting(m):
+            seen.append(m.a.copy())
+            return norm(m)
+
+        monkeypatch.setattr(estimators, "op_norm", counting)
+        t = toep([2.0, 1.0, 0.0])
+        ests = [toep([1.0, 0.5, 0.0]), toep([1.5, 0.5, 0.1])]
+        for est in ests:
+            relative_error(t, est)
+        # the denominator on the first call only, and one numerator per call
+        want = [t.a, ests[0].a - t.a, ests[1].a - t.a]
+        assert len(seen) == 3
+        for got, w in zip(seen, want):
+            np.testing.assert_array_equal(got, w)

@@ -245,6 +245,20 @@ class TestRunExperiment:
         assert len(out.rows) == probes * 3
         assert factorizations == [(16, 16)] * 3
 
+    def test_each_ruler_built_once_per_run(self, tmp_path, monkeypatch):
+        built = []
+        ruler_alpha = experiments.ruler_alpha
+
+        def counting(d, alpha):
+            built.append((d, alpha))
+            return ruler_alpha(d, alpha)
+
+        monkeypatch.setattr(experiments, "ruler_alpha", counting)
+        cfg = default_config(5, seed=3, out_dir=tmp_path, trials=1, d_grid=(8, 16), n_grid=(40,), alphas=(0.5,))
+        out = run_experiment(cfg)
+        assert sorted(built) == [(8, 0.5), (16, 0.5)]
+        assert {row.d for row in out.rows} == {8, 16}
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def failing(csv_path):
             raise OSError("disk full")
