@@ -87,8 +87,8 @@ def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_va
 
 def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) -> float:
     """Entrywise deviation scale ``K * sqrt((log|R| + 4p log d) / n)``."""
-    if p < 1:
-        raise InvalidArgumentError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise InvalidArgumentError(f"p must be finite and >= 1, got {p}")
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if ruler_size < 1 or d < 1:
@@ -104,8 +104,8 @@ def threshold_zeta(
     The theory asks for a "sufficiently large" ``C``; the default 1.0 is a
     placeholder and the experiment driver calibrates its own value.
     """
-    if c <= 0:
-        raise InvalidArgumentError(f"C must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise InvalidArgumentError(f"C must be finite and positive, got {c}")
     return c * script_k(big_k_value, ruler_size, d, p, n)
 
 

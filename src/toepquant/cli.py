@@ -34,7 +34,7 @@ from .exceptions import (
     NumericError,
     ToepquantError,
 )
-from .experiments import Arm, default_config, draw_truth, run_experiment, simulate_estimate
+from .experiments import Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, full_ruler, phi_bound, ruler_alpha
 from .sampling import GenSpec
@@ -201,30 +201,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_exp(args: argparse.Namespace) -> int:
-    overrides: dict = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.d is not None:
-        overrides["d"] = args.d
-    if args.d_grid is not None:
-        overrides["d_grid"] = _parse_ints(args.d_grid)
-    if args.n_grid is not None:
-        overrides["n_grid"] = _parse_ints(args.n_grid)
-    if args.deltas is not None:
-        overrides["deltas"] = _parse_floats(args.deltas)
-    if args.alphas is not None:
-        overrides["alphas"] = _parse_floats(args.alphas)
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.m is not None:
-        overrides["bandwidth"] = args.m
-    if args.n_cap is not None:
-        overrides["n_cap"] = args.n_cap
+# the parsed arguments that are not ExperimentConfig fields
+_NOT_CONFIG = ("command", "func", "quiet", "seed")
 
-    cfg = default_config(args.id, seed=_resolve_seed(args), out_dir=Path(args.out), **overrides)
+# global options that only ``exp`` reads, by flag and parsed name
+_EXP_ONLY = {"--trials": "trials", "--threads": "threads", "--out": "out_dir"}
+
+
+def cmd_exp(args: argparse.Namespace) -> int:
+    given = {name: value for name, value in vars(args).items() if value is not None and name not in _NOT_CONFIG}
+    cfg = ExperimentConfig(seed=_resolve_seed(args), **given)
     progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     out = run_experiment(cfg, progress=progress)
     for path in out.paths:
@@ -239,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $TOEPQUANT_SEED or 0)")
-    parser.add_argument("--out", default="results", help="output directory for experiment files")
+    parser.add_argument("--out", dest="out_dir", help="output directory for experiment files (default results)")
     parser.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials per grid point")
     parser.add_argument("--threads", type=int, default=None, help="worker threads for experiment trials")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -308,15 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("exp", help="run one of experiments 1..5")
-    p.add_argument("--id", type=int, required=True, choices=[1, 2, 3, 4, 5])
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--d-grid", default=None, help="comma-separated dimensions (experiments 4, 5)")
-    p.add_argument("--n-grid", default=None, help="comma-separated sample counts")
-    p.add_argument("--deltas", default=None, help="comma-separated quantization levels")
-    p.add_argument("--alphas", default=None, help="comma-separated ruler parameters")
-    p.add_argument("--eps", type=float, default=None, help="target accuracy (experiment 4)")
-    p.add_argument("--m", type=int, default=None, help="bandwidth (experiment 5)")
-    p.add_argument("--n-cap", type=int, default=None, help="bisection ceiling (experiment 4)")
+    # every option but --quiet parses into the ExperimentConfig field named by its dest,
+    # and cmd_exp passes each one given straight to the config
+    p.add_argument("--id", dest="experiment", type=int, required=True, choices=[1, 2, 3, 4, 5])
+    p.add_argument("--d", type=int, help="dimension (experiments 1-3)")
+    p.add_argument("--d-grid", type=_parse_ints, help="comma-separated dimensions (experiments 4, 5)")
+    p.add_argument("--n-grid", type=_parse_ints, help="comma-separated sample counts")
+    p.add_argument("--deltas", type=_parse_floats, help="comma-separated quantization levels")
+    p.add_argument("--alphas", type=_parse_floats, help="comma-separated ruler parameters")
+    p.add_argument("--eps", type=float, help="target accuracy (experiment 4)")
+    p.add_argument("--m", dest="bandwidth", type=int, metavar="M", help="bandwidth (experiment 5)")
+    p.add_argument("--n-cap", type=int, help="bisection ceiling (experiment 4)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_exp)
 
@@ -327,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        given = [flag for flag, name in _EXP_ONLY.items() if getattr(args, name) is not None]
+        if given and args.command != "exp":
+            raise InvalidArgumentError(f"options only exp reads given to {args.command}: {', '.join(given)}")
         return args.func(args)
     except (NumericError, NotPSDError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

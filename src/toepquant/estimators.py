@@ -106,8 +106,8 @@ def quantized_estimate(batch: SampleBatch, correction: Correction) -> EstimateRe
 
 def threshold_estimate(est: EstimateResult, zeta: float) -> EstimateResult:
     """Zero every coefficient with ``|a_s| < zeta`` (the diagonal included)."""
-    if zeta < 0:
-        raise InvalidArgumentError(f"zeta must be >= 0, got {zeta}")
+    if not (np.isfinite(zeta) and zeta >= 0):
+        raise InvalidArgumentError(f"zeta must be finite and >= 0, got {zeta}")
     a = np.where(np.abs(est.a_hat) >= zeta, est.a_hat, 0.0)
     return replace(est, a_hat=a)
 

@@ -22,14 +22,13 @@ and configuration columns and is reproducible in isolation.
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -169,11 +168,14 @@ class _Trial:
             self.truth = draw_truth(self.spec, self.seed, self.normalize)
         rng = observation_rng(self.seed, n)
         samples = sample_gaussian(self.truth, n, rng)
+        state = rng.bit_generator.state
         share = (time.perf_counter() - start) / len(arms)
         out = []
         for arm in arms:
             start = time.perf_counter()
-            est, zeta = arm.estimate(samples, copy.deepcopy(rng), self.seed, self.truth)
+            # every arm dithers from the stream as it stood right after sampling
+            rng.bit_generator.state = state
+            est, zeta = arm.estimate(samples, rng, self.seed, self.truth)
             sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
             out.append((sim, time.perf_counter() - start + share))
         return out
@@ -243,54 +245,64 @@ class ResultRow:
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one experiment run; defaults via :func:`default_config`."""
+    """Settings for one experiment run.
+
+    A per-experiment field left ``None`` takes the experiment's default from
+    ``_EXPERIMENTS``; a field the experiment does not read must stay ``None``.
+    """
 
     experiment: int
     out_dir: Path = Path("results")
     seed: int = 0
     trials: int = 20
     threads: int = 1
-    d: int = 16
-    d_grid: tuple[int, ...] = ()
-    n_grid: tuple[int, ...] = ()
-    deltas: tuple[float, ...] = ()
-    alphas: tuple[float, ...] = ()
-    num_freqs: int = 8
-    rank_freqs: int = 5
-    bandwidth: int = 5
-    eps: float = 0.1
-    n_cap: int = 1 << 17
-    thresh_c: float = 0.07
-    thresh_p: float = 2.0
-    normalize: bool = True
-    variants: tuple[str, ...] = ("fullrank", "rank10")
+    normalize: bool | None = None
+    d: int | None = None
+    d_grid: tuple[int, ...] | None = None
+    n_grid: tuple[int, ...] | None = None
+    deltas: tuple[float, ...] | None = None
+    alphas: tuple[float, ...] | None = None
+    num_freqs: int | None = None
+    rank_freqs: int | None = None
+    bandwidth: int | None = None
+    eps: float | None = None
+    n_cap: int | None = None
+    thresh_c: float | None = None
+    thresh_p: float | None = None
+    variants: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in (1, 2, 3, 4, 5):
+        if self.experiment not in _EXPERIMENTS:
             raise InvalidArgumentError(f"experiment must be 1..5, got {self.experiment}")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise InvalidArgumentError(f"threads must be >= 1, got {self.threads}")
-        if any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
-            raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
-        for name, sizes in _READS[self.experiment].items():
-            if sizes is None:
-                continue
-            fewest, most = sizes
-            values = getattr(self, name)
-            if not fewest <= len(values) <= most:
-                want = "no" if most == 0 else f"exactly {fewest}" if fewest == most else f"at least {fewest}"
+        reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
+        # a field defaulting to None is per-experiment: every other one is read by all
+        per_experiment = [f.name for f in fields(self) if f.default is None]
+        unread = [name for name in per_experiment if name not in reads and getattr(self, name) is not None]
+        if unread:
+            raise InvalidArgumentError(f"experiment {self.experiment} does not use {', '.join(unread)}")
+        for name, default in reads.items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
+            fewest, most = sizes.get(name, (1, math.inf))
+            if isinstance(default, tuple) and not fewest <= len(getattr(self, name)) <= most:
+                want = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
                 raise InvalidArgumentError(
-                    f"experiment {self.experiment} takes {want} {name} value(s), got {tuple(values)}"
+                    f"experiment {self.experiment} takes {want} {name} value(s), got {tuple(getattr(self, name))}"
                 )
-        if not self.variants or not set(self.variants) <= set(_VARIANTS):
+        for name, (least, inclusive) in _LEAST.items():
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and (value >= least if inclusive else value > least)):
+                relation = ">=" if inclusive else ">"
+                raise InvalidArgumentError(f"{name} must be finite and {relation} {least}, got {value}")
+        if self.n_grid is not None and any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
+            raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
+        if self.variants is not None and not set(self.variants) <= set(_VARIANTS):
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
         # build every recipe and ruler of the run, so a dimension that cannot
         # take them fails here rather than after the dimensions before it ran
-        dims = (self.d,) if self.experiment in (1, 2, 3) else self.d_grid
+        dims = self.d_grid if self.d_grid is not None else (self.d,)
         for d in dims:
-            for variant in self.variants if self.experiment == 4 else (None,):
+            for variant in self.variants or (None,):
                 self.spec(d, variant)
         self._rulers = {(d, alpha): ruler_alpha(d, alpha) for d in dims for alpha in self.alphas}
         self.out_dir = Path(self.out_dir)
@@ -300,94 +312,13 @@ class ExperimentConfig:
         return self._rulers[d, alpha]
 
     def spec(self, d: int, variant: str | None = None) -> GenSpec:
-        """The covariance recipe of the run's trials at dimension ``d``.
-
-        Experiment 4's full-rank variant mixes ``d // 2`` modes and its
-        rank10 variant ``rank_freqs``; experiment 5 is banded at
-        ``bandwidth``; experiments 1-3 mix ``num_freqs`` modes.
-        """
-        if self.experiment == 5:
-            return GenSpec(d, m=self.bandwidth)
-        if self.experiment == 4:
-            return GenSpec(d, k=self.rank_freqs if variant == "rank10" else max(1, d // 2))
-        return GenSpec(d, k=self.num_freqs)
-
-
-_VARIANTS = ("fullrank", "rank10")
-
-# field -> what each experiment reads of it: (fewest, most) values of a
-# grid, or None for a scalar.  Experiments 1-3 run at ``d`` and 4-5 over
-# ``d_grid``; experiment 2 fits a line through its n values; experiment 4
-# searches n itself; experiment 5 is one point per d.  A grid listed as
-# (0, 0) must stay empty.  Every experiment also reads the fields in
-# ``_READ_BY_ALL``; default_config rejects setting any other field.
-_ANY = math.inf
-_READ_BY_ALL = ("seed", "out_dir", "trials", "threads", "normalize")
-_READS: dict[int, dict[str, tuple[float, float] | None]] = {
-    1: dict(d_grid=(0, 0), n_grid=(1, _ANY), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
-    2: dict(d_grid=(0, 0), n_grid=(3, _ANY), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
-    3: dict(d_grid=(0, 0), n_grid=(1, 1), deltas=(1, _ANY), alphas=(1, _ANY), d=None, num_freqs=None),
-    4: dict(
-        d_grid=(1, _ANY), n_grid=(0, 0), deltas=(1, 1), alphas=(1, _ANY),
-        rank_freqs=None, eps=None, n_cap=None, variants=None,
-    ),
-    5: dict(
-        d_grid=(1, _ANY), n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1),
-        bandwidth=None, thresh_c=None, thresh_p=None,
-    ),
-}
-
-
-_DEFAULTS: dict[int, dict] = {
-    1: dict(
-        d=16,
-        n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000),
-        deltas=(5.0,),
-        alphas=(0.5,),
-        normalize=True,
-    ),
-    2: dict(
-        d=16,
-        n_grid=(100, 316, 1000, 3162, 10000),
-        deltas=(2.0, 5.0),
-        alphas=(0.5, 1.0),
-        normalize=True,
-    ),
-    3: dict(
-        d=16,
-        n_grid=(1000,),
-        deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
-        alphas=(0.5, 0.75, 1.0),
-        normalize=True,
-    ),
-    4: dict(
-        d_grid=(16, 32, 64, 128, 256, 512),
-        n_grid=(),
-        deltas=(2.0,),
-        alphas=(0.5, 1.0),
-        normalize=False,
-    ),
-    5: dict(
-        d_grid=(32, 64, 128),
-        n_grid=(1000,),
-        deltas=(0.5,),
-        alphas=(0.5,),
-        bandwidth=5,
-        normalize=False,
-    ),
-}
+        """The covariance recipe of the run's trials at dimension ``d`` (and experiment 4 ``variant``)."""
+        return _EXPERIMENTS[self.experiment].recipe(self, d, variant)
 
 
 def default_config(experiment: int, **overrides) -> ExperimentConfig:
-    """Config with this package's documented defaults for one experiment."""
-    if experiment not in _DEFAULTS:
-        raise InvalidArgumentError(f"experiment must be 1..5, got {experiment}")
-    unread = [name for name in overrides if name not in _READS[experiment] and name not in _READ_BY_ALL]
-    if unread:
-        raise InvalidArgumentError(f"experiment {experiment} does not use {', '.join(unread)}")
-    params = dict(_DEFAULTS[experiment])
-    params.update(overrides)
-    return ExperimentConfig(experiment=experiment, **params)
+    """Config with this package's documented defaults for one experiment; the same as ``ExperimentConfig``."""
+    return ExperimentConfig(experiment, **overrides)
 
 
 def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
@@ -621,6 +552,80 @@ class _Runner:
             )
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment runs and reads.
+
+    ``reads`` holds every per-experiment field the experiment reads, with its
+    default; ``sizes`` the (fewest, most) values of each grid that does not
+    take one or more.  ``recipe(cfg, d, variant)`` is the covariance recipe
+    of its trials at dimension ``d``.
+    """
+
+    run: Callable[[_Runner], None]
+    recipe: Callable[[ExperimentConfig, int, str | None], GenSpec]
+    reads: dict[str, object]
+    sizes: dict[str, tuple[int, float]] = field(default_factory=dict)
+
+
+_VARIANTS = ("fullrank", "rank10")
+
+# scalar field -> the least value it takes and whether that value itself is
+# allowed; a NaN or infinite value never is
+_LEAST = {
+    "trials": (1, True), "threads": (1, True), "n_cap": (1, True), "thresh_p": (1, True),
+    "eps": (0, False), "thresh_c": (0, False),
+}
+
+
+def _mixture(cfg: ExperimentConfig, d: int, variant: str | None) -> GenSpec:
+    return GenSpec(d, k=cfg.num_freqs)
+
+
+# Experiments 1-3 run at ``d`` and 4-5 over ``d_grid``; experiment 2 fits a
+# line through its n values; experiment 4 searches n itself, its full-rank
+# variant mixing d // 2 modes and its rank10 variant ``rank_freqs``;
+# experiment 5 is one banded point per d.
+_CURVES = dict(normalize=True, d=16, num_freqs=8)
+_EXPERIMENTS: dict[int, _Experiment] = {
+    1: _Experiment(
+        _Runner.run_curves, _mixture,
+        dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
+    ),
+    2: _Experiment(
+        _Runner.run_curves, _mixture,
+        dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
+        dict(n_grid=(3, math.inf)),
+    ),
+    3: _Experiment(
+        _Runner.run_curves, _mixture,
+        dict(
+            _CURVES, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
+            alphas=(0.5, 0.75, 1.0),
+        ),
+        dict(n_grid=(1, 1)),
+    ),
+    4: _Experiment(
+        _Runner.run_total_complexity,
+        lambda cfg, d, variant: GenSpec(d, k=cfg.rank_freqs if variant == "rank10" else max(1, d // 2)),
+        dict(
+            normalize=False, d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
+            rank_freqs=5, eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
+        ),
+        dict(deltas=(1, 1)),
+    ),
+    5: _Experiment(
+        _Runner.run_banded,
+        lambda cfg, d, variant: GenSpec(d, m=cfg.bandwidth),
+        dict(
+            normalize=False, d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
+            bandwidth=5, thresh_c=0.07, thresh_p=2.0,
+        ),
+        dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
+    ),
+}
+
+
 def run_experiment(
     cfg: ExperimentConfig, progress: Callable[[str], None] | None = None
 ) -> ExperimentOutput:
@@ -630,12 +635,7 @@ def run_experiment(
     wall-time ``seconds`` column of the trial CSV.
     """
     runner = _Runner(cfg, progress)
-    if cfg.experiment in (1, 2, 3):
-        runner.run_curves()
-    elif cfg.experiment == 4:
-        runner.run_total_complexity()
-    else:
-        runner.run_banded()
+    _EXPERIMENTS[cfg.experiment].run(runner)
 
     runner.rows.sort(key=ResultRow.key)
     out = ExperimentOutput(cfg, runner.rows, runner.medians, runner.summary)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -16,9 +18,10 @@ from toepquant import (
     run_experiment,
     simulate_estimate,
 )
-from toepquant import experiments
+from toepquant import cli, experiments
 from toepquant._seeding import observation_rng
-from toepquant.cli import main
+from toepquant.cli import build_parser, main
+from toepquant.experiments import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +173,23 @@ class TestEstimate:
         assert f"{option[0]} only apply to --simulate" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--threshold", "nan"],
+            ["--threshold", "inf"],
+            ["--threshold-auto", "--thresh-c", "nan"],
+            ["--threshold-auto", "--thresh-c", "inf"],
+            ["--threshold-auto", "--thresh-p", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_threshold_rejected(self, capsys, option):
+        code, out, err = run_cli(capsys, "estimate", "--simulate", *option)
+        assert code == 2
+        assert "invalid configuration" in err
+        assert out == ""
+
     def test_explicit_index_ruler(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "samples.csv"
@@ -250,7 +270,7 @@ class TestBounds:
         assert code == 0
         assert len(parse_csv(out)) == 5
 
-    @pytest.mark.parametrize("c", ["0", "-1"])
+    @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf"])
     def test_nonpositive_c_rejected(self, capsys, c):
         code, out, err = run_cli(capsys, "bounds", "--d", "16", f"--c={c}")
         assert code == 2
@@ -312,6 +332,11 @@ class TestExp:
             ["exp", "--id", "4", "--d-grid", "16,4"],
             ["exp", "--id", "4", "--d-grid", "16,1"],
             ["exp", "--id", "4", "--d-grid", "16", "--alphas", "0.5,2"],
+            # a search target or ceiling the bisection cannot use
+            ["--trials", "1", "exp", "--id", "4", "--d-grid", "8", "--eps", "nan"],
+            ["--trials", "1", "exp", "--id", "4", "--d-grid", "8", "--eps", "inf"],
+            ["exp", "--id", "4", "--d-grid", "8", "--eps", "-1", "--n-cap", "64"],
+            ["exp", "--id", "4", "--d-grid", "8", "--n-cap", "0"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -325,6 +350,35 @@ class TestExp:
         assert code == 2
         assert "invalid configuration" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("option", [["--trials", "5"], ["--threads", "3"], ["--out", "out"]], ids=lambda o: o[0])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen", "--d", "4", "--k", "1"],
+            ["ruler", "--d", "8", "--alpha", "0.5"],
+            ["estimate", "--simulate"],
+            ["bounds", "--d", "16"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_exp_only_options_rejected_elsewhere(self, capsys, tmp_path, monkeypatch, option, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *option, *command)
+        assert code == 2
+        assert f"options only exp reads given to {command[0]}: {option[0]}" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_options_parse_into_config_fields(self):
+        # cmd_exp passes every parsed option not in _NOT_CONFIG to ExperimentConfig
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = parser._actions + subparsers.choices["exp"]._actions
+        dests = {a.dest for a in actions if a.option_strings and a.dest not in ("help", "version")}
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert dests - set(cli._NOT_CONFIG) <= fields
+        assert {"experiment", "bandwidth", "d_grid", "out_dir", "trials"} <= dests
 
     def test_invalid_id(self, capsys):
         # argparse exits the process with status 2 on bad choices

@@ -106,6 +106,42 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="does not use variants"):
             default_config(1, variants=("rank10",))
 
+    @pytest.mark.parametrize("experiment", [1, 2, 3, 4, 5])
+    def test_constructor_fills_the_experiment_defaults(self, experiment):
+        assert ExperimentConfig(experiment=experiment) == default_config(experiment)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(experiment=4, d=64),
+            dict(experiment=4, d=64, num_freqs=3, d_grid=(16,), deltas=(2.0,), alphas=(1.0,)),
+            dict(experiment=5, num_freqs=3),
+            dict(experiment=1, eps=0.2),
+        ],
+        ids=lambda fields: ",".join(fields),
+    )
+    def test_direct_construction_rejects_unread_field(self, fields):
+        with pytest.raises(InvalidArgumentError, match="does not use"):
+            ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "experiment, field, value",
+        [
+            (4, "eps", float("nan")),
+            (4, "eps", float("inf")),
+            (4, "eps", -1.0),
+            (4, "n_cap", 0),
+            (5, "thresh_c", 0.0),
+            (5, "thresh_c", -1.0),
+            (5, "thresh_c", float("nan")),
+            (5, "thresh_p", 0.5),
+            (5, "thresh_p", float("nan")),
+        ],
+    )
+    def test_unusable_scalar_rejected(self, experiment, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+            default_config(experiment, **{field: value})
+
     def test_experiment_range(self):
         with pytest.raises(InvalidArgumentError):
             default_config(6)
