@@ -50,12 +50,19 @@ def _csv_out(rows: list[list], header: list[str]) -> None:
     writer.writerows(rows)
 
 
+def _parse_list(text: str, kind: type, name: str) -> tuple:
+    try:
+        return tuple(kind(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated {name}, got {text!r}") from None
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip() != "")
+    return _parse_list(text, float, "numbers")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    return _parse_list(text, int, "integers")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -322,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, NotPSDError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
-    except (ToepquantError, ValueError, OSError) as exc:
+    except (ToepquantError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return INVALID_CONFIG
 

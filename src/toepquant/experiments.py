@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from ._seeding import derive_seed, generator_rng, observation_rng
 from .bounds import big_k, threshold_zeta
 from .estimators import (
@@ -383,7 +384,8 @@ class _Runner:
             return trial.run(ns, arms)
 
         if self.cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
+            # the workers are the parallelism: OpenBLAS threads on top would oversubscribe the cores
+            with single_blas_thread(), ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
                 per_trial = list(pool.map(run, trials))
         else:
             per_trial = list(map(run, trials))

@@ -157,17 +157,58 @@ def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
 
 
 def op_norm(m: SymToeplitz | np.ndarray) -> float:
-    """Operator (spectral) norm of a symmetric matrix.
+    """Operator (spectral) norm of a symmetric matrix; the input must be finite.
 
-    Uses a dense symmetric eigendecomposition; the input must be symmetric
-    and finite.
+    A dense array takes one symmetric eigenvalue decomposition of its own.
+
+    A :class:`SymToeplitz` is never expanded to d x d.  It is
+    centrosymmetric (``J T J = T`` with ``J`` the exchange matrix), so its
+    spectrum is the union of the spectra of two symmetric blocks of half
+    the order (Cantoni & Butler, Linear Algebra Appl. 1976).  With
+    ``h = d // 2``, ``A[i, j] = a[|i - j|]`` and ``H[i, j] = a[d - 1 - i - j]``
+    for ``i, j < h``:
+
+    * even ``d``: the blocks are ``A + H`` and ``A - H``;
+    * odd ``d``: the symmetric block is ``A + H`` bordered by a last row and
+      column ``sqrt(2) * a[h - j]`` and the corner ``a[0]`` (order ``h + 1``);
+      the antisymmetric block ``A - H`` (order ``h``) is padded with a zero
+      row and column, which adds the eigenvalue 0 and so cannot raise
+      ``max |lambda|``.
+
+    Both blocks go to one ``eigvalsh`` call as a ``(2, ceil(d/2), ceil(d/2))``
+    stack, about a quarter of the flops of the d x d call.  At ``d = 1`` the
+    blocks are ``[[a[0]]]`` and ``[[0]]``.
     """
+    if isinstance(m, SymToeplitz):
+        a = m.a
+        if not np.all(np.isfinite(a)):
+            raise NumericError("matrix contains non-finite entries")
+        return float(np.abs(np.linalg.eigvalsh(_centrosymmetric_blocks(a))).max())
     dense = _as_dense(m)
     if not np.all(np.isfinite(dense)):
         raise NumericError("matrix contains non-finite entries")
     if dense.shape[0] == 1:
         return float(abs(dense[0, 0]))
     return float(np.abs(np.linalg.eigvalsh(dense)).max())
+
+
+def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
+    """The two half-order blocks of ``toep(a)`` whose spectra make up its own (see :func:`op_norm`)."""
+    d = a.size
+    h = d // 2
+    i = np.arange(h)
+    toe = a[np.abs(i[:, None] - i)]
+    hank = a[d - 1 - i[:, None] - i]
+    k = d - h
+    blocks = np.zeros((2, k, k))
+    blocks[0, :h, :h] = toe + hank
+    blocks[1, :h, :h] = toe - hank
+    if k > h:
+        edge = np.sqrt(2.0) * a[h - i]
+        blocks[0, :h, h] = edge
+        blocks[0, h, :h] = edge
+        blocks[0, h, h] = a[0]
+    return blocks
 
 
 def fro_norm(m: SymToeplitz | np.ndarray) -> float:

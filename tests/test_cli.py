@@ -19,7 +19,9 @@ from toepquant import (
     simulate_estimate,
 )
 from toepquant import cli, experiments
+from toepquant._blas import openblas_threads
 from toepquant._seeding import observation_rng
+from toepquant.exceptions import NumericError
 from toepquant.cli import build_parser, main
 from toepquant.experiments import ExperimentConfig
 
@@ -380,11 +382,75 @@ class TestExp:
         assert dests - set(cli._NOT_CONFIG) <= fields
         assert {"experiment", "bandwidth", "d_grid", "out_dir", "trials"} <= dests
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp", "--id", "5", "--d-grid", "x"],
+            ["exp", "--id", "4", "--d-grid", "16,1.5"],
+            ["exp", "--id", "1", "--n-grid", "100,many"],
+            ["exp", "--id", "3", "--deltas", "0,y"],
+            ["exp", "--id", "2", "--alphas", "half"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unparsable_grid_names_no_internal_function(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {argv[3]}: expected comma-separated" in err
+        assert "_parse" not in err
+
     def test_invalid_id(self, capsys):
         # argparse exits the process with status 2 on bad choices
         with pytest.raises(SystemExit) as exc:
             main(["exp", "--id", "9"])
         assert exc.value.code == 2
+
+
+class TestThreads:
+    EXP5 = ("exp", "--id", "5", "--d-grid", "16,32", "--n-grid", "200", "--quiet")
+
+    @pytest.fixture
+    def blas_counts(self, monkeypatch):
+        """OpenBLAS's thread count at each sample draw of the run."""
+        if openblas_threads() is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
+        counts = []
+        sample = experiments.sample_gaussian
+
+        def recording(*args):
+            counts.append(openblas_threads())
+            return sample(*args)
+
+        monkeypatch.setattr(experiments, "sample_gaussian", recording)
+        return counts
+
+    def test_workers_run_blas_on_one_thread_and_restore_it(self, capsys, tmp_path, blas_counts):
+        before = openblas_threads()
+        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", "--threads", "2", *self.EXP5)
+        assert code == 0, err
+        assert blas_counts and set(blas_counts) == {1}
+        assert openblas_threads() == before
+
+    def test_blas_count_restored_when_a_trial_fails(self, capsys, tmp_path, monkeypatch, blas_counts):
+        before = openblas_threads()
+
+        def failing(*args):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(experiments, "sample_gaussian", failing)
+        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", "--threads", "2", *self.EXP5)
+        assert code == 3, err
+        assert openblas_threads() == before
+
+    def test_one_and_two_threads_write_identical_medians(self, capsys, tmp_path):
+        for threads in ("1", "2"):
+            out_dir = tmp_path / threads
+            code, _, err = run_cli(capsys, "--out", str(out_dir), "--trials", "4", "--threads", threads, *self.EXP5)
+            assert code == 0, err
+        for name in ("experiment5_medians.csv", "experiment5_summary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestParser:

@@ -1,4 +1,4 @@
-"""Property tests: the pair-mean estimator, rulers, the quantizer and the CLI exit codes."""
+"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer and the CLI exit codes."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,6 +23,7 @@ from toepquant import (
     ruler_estimate,
 )
 from toepquant.cli import main
+from toepquant.toeplitz import op_norm, toep
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -73,6 +74,26 @@ def test_full_ruler_pair_means_average_the_second_moment(case):
     # subnormal, which no relative tolerance covers; allow one step per product
     underflow = rows.size * ruler.size * np.finfo(np.float64).smallest_subnormal
     np.testing.assert_allclose(est, want, rtol=1e-12, atol=1e-12 * np.abs(want).max() + underflow)
+
+
+@st.composite
+def generating_vectors(draw):
+    """A generating vector of even or odd length up to 512: drawn entries, or a seeded Gaussian one."""
+    d = draw(st.integers(1, 512))
+    seeded = st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).standard_normal(d))
+    return draw(st.one_of(arrays(np.float64, d, elements=FINITE), seeded))
+
+
+@PROPERTY_SETTINGS
+@given(generating_vectors())
+@example(np.array([-2.5]))
+@example(np.array([1.0, -3.0]))
+@example(np.array([2.0, 1.0, 0.5]))
+@example(np.zeros(7))
+def test_toeplitz_op_norm_split_matches_the_dense_spectrum(a):
+    t = toep(a)
+    want = np.abs(np.linalg.eigvalsh(t.dense())).max()
+    assert abs(op_norm(t) - want) <= 1e-13 * want
 
 
 @settings(max_examples=30, deadline=None)

@@ -130,6 +130,15 @@ class TestNorms:
         with pytest.raises(NumericError):
             op_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [1, 4, 5])
+    def test_op_norm_non_finite_generating_vector(self, bad, d):
+        for s in range(d):
+            a = np.ones(d)
+            a[s] = bad
+            with pytest.raises(NumericError):
+                op_norm(toep(a))
+
     def test_op_norm_matches_char_poly(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
