@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .estimators import (
     Correction,
-    EstimateResult,
     banded_estimate,
     quantized_estimate,
     relative_error,

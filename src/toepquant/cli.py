@@ -124,6 +124,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     alpha, one_based = _parse_ruler_spec(args.ruler)
     if args.simulate:
+        given = ["--" + name.replace("_", "-") for name in ("thresh_c", "thresh_p") if getattr(args, name) is not None]
+        if given and not args.threshold_auto:
+            raise InvalidArgumentError(f"only --threshold-auto reads {' and '.join(given)}")
         opt = {
             name: default if getattr(args, name) is None else getattr(args, name)
             for name, default in _SIMULATION_DEFAULTS.items()
@@ -162,10 +165,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         arm = Arm(
             "", alpha, ruler, QuantizerConfig(args.delta, dither), correction, args.threshold, band_est=args.bandwidth
         )
-        est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]), seed)
+        est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
         extra = []
 
-    coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a_hat)]
+    coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
     _csv_out(coefficients + extra + [["seed", str(seed)]], ["key", "value"])
     return 0
 

@@ -11,19 +11,15 @@ generating vector at any quantization level.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import InvalidArgumentError, MisuseError
-from .quantization import Dither
-from .rulers import Ruler
 from .sampling import SampleBatch
 from .toeplitz import SymToeplitz, fro_norm, max_norm, op_norm, toep
 
 __all__ = [
     "Correction",
-    "EstimateResult",
     "ruler_estimate",
     "quantized_estimate",
     "threshold_estimate",
@@ -47,27 +43,6 @@ class Correction(str, enum.Enum):
         return 0.0
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    """Estimated generating vector plus the settings that produced it."""
-
-    a_hat: np.ndarray
-    ruler: Ruler
-    n: int
-    delta: float
-    dither: Dither
-    correction: Correction
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a_hat, dtype=np.float64).copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "a_hat", a)
-
-    @property
-    def matrix(self) -> SymToeplitz:
-        return toep(self.a_hat)
-
-
 def _pair_means(batch: SampleBatch) -> np.ndarray:
     """Mean product over samples and ordered pairs, for every distance."""
     rows = batch.rows
@@ -78,7 +53,7 @@ def _pair_means(batch: SampleBatch) -> np.ndarray:
     return sums / (batch.n * ruler.pair_counts)
 
 
-def ruler_estimate(batch: SampleBatch) -> EstimateResult:
+def ruler_estimate(batch: SampleBatch) -> SymToeplitz:
     """Plain ruler estimator for unquantized batches.
 
     On the full ruler this equals diagonal-averaging the sample second
@@ -86,12 +61,10 @@ def ruler_estimate(batch: SampleBatch) -> EstimateResult:
     """
     if batch.delta != 0:
         raise MisuseError("ruler_estimate expects an unquantized batch (delta == 0)")
-    return EstimateResult(
-        _pair_means(batch), batch.ruler, batch.n, 0.0, batch.dither, Correction.NONE
-    )
+    return toep(_pair_means(batch))
 
 
-def quantized_estimate(batch: SampleBatch, correction: Correction) -> EstimateResult:
+def quantized_estimate(batch: SampleBatch, correction: Correction) -> SymToeplitz:
     """Bias-corrected estimator from quantized observations.
 
     Subtracts the correction constant from the zero-offset coefficient
@@ -101,35 +74,33 @@ def quantized_estimate(batch: SampleBatch, correction: Correction) -> EstimateRe
     correction = Correction(correction)
     a = _pair_means(batch)
     a[0] -= correction.offset(batch.delta)
-    return EstimateResult(a, batch.ruler, batch.n, batch.delta, batch.dither, correction)
+    return toep(a)
 
 
-def threshold_estimate(est: EstimateResult, zeta: float) -> EstimateResult:
+def threshold_estimate(est: SymToeplitz, zeta: float) -> SymToeplitz:
     """Zero every coefficient with ``|a_s| < zeta`` (the diagonal included)."""
     if not (np.isfinite(zeta) and zeta >= 0):
         raise InvalidArgumentError(f"zeta must be finite and >= 0, got {zeta}")
-    a = np.where(np.abs(est.a_hat) >= zeta, est.a_hat, 0.0)
-    return replace(est, a_hat=a)
+    a = np.where(np.abs(est.a) >= zeta, est.a, 0.0)
+    return toep(a)
 
 
-def banded_estimate(est: EstimateResult, m: int) -> EstimateResult:
+def banded_estimate(est: SymToeplitz, m: int) -> SymToeplitz:
     """Zero every coefficient at offsets ``>= m`` (known bandwidth)."""
-    d = est.a_hat.size
-    if not 1 <= m <= d:
-        raise InvalidArgumentError(f"bandwidth must lie in [1, {d}], got {m}")
-    a = est.a_hat.copy()
+    if not 1 <= m <= est.d:
+        raise InvalidArgumentError(f"bandwidth must lie in [1, {est.d}], got {m}")
+    a = est.a.copy()
     a[m:] = 0.0
-    return replace(est, a_hat=a)
+    return toep(a)
 
 
 def relative_error(
-    t: SymToeplitz, est: EstimateResult | SymToeplitz, norm: str = "op"
+    t: SymToeplitz, t_hat: SymToeplitz, norm: str = "op"
 ) -> float:
     """``||T - T_hat|| / ||T||`` in the operator, Frobenius, or max norm.
 
     The operator-norm denominator is :func:`kept_op_norm`, computed once per ``t``.
     """
-    t_hat = est.matrix if isinstance(est, EstimateResult) else est
     if t.d != t_hat.d:
         raise InvalidArgumentError(f"dimension mismatch: {t.d} vs {t_hat.d}")
     norms = {"op": op_norm, "fro": fro_norm, "max": max_norm}

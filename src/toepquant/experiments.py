@@ -39,7 +39,6 @@ from ._seeding import derive_seed, generator_rng, observation_rng
 from .bounds import big_k, threshold_zeta
 from .estimators import (
     Correction,
-    EstimateResult,
     banded_estimate,
     kept_op_norm,
     quantized_estimate,
@@ -86,7 +85,7 @@ class SimResult:
     """Everything one simulated trial produced."""
 
     truth: SymToeplitz
-    estimate: EstimateResult
+    estimate: SymToeplitz
     rel_error: float
     zeta: float | None = None
 
@@ -110,14 +109,14 @@ class Arm:
     band_est: int | None = None
 
     def estimate(
-        self, samples: np.ndarray, rng: np.random.Generator, seed: int, truth: SymToeplitz | None = None
-    ) -> tuple[EstimateResult, float | None]:
+        self, samples: np.ndarray, rng: np.random.Generator, truth: SymToeplitz | None = None
+    ) -> tuple[SymToeplitz, float | None]:
         """Observe, estimate and post-process ``samples``; return the estimate and its threshold.
 
         ``rng`` draws the dither and is consumed.  At ``delta == 0`` with no
         correction the estimate is the plain ruler estimator's.
         """
-        batch = observe(samples, self.ruler, self.quantizer, rng, seed=seed)
+        batch = observe(samples, self.ruler, self.quantizer, rng)
         est = quantized_estimate(batch, self.correction)
         zeta = None
         if self.threshold_auto is not None:
@@ -176,7 +175,7 @@ class _Trial:
             start = time.perf_counter()
             # every arm dithers from the stream as it stood right after sampling
             rng.bit_generator.state = state
-            est, zeta = arm.estimate(samples, rng, self.seed, self.truth)
+            est, zeta = arm.estimate(samples, rng, self.truth)
             sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
             out.append((sim, time.perf_counter() - start + share))
         return out
@@ -297,6 +296,10 @@ class ExperimentConfig:
                 raise InvalidArgumentError(f"{name} must be finite and {relation} {least}, got {value}")
         if self.n_grid is not None and any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
             raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
+        for name in ("d_grid", "deltas", "alphas"):
+            values = getattr(self, name)
+            if values is not None and len(set(values)) < len(values):
+                raise InvalidArgumentError(f"{name} must not repeat a value, got {tuple(values)}")
         if self.variants is not None and not set(self.variants) <= set(_VARIANTS):
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
         # build every recipe and ruler of the run, so a dimension that cannot
@@ -500,14 +503,14 @@ class _Runner:
 
     @staticmethod
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
-        """Smallest n (within ~5%) whose median error meets eps, doubling then halving."""
+        """Smallest n (within ~5%) whose median error meets eps, doubling then halving; no probe exceeds cap."""
         if probe(1) <= eps:
             return 1, False
         lo, hi = 1, 2
-        while probe(hi) > eps:
+        while hi <= cap and probe(hi) > eps:
             lo, hi = hi, hi * 2
-            if hi > cap:
-                return cap, True
+        if hi > cap:
+            return cap, True
         while hi - lo > max(1, lo // 20):
             mid = (lo + hi) // 2
             if probe(mid) <= eps:
@@ -534,8 +537,8 @@ class _Runner:
             cells = self.run_trials(trials, [n], arms)
             meds = [self.record(d, n, arm, trials, cells[(n, i)]) for i, arm in enumerate(arms)]
             thresh = [sim for sim, _ in cells[(n, 1)]]
-            tail_zero = np.mean([np.all(s.estimate.a_hat[m:] == 0.0) for s in thresh])
-            survival = np.mean([np.all(s.estimate.a_hat[:m] != 0.0) for s in thresh])
+            tail_zero = np.mean([np.all(s.estimate.a[m:] == 0.0) for s in thresh])
+            survival = np.mean([np.all(s.estimate.a[:m] != 0.0) for s in thresh])
             self.summary.append(
                 {
                     "experiment": 5,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidArgumentError, NumericError
-from .quantization import Dither, QuantizerConfig, draw_dither, _grid_round
+from .quantization import QuantizerConfig, draw_dither, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
 
@@ -63,8 +63,6 @@ class SampleBatch:
     rows: np.ndarray
     ruler: Ruler
     delta: float
-    dither: Dither
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -77,7 +75,6 @@ class SampleBatch:
         rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "dither", Dither(self.dither))
 
     @property
     def n(self) -> int:
@@ -144,7 +141,6 @@ def observe(
     ruler: Ruler,
     cfg: QuantizerConfig,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> SampleBatch:
     """Restrict samples to the ruler's indices and quantize them.
 
@@ -163,4 +159,4 @@ def observe(
         rows = sub
     else:
         rows = _grid_round(sub + draw_dither(cfg, sub.shape, rng), cfg.delta)
-    return SampleBatch(rows, ruler, cfg.delta, cfg.dither, seed)
+    return SampleBatch(rows, ruler, cfg.delta)

@@ -57,7 +57,7 @@ def test_criterion_01_unbiasedness():
             rng = np.random.default_rng((ACCEPT_SEED, 1, int(2 * delta), trial))
             x = sample_gaussian(truth, n, rng)
             batch = observe(x, ruler, QuantizerConfig(delta, Dither.TRIANGULAR), rng)
-            hats[trial] = quantized_estimate(batch, Correction.TRIANGULAR_QUARTER).a_hat
+            hats[trial] = quantized_estimate(batch, Correction.TRIANGULAR_QUARTER).a
         se = hats.std(axis=0, ddof=1) / math.sqrt(trials)
         devs = np.abs(hats.mean(axis=0) - truth.a) / se
         worst = max(worst, float(devs.max()))
@@ -188,7 +188,7 @@ def test_criterion_05_oracle_equivalence():
         correction = Correction(rng.choice([cv.value for cv in Correction]))
         x = 2.0 * rng.standard_normal((n, d))
         batch = observe(x, Ruler(d, np.array(indices)), QuantizerConfig(delta, dither), rng)
-        got = quantized_estimate(batch, correction).a_hat
+        got = quantized_estimate(batch, correction).a
         want = brute_force_estimate(batch.rows, indices, d, delta, correction)
         worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
     report(

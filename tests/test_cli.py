@@ -118,7 +118,7 @@ class TestEstimate:
         )
         assert float(rec["rel_error_op"]) == sim.rel_error
         np.testing.assert_array_equal(
-            np.array([float(rec[f"a[{s}]"]) for s in range(8)]), sim.estimate.a_hat
+            np.array([float(rec[f"a[{s}]"]) for s in range(8)]), sim.estimate.a
         )
 
     def test_input_file(self, capsys, tmp_path):
@@ -133,7 +133,7 @@ class TestEstimate:
         rec = {k: v for k, v in parse_csv(out)[1:]}
         loaded = np.loadtxt(path, delimiter=",", ndmin=2)
         batch = observe(loaded, full_ruler(4), QuantizerConfig(0.0, Dither.NONE), observation_rng(5, 40))
-        want = ruler_estimate(batch).a_hat
+        want = ruler_estimate(batch).a
         got = np.array([float(rec[f"a[{s}]"]) for s in range(4)])
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
@@ -190,6 +190,23 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--simulate", *option)
         assert code == 2
         assert "invalid configuration" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--thresh-c", "5"],
+            ["--thresh-p", "9"],
+            ["--thresh-c", "5", "--thresh-p", "9"],
+            ["--threshold", "0.1", "--thresh-c", "5"],
+            ["--bandwidth", "3", "--thresh-p", "9"],
+        ],
+        ids=" ".join,
+    )
+    def test_threshold_auto_constants_rejected_without_it(self, capsys, option):
+        code, out, err = run_cli(capsys, "--seed", "3", "estimate", "--simulate", *option)
+        assert code == 2
+        assert "only --threshold-auto reads" in err
         assert out == ""
 
     def test_explicit_index_ruler(self, capsys, tmp_path):
@@ -339,6 +356,10 @@ class TestExp:
             ["--trials", "1", "exp", "--id", "4", "--d-grid", "8", "--eps", "inf"],
             ["exp", "--id", "4", "--d-grid", "8", "--eps", "-1", "--n-cap", "64"],
             ["exp", "--id", "4", "--d-grid", "8", "--n-cap", "0"],
+            # a repeated grid value would run, and write, every cell twice
+            ["--seed", "1", "--trials", "2", "exp", "--id", "3", "--deltas", "1,1", "--alphas", "0.5"],
+            ["--trials", "1", "exp", "--id", "4", "--d-grid", "16,16", "--eps", "0.5"],
+            ["exp", "--id", "2", "--alphas", "0.5,1,0.5"],
         ],
         ids=lambda argv: " ".join(argv),
     )

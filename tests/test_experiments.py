@@ -61,7 +61,7 @@ class TestSimulateEstimate:
         a = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
         b = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
         assert a.rel_error == b.rel_error
-        np.testing.assert_array_equal(a.estimate.a_hat, b.estimate.a_hat)
+        np.testing.assert_array_equal(a.estimate.a, b.estimate.a)
 
     def test_matrix_pinned_by_seed_across_n(self):
         a = simulate_estimate(GenSpec(8, k=2), 50, 3)
@@ -343,6 +343,26 @@ class TestRunExperiment:
             assert rec["esc"] == 16
         summary_rows = read_rows(tmp_path / "experiment4_summary.csv")
         assert len(summary_rows) == 2
+
+    def test_exp4_search_stops_at_n_cap(self, tmp_path):
+        cfg = default_config(4, seed=1, out_dir=tmp_path, trials=2, d_grid=(16,), eps=0.9, n_cap=1)
+        out = run_experiment(cfg)
+        assert len(out.summary) == 4
+        assert all(rec["n_star"] <= 1 for rec in out.summary)
+        assert all(rec["n"] <= 1 for rec in out.medians)
+
+    @pytest.mark.parametrize(
+        "cap, probes, result", [(1, [1], (1, True)), (2, [1, 2], (2, True)), (3, [1, 2], (3, True))]
+    )
+    def test_bisect_probes_no_n_above_cap(self, cap, probes, result):
+        seen = []
+
+        def never_met(n):
+            seen.append(n)
+            return 1.0
+
+        assert experiments._Runner._bisect(never_met, 0.5, cap) == result
+        assert seen == probes
 
     def test_exp5_summary_fractions(self, tmp_path):
         cfg = default_config(5, seed=3, out_dir=tmp_path, trials=4, d_grid=(32,))
