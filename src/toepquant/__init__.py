@@ -6,6 +6,7 @@ constants that govern the estimator, and reproduce the accompanying
 benchmark experiments at desk scale.
 """
 
+from ._seeding import STREAM_VERSION
 from .bounds import (
     BoundsReport,
     big_k,

@@ -13,13 +13,20 @@ A simulated trial owns two streams:
 
 Keeping ``n`` inside the observation key makes batches at different sample
 counts independent while letting one trial seed pin down the matrix.
+
+``STREAM_VERSION`` names how the observation stream is spent.  Version 2
+draws the samples of each ruler separately, on that ruler's columns only,
+each from the start of the ``(seed, 1, n)`` stream; version 1 drew all d
+coordinates once per ``(seed, n)``.  Full-ruler draws are the same in both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_seed", "generator_rng", "observation_rng"]
+__all__ = ["STREAM_VERSION", "derive_seed", "generator_rng", "observation_rng"]
+
+STREAM_VERSION = 2
 
 
 def derive_seed(*key: int) -> int:

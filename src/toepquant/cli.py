@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._seeding import observation_rng
+from ._seeding import STREAM_VERSION, observation_rng
 from .bounds import evaluate_bounds
 from .estimators import Correction, relative_error
 from .estimators import quantized_estimate, ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps them)
@@ -169,7 +169,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         extra = []
 
     coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
-    _csv_out(coefficients + extra + [["seed", str(seed)]], ["key", "value"])
+    _csv_out(coefficients + extra + [["seed", str(seed)], ["stream_version", str(STREAM_VERSION)]], ["key", "value"])
     return 0
 
 

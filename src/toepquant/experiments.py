@@ -12,12 +12,15 @@ Five experiments are provided:
 5. banded matrices: thresholded estimator error versus dimension.
 
 Every trial runs one pipeline: the covariance is drawn once per trial
-seed, the samples once per ``(seed, n)``, and every estimator arm of the
-experiment (tag, ruler, quantization level, dither, correction and
-post-processing) is evaluated on that one draw.  Each arm dithers from
-the observation stream as it stands right after sampling, so every result
-row equals one :func:`simulate_estimate` call at the row's ``(seed, n)``
-and configuration columns and is reproducible in isolation.
+seed, the samples once per ``(seed, n, ruler)`` on that ruler's columns
+only, and every estimator arm of the experiment (tag, ruler, quantization
+level, dither, correction and post-processing) is evaluated on its
+ruler's draw.  Each ruler's draw starts from the observation stream of
+``(seed, n)``, and each arm dithers from that stream as it stands right
+after its ruler's draw, so every result row equals one
+:func:`simulate_estimate` call at the row's ``(seed, n)`` and
+configuration columns and is reproducible in isolation.  An arm's
+``seconds`` is its own time plus an equal share of its ruler's draw.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def draw_truth(spec: GenSpec, seed: int, normalize: bool = False) -> SymToeplitz
 
 @dataclass
 class _Trial:
-    """One trial seed: its covariance is drawn on first use, then shared."""
+    """One trial seed: its covariance is drawn on first use, then shared by every draw."""
 
     seed: int
     spec: GenSpec
@@ -156,28 +159,34 @@ class _Trial:
     truth: SymToeplitz | None = None
 
     def run(self, ns: Iterable[int], arms: Sequence[Arm]) -> dict[int, list[tuple[SimResult, float]]]:
-        """Per ``n``: one sample draw, then every arm on it, with its seconds."""
+        """Per ``n``: one sample draw per ruler, then every arm on its ruler's draw, with its seconds."""
         return {n: self._draw(n, arms) for n in ns}
 
     def _draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
-        # An arm's seconds are its own time plus an equal share of the shared
-        # work before it: the samples, and the covariance on the seed's first
-        # draw.  So the arms of a trial sum to the trial's wall time.
-        start = time.perf_counter()
-        if self.truth is None:
-            self.truth = draw_truth(self.spec, self.seed, self.normalize)
-        rng = observation_rng(self.seed, n)
-        samples = sample_gaussian(self.truth, n, rng)
-        state = rng.bit_generator.state
-        share = (time.perf_counter() - start) / len(arms)
-        out = []
-        for arm in arms:
+        # An arm's seconds are its own time plus an equal share of its ruler's
+        # draw, the seed's covariance included on its first draw.  So the
+        # arms of a trial sum to the trial's wall time.
+        by_ruler: dict[bytes, list[int]] = {}
+        for i, arm in enumerate(arms):
+            by_ruler.setdefault(arm.ruler.indices.tobytes(), []).append(i)
+        out: list[tuple[SimResult, float]] = [None] * len(arms)
+        for group in by_ruler.values():
             start = time.perf_counter()
-            # every arm dithers from the stream as it stood right after sampling
-            rng.bit_generator.state = state
-            est, zeta = arm.estimate(samples, rng, self.truth)
-            sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
-            out.append((sim, time.perf_counter() - start + share))
+            if self.truth is None:
+                self.truth = draw_truth(self.spec, self.seed, self.normalize)
+            # every ruler's draw starts from the same stream, so each row
+            # depends only on its own ruler
+            rng = observation_rng(self.seed, n)
+            samples = sample_gaussian(self.truth, n, rng, arms[group[0]].ruler.indices)
+            state = rng.bit_generator.state
+            share = (time.perf_counter() - start) / len(group)
+            for i in group:
+                start = time.perf_counter()
+                # every arm dithers from the stream as it stood right after its ruler's draw
+                rng.bit_generator.state = state
+                est, zeta = arms[i].estimate(samples, rng, self.truth)
+                sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
+                out[i] = (sim, time.perf_counter() - start + share)
         return out
 
 
@@ -503,14 +512,21 @@ class _Runner:
 
     @staticmethod
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
-        """Smallest n (within ~5%) whose median error meets eps, doubling then halving; no probe exceeds cap."""
+        """Smallest n (within ~5%) whose median error meets eps, doubling then halving; no probe exceeds cap.
+
+        A cap that is not a power of two is probed when the doubling passes
+        it, and the halving then runs below it.
+        """
         if probe(1) <= eps:
             return 1, False
         lo, hi = 1, 2
         while hi <= cap and probe(hi) > eps:
             lo, hi = hi, hi * 2
         if hi > cap:
-            return cap, True
+            # the doubling passed the cap: probe the cap itself unless it was the last doubling
+            if lo == cap or probe(cap) > eps:
+                return cap, True
+            hi = cap
         while hi - lo > max(1, lo // 20):
             mid = (lo + hi) // 2
             if probe(mid) <= eps:

@@ -125,15 +125,22 @@ def gen_banded(d: int, m: int, rng: np.random.Generator) -> SymToeplitz:
     return toep(a)
 
 
-def sample_gaussian(t: SymToeplitz, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` zero-mean Gaussian vectors with covariance ``t``.
+def sample_gaussian(
+    t: SymToeplitz, n: int, rng: np.random.Generator, indices: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw ``n`` zero-mean Gaussian vectors with covariance ``t``, on ``indices`` only.
 
-    Applies ``t.psd_factor``, which is computed on the first draw of ``t``
-    (raising :class:`NotPSDError` if ``t`` is not PSD) and reused after.
+    The rows have shape (n, |indices|), columns in ascending index order,
+    and law N(0, T_R) for the principal submatrix ``T_R`` on ``indices``
+    (all d coordinates by default).  Applies ``t.psd_factor(indices)``,
+    which is computed on the first draw of ``t`` on those indices (raising
+    :class:`NotPSDError` if ``T_R`` is not PSD) and reused after.  Passing
+    every index draws the same numbers as passing none.
     """
     if n < 1:
         raise InvalidArgumentError(f"sample count must be positive, got {n}")
-    return rng.standard_normal((n, t.d)) @ t.psd_factor.T
+    factor = t.psd_factor(indices)
+    return rng.standard_normal((n, factor.shape[0])) @ factor.T
 
 
 def observe(
@@ -144,15 +151,17 @@ def observe(
 ) -> SampleBatch:
     """Restrict samples to the ruler's indices and quantize them.
 
-    A fresh dither is drawn for every entry; with ``delta == 0`` the rows
-    are the raw restricted samples.
+    ``samples`` is (n, d), or (n, |R|) when already drawn on the ruler only
+    (see :func:`sample_gaussian`); the two agree for the full ruler, whose
+    restriction changes nothing.  A fresh dither is drawn for every entry;
+    with ``delta == 0`` the rows are the raw restricted samples.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != ruler.d:
+    if samples.ndim != 2 or samples.shape[1] not in (ruler.d, ruler.size):
         raise InvalidArgumentError(
-            f"samples must be (n, d) = (n, {ruler.d}), got {samples.shape}"
+            f"samples must be (n, d) = (n, {ruler.d}) or (n, |R|) = (n, {ruler.size}), got {samples.shape}"
         )
-    sub = samples[:, ruler.indices]
+    sub = samples if samples.shape[1] == ruler.size else samples[:, ruler.indices]
     if not np.all(np.isfinite(sub)):
         raise NumericError("observed samples contain non-finite values")
     if cfg.delta == 0:

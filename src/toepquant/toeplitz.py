@@ -8,7 +8,7 @@ matrices are plain ``numpy`` arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -43,9 +43,10 @@ _V = TypeVar("_V")
 class SymToeplitz:
     """A d-by-d symmetric Toeplitz matrix stored as its generating vector.
 
-    Values that depend only on the matrix, such as its PSD factor and its
-    operator norm, are computed on first use and kept (see :meth:`memo`), so
-    every draw and every error norm of one matrix shares them.
+    Values that depend only on the matrix, such as the PSD factor of a
+    principal submatrix and the operator norm, are computed on first use and
+    kept (see :meth:`memo`), so every draw and every error norm of one
+    matrix shares them.
     """
 
     a: np.ndarray
@@ -70,7 +71,7 @@ class SymToeplitz:
     def __sub__(self, other: "SymToeplitz") -> "SymToeplitz":
         return SymToeplitz(self.a - other.a)
 
-    def memo(self, key: str, compute: Callable[[], _V]) -> _V:
+    def memo(self, key: Hashable, compute: Callable[[], _V]) -> _V:
         """``compute()`` on the first call for ``key``; the kept value after.
 
         A call that raises keeps nothing.  No lock is taken: threads that ask
@@ -82,26 +83,29 @@ class SymToeplitz:
             value = self._memo[key] = compute()
             return value
 
-    @property
-    def psd_factor(self) -> np.ndarray:
-        """``F`` with ``F F^T = T``, from the symmetric eigendecomposition.
+    def psd_factor(self, indices: np.ndarray | None = None) -> np.ndarray:
+        """``F`` with ``F F^T = T_R``, the principal submatrix on ``indices`` (all of them by default).
 
-        Computed once per matrix.  Small negative eigenvalues are clipped, so
-        exactly singular (low-rank) matrices are fine; eigenvalues below
-        ``-PSD_REL_TOL * ||T||_2`` raise :class:`NotPSDError`, on every call.
+        Rows follow ascending index order.  Computed once per matrix and
+        index set, from the symmetric eigendecomposition of ``T_R``.  Small
+        negative eigenvalues are clipped, so exactly singular (low-rank)
+        matrices are fine; eigenvalues below ``-PSD_REL_TOL * ||T_R||_2``
+        raise :class:`NotPSDError`, on every call.
         """
-        return self.memo("psd_factor", self._factor)
+        idx = np.arange(self.d) if indices is None else np.sort(np.asarray(indices, dtype=np.int64))
+        return self.memo(("psd_factor", idx.tobytes()), lambda: _psd_factor(principal_submatrix(self, idx)))
 
-    def _factor(self) -> np.ndarray:
-        w, u = np.linalg.eigh(self.dense())
-        scale = float(np.abs(w).max())
-        if w.min() < -PSD_REL_TOL * scale:
-            raise NotPSDError(
-                f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}"
-            )
-        factor = u * np.sqrt(np.clip(w, 0.0, None))
-        factor.flags.writeable = False
-        return factor
+
+def _psd_factor(dense: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(dense)
+    scale = float(np.abs(w).max())
+    if w.min() < -PSD_REL_TOL * scale:
+        raise NotPSDError(
+            f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}"
+        )
+    factor = u * np.sqrt(np.clip(w, 0.0, None))
+    factor.flags.writeable = False
+    return factor
 
 
 def toep(a: np.ndarray) -> SymToeplitz:
@@ -138,22 +142,29 @@ def avg(m: SymToeplitz | np.ndarray) -> SymToeplitz:
 
 
 def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
-    """Extract the principal submatrix on ``indices`` (ascending order)."""
+    """Extract the principal submatrix on ``indices`` (ascending order).
+
+    A :class:`SymToeplitz` is read as ``a[|R_i - R_j|]``, never expanded to
+    d x d.
+    """
     from .rulers import Ruler  # local import to avoid a cycle
 
     if isinstance(indices, Ruler):
         indices = indices.indices
     idx = np.asarray(indices, dtype=np.int64)
-    dense = _as_dense(m)
+    if not isinstance(m, SymToeplitz):
+        m = _as_dense(m)
+    d = m.d if isinstance(m, SymToeplitz) else m.shape[0]
     if idx.size == 0:
         raise InvalidDimensionError("index set must be non-empty")
-    if idx.min() < 0 or idx.max() >= dense.shape[0]:
+    if idx.min() < 0 or idx.max() >= d:
         raise IndexOutOfRangeError(
-            f"indices must lie in [0, {dense.shape[0]}), got range "
-            f"[{idx.min()}, {idx.max()}]"
+            f"indices must lie in [0, {d}), got range [{idx.min()}, {idx.max()}]"
         )
     idx = np.sort(idx)
-    return dense[np.ix_(idx, idx)]
+    if isinstance(m, SymToeplitz):
+        return m.a[np.abs(idx[:, None] - idx[None, :])]
+    return m[np.ix_(idx, idx)]
 
 
 def op_norm(m: SymToeplitz | np.ndarray) -> float:

@@ -159,6 +159,13 @@ class TestLambdaDiag:
         direct = op_norm(principal_submatrix(t, ruler_alpha(16, 0.5))) ** 2
         assert check.submatrix_norm_sq == pytest.approx(direct)
 
+    def test_submatrix_read_from_the_generating_vector_is_exact(self):
+        # the submatrix of T_R is read as a[|R_i - R_j|]: the same floats as the dense matrix's
+        t = gen_toeplitz_vandermonde(64, 5, np.random.default_rng(5))
+        idx = ruler_alpha(64, 0.5).indices
+        dense = op_norm(t.dense()[np.ix_(idx, idx)]) ** 2
+        assert lambda_diag(t, 10, 0.5).submatrix_norm_sq == dense
+
 
 class TestEvaluateBounds:
     def test_report_fields(self):

@@ -10,6 +10,7 @@ from toepquant import (
     Correction,
     Dither,
     GenSpec,
+    STREAM_VERSION,
     QuantizerConfig,
     default_config,
     full_ruler,
@@ -117,6 +118,7 @@ class TestEstimate:
             correction=Correction.TRIANGULAR_QUARTER,
         )
         assert float(rec["rel_error_op"]) == sim.rel_error
+        assert rec["seed"] == "11" and rec["stream_version"] == str(STREAM_VERSION)
         np.testing.assert_array_equal(
             np.array([float(rec[f"a[{s}]"]) for s in range(8)]), sim.estimate.a
         )
@@ -136,6 +138,8 @@ class TestEstimate:
         want = ruler_estimate(batch).a
         got = np.array([float(rec[f"a[{s}]"]) for s in range(4)])
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
+        assert list(rec)[-2:] == ["seed", "stream_version"]
+        assert rec["stream_version"] == "2"
 
     def test_missing_input_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "estimate", "--input", str(tmp_path / "none.csv"))

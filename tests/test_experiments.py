@@ -249,21 +249,28 @@ class TestRunExperiment:
             sim = simulate_estimate(spec, row.n, row.seed, **kwargs)
             assert sim.rel_error == row.rel_error, row
 
-    def test_one_sample_draw_per_n_and_trial(self, tmp_path, monkeypatch):
+    def test_one_sample_draw_per_n_trial_and_ruler(self, tmp_path, monkeypatch):
+        # every arm on a ruler shares that ruler's draw, made on its columns only
         calls = []
 
-        def counting(t, n, rng):
-            calls.append(n)
-            return sample_gaussian(t, n, rng)
+        def counting(t, n, rng, indices):
+            calls.append((n, len(indices)))
+            return sample_gaussian(t, n, rng, indices)
 
         monkeypatch.setattr(experiments, "sample_gaussian", counting)
-        out = self.small_exp1(tmp_path)
+        cfg = default_config(
+            1, seed=0, out_dir=tmp_path, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0)
+        )
+        out = run_experiment(cfg)
         assert len({r.tag for r in out.rows}) == 5
-        assert sorted(calls) == [50, 50, 100, 100]
+        assert len(out.rows) == 2 * 2 * 5 * 2  # trials x n x tags x rulers
+        sparse = cfg.ruler(16, 0.5).size
+        assert sparse < 16
+        assert sorted(calls) == sorted([(n, size) for n in (50, 100) for size in (sparse, 16)] * 2)
 
-    def test_exp4_factors_each_truth_once(self, tmp_path, monkeypatch):
-        # the search probes many n on each trial's one covariance; only the
-        # first draw of a trial may factor it
+    @staticmethod
+    def exp4_factorizations(tmp_path, monkeypatch, **overrides):
+        """An experiment 4 run and the shape of every ``eigh`` it called."""
         factorizations = []
         eigh = np.linalg.eigh
 
@@ -272,14 +279,29 @@ class TestRunExperiment:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        cfg = default_config(
-            4, seed=2, out_dir=tmp_path, trials=3, d_grid=(16,), alphas=(1.0,), eps=0.2, variants=("fullrank",)
+        cfg = default_config(4, seed=2, out_dir=tmp_path, trials=3, **overrides)
+        return cfg, run_experiment(cfg), factorizations
+
+    def test_exp4_factors_each_truth_once(self, tmp_path, monkeypatch):
+        # the search probes many n on each trial's one covariance; only the
+        # first draw of a trial may factor it
+        _, out, factorizations = self.exp4_factorizations(
+            tmp_path, monkeypatch, d_grid=(16,), alphas=(1.0,), eps=0.2, variants=("fullrank",)
         )
-        out = run_experiment(cfg)
         probes = len(out.medians)
         assert probes > 3
         assert len(out.rows) == probes * 3
         assert factorizations == [(16, 16)] * 3
+
+    def test_exp4_factors_each_truth_once_on_its_sparse_ruler(self, tmp_path, monkeypatch):
+        # a sparse-ruler search factors only the |R| x |R| principal submatrix
+        cfg, out, factorizations = self.exp4_factorizations(
+            tmp_path, monkeypatch, d_grid=(64,), alphas=(0.5,), eps=0.3, variants=("rank10",)
+        )
+        size = cfg.ruler(64, 0.5).size
+        assert size < 64
+        assert len(out.medians) > 3
+        assert factorizations == [(size, size)] * 3
 
     def test_each_ruler_built_once_per_run(self, tmp_path, monkeypatch):
         built = []
@@ -352,7 +374,7 @@ class TestRunExperiment:
         assert all(rec["n"] <= 1 for rec in out.medians)
 
     @pytest.mark.parametrize(
-        "cap, probes, result", [(1, [1], (1, True)), (2, [1, 2], (2, True)), (3, [1, 2], (3, True))]
+        "cap, probes, result", [(1, [1], (1, True)), (2, [1, 2], (2, True)), (3, [1, 2, 3], (3, True))]
     )
     def test_bisect_probes_no_n_above_cap(self, cap, probes, result):
         seen = []
@@ -363,6 +385,59 @@ class TestRunExperiment:
 
         assert experiments._Runner._bisect(never_met, 0.5, cap) == result
         assert seen == probes
+
+    @pytest.mark.parametrize("cap, probes, result", [(24, [1, 2, 4, 8, 16, 24, 20, 18, 19], (19, False)),
+                                                     (20, [1, 2, 4, 8, 16, 20, 18, 19], (19, False)),
+                                                     (18, [1, 2, 4, 8, 16, 18], (18, True))])
+    def test_bisect_probes_a_cap_that_is_not_a_power_of_two(self, cap, probes, result):
+        # n = 19 is the first n that meets eps; the doubling passes the cap at 32
+        seen = []
+
+        def first_met_at_19(n):
+            seen.append(n)
+            return 0.4 if n >= 19 else 0.6
+
+        assert experiments._Runner._bisect(first_met_at_19, 0.5, cap) == result
+        assert seen == probes
+
+    @pytest.mark.parametrize("cap", [1 << j for j in range(18)])
+    def test_bisect_probes_unchanged_at_power_of_two_caps(self, cap):
+        # the search before non-power-of-two caps were probed, for reference
+        def doubling_only(probe, eps, cap):
+            if probe(1) <= eps:
+                return 1, False
+            lo, hi = 1, 2
+            while hi <= cap and probe(hi) > eps:
+                lo, hi = hi, hi * 2
+            if hi > cap:
+                return cap, True
+            while hi - lo > max(1, lo // 20):
+                mid = (lo + hi) // 2
+                if probe(mid) <= eps:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi, False
+
+        for first_met in (1, 2, 3, 19, 100, 1000, 4096, 5000, 70000, 1 << 17, (1 << 17) + 1):
+            seen = {"old": [], "new": []}
+
+            def probe(n, who):
+                seen[who].append(n)
+                return 0.4 if n >= first_met else 0.6
+
+            old = doubling_only(lambda n: probe(n, "old"), 0.5, cap)
+            new = experiments._Runner._bisect(lambda n: probe(n, "new"), 0.5, cap)
+            assert (new, seen["new"]) == (old, seen["old"]), first_met
+
+    def test_exp4_search_below_a_cap_that_is_not_a_power_of_two(self, tmp_path):
+        # a cap of 24 used to end the search at n = 16 with every cell capped
+        cfg = default_config(4, seed=1, out_dir=tmp_path, trials=3, d_grid=(16,), eps=0.35, n_cap=24)
+        out = run_experiment(cfg)
+        found = {(rec["tag"], rec["alpha"]): (rec["n_star"], rec["capped"]) for rec in out.summary}
+        assert found[("fullrank", 1.0)] == (19, 0)
+        assert all(n_star <= 24 for n_star, _ in found.values())
+        assert 24 in {rec["n"] for rec in out.medians}
 
     def test_exp5_summary_fractions(self, tmp_path):
         cfg = default_config(5, seed=3, out_dir=tmp_path, trials=4, d_grid=(32,))

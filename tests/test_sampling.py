@@ -11,6 +11,8 @@ from toepquant import (
     gen_banded,
     gen_toeplitz_vandermonde,
     observe,
+    principal_submatrix,
+    ruler_alpha,
     sample_gaussian,
     toep,
     toeplitz_from_modes,
@@ -161,9 +163,32 @@ class TestSampleGaussian:
         a = sample_gaussian(t, 8, np.random.default_rng(7))
         b = sample_gaussian(t, 8, np.random.default_rng(7))
         fresh = sample_gaussian(toep([2.0, 1.0, 0.0]), 8, np.random.default_rng(7))
-        assert calls == [(3, 3), (3, 3)]
+        # every index is the kept full factor; another index set gets its own, kept too
+        sample_gaussian(t, 8, np.random.default_rng(7), np.arange(3))
+        for _ in range(2):
+            sample_gaussian(t, 8, np.random.default_rng(7), np.array([0, 2]))
+        assert calls == [(3, 3), (3, 3), (2, 2)]
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, fresh)
+
+    def test_ruler_only_draw_has_the_principal_submatrix_covariance(self):
+        d, n = 96, 40_000
+        ruler = ruler_alpha(d, 0.5)
+        t = gen_toeplitz_vandermonde(d, 6, np.random.default_rng(40))
+        x = sample_gaussian(t, n, np.random.default_rng(41), ruler.indices)
+        assert x.shape == (n, ruler.size) and ruler.size < d
+        want = principal_submatrix(t, ruler)
+        emp = x.T @ x / n
+        # Var(x_j x_k) = T_jj T_kk + T_jk^2 <= 2 a_0^2: an entrywise 5-sigma band
+        assert np.abs(emp - want).max() <= 5 * np.sqrt(2 / n) * t.a[0]
+
+    def test_every_index_draws_as_no_indices(self):
+        t = gen_toeplitz_vandermonde(24, 5, np.random.default_rng(42))
+        rng_all, rng_none = np.random.default_rng(43), np.random.default_rng(43)
+        every = sample_gaussian(t, 30, rng_all, np.arange(24))
+        default = sample_gaussian(t, 30, rng_none)
+        np.testing.assert_array_equal(every, default)
+        assert rng_all.bit_generator.state == rng_none.bit_generator.state
 
     def test_zero_samples_rejected(self):
         rng = np.random.default_rng(26)
@@ -193,6 +218,15 @@ class TestObserve:
         assert batch.rows.shape == (200, 5)
         on_grid = batch.rows / 1.5 - 0.5
         np.testing.assert_allclose(on_grid, np.round(on_grid), atol=1e-9)
+
+    def test_rows_drawn_on_the_ruler(self):
+        # (n, |R|) rows are already restricted: they are quantized as they are
+        ruler = Ruler(10, np.array([0, 1, 4, 7, 9]))
+        x = np.random.default_rng(45).standard_normal((20, 10))
+        cfg = QuantizerConfig(1.5, Dither.TRIANGULAR)
+        whole = observe(x, ruler, cfg, np.random.default_rng(46))
+        drawn = observe(x[:, ruler.indices], ruler, cfg, np.random.default_rng(46))
+        np.testing.assert_array_equal(whole.rows, drawn.rows)
 
     def test_zero_row_uniform(self):
         rng = np.random.default_rng(29)

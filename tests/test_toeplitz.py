@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toepquant import (
+    SymToeplitz,
     avg,
     best_rank_k,
     fro_norm,
@@ -20,7 +21,7 @@ from toepquant.exceptions import (
     InvalidDimensionError,
     NumericError,
 )
-from toepquant.rulers import full_ruler
+from toepquant.rulers import full_ruler, ruler_alpha
 
 
 def char_poly_eigvals(m):
@@ -113,6 +114,18 @@ class TestPrincipalSubmatrix:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             principal_submatrix(np.eye(3), [0, 3])
+        with pytest.raises(IndexOutOfRangeError):
+            principal_submatrix(toep([1.0, 0.5, 0.0]), [0, 3])
+
+    def test_toeplitz_read_without_the_dense_matrix(self, monkeypatch):
+        t = toeplitz_from_modes([0.1, 0.37], [1.0, 0.5], 64)
+        ruler = ruler_alpha(64, 0.5)
+        want = principal_submatrix(t.dense(), ruler)
+        monkeypatch.setattr(SymToeplitz, "dense", lambda self: pytest.fail("built the d x d matrix"))
+        got = principal_submatrix(t, ruler)
+        assert got.tobytes() == want.tobytes()
+        # indices are taken in ascending order
+        np.testing.assert_array_equal(principal_submatrix(t, [9, 2, 5]), t.a[[[0, 3, 7], [3, 0, 4], [7, 4, 0]]])
 
 
 class TestNorms:

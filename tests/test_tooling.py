@@ -1,15 +1,19 @@
-"""The traced benchmark wraps package names by module and attribute.
+"""Tooling around the package: the traced benchmark and ``python -m toepquant``.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
-bound, so a refactor that drops one breaks the traced benchmark.  This
-test installs and removes the tracer without running any workload.
+bound, so a refactor that drops one breaks the traced benchmark.  The
+tracer test installs and removes the tracer without running any workload.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -35,3 +39,15 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert all(wrapped[key] is not fn for key, fn in originals.items())
     assert bound() == originals
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "toepquant", "ruler", "--d", "16", "--alpha", "0.5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()
+    assert header.startswith("d,alpha,size")
+    assert row.endswith("1 2 3 4 8 12 16")
