@@ -16,11 +16,16 @@ seed, the samples once per ``(seed, n, ruler)`` on that ruler's columns
 only, and every estimator arm of the experiment (tag, ruler, quantization
 level, dither, correction and post-processing) is evaluated on its
 ruler's draw.  Each ruler's draw starts from the observation stream of
-``(seed, n)``, and each arm dithers from that stream as it stands right
-after its ruler's draw, so every result row equals one
+``(seed, n)``.  Right after it, the U[0, 1) planes of the dither are drawn
+from that stream once for all the ruler's arms: as many as the most any
+arm reads (none when no arm dithers, one for uniform, two for triangular
+dither).  Each arm scales them to its own quantization level, which gives
+bit for bit the dither it would draw alone from the stream as it stood
+after the samples.  So every result row equals one
 :func:`simulate_estimate` call at the row's ``(seed, n)`` and
 configuration columns and is reproducible in isolation.  An arm's
-``seconds`` is its own time plus an equal share of its ruler's draw.
+``seconds`` is its own time plus an equal share of its ruler's draw of
+samples and planes.
 """
 
 from __future__ import annotations
@@ -112,12 +117,15 @@ class Arm:
     band_est: int | None = None
 
     def estimate(
-        self, samples: np.ndarray, rng: np.random.Generator, truth: SymToeplitz | None = None
+        self, samples: np.ndarray, rng: np.random.Generator | np.ndarray, truth: SymToeplitz | None = None
     ) -> tuple[SymToeplitz, float | None]:
         """Observe, estimate and post-process ``samples``; return the estimate and its threshold.
 
-        ``rng`` draws the dither and is consumed.  At ``delta == 0`` with no
-        correction the estimate is the plain ruler estimator's.
+        ``rng`` gives the dither: a generator, which is consumed, or the
+        U[0, 1) planes drawn from one, which are scaled in place when
+        writable and only read when read-only (see
+        :func:`~toepquant.quantization.draw_dither`).  At ``delta == 0``
+        with no correction the estimate is the plain ruler estimator's.
         """
         batch = observe(samples, self.ruler, self.quantizer, rng)
         est = quantized_estimate(batch, self.correction)
@@ -164,8 +172,8 @@ class _Trial:
 
     def _draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
         # An arm's seconds are its own time plus an equal share of its ruler's
-        # draw, the seed's covariance included on its first draw.  So the
-        # arms of a trial sum to the trial's wall time.
+        # draw of samples and dither planes, the seed's covariance included on
+        # its first draw.  So the arms of a trial sum to the trial's wall time.
         by_ruler: dict[bytes, list[int]] = {}
         for i, arm in enumerate(arms):
             by_ruler.setdefault(arm.ruler.indices.tobytes(), []).append(i)
@@ -178,13 +186,17 @@ class _Trial:
             # depends only on its own ruler
             rng = observation_rng(self.seed, n)
             samples = sample_gaussian(self.truth, n, rng, arms[group[0]].ruler.indices)
-            state = rng.bit_generator.state
+            # the next uniforms of the stream are every arm's dither planes: a
+            # lone arm owns and scales them in place, several share them read-only
+            dither = rng
+            planes = max(arms[i].quantizer.planes for i in group)
+            if planes:
+                dither = rng.random((planes, *samples.shape))
+                dither.flags.writeable = len(group) == 1
             share = (time.perf_counter() - start) / len(group)
             for i in group:
                 start = time.perf_counter()
-                # every arm dithers from the stream as it stood right after its ruler's draw
-                rng.bit_generator.state = state
-                est, zeta = arms[i].estimate(samples, rng, self.truth)
+                est, zeta = arms[i].estimate(samples, dither, self.truth)
                 sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
                 out[i] = (sim, time.perf_counter() - start + share)
         return out

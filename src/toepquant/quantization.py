@@ -7,6 +7,13 @@ output minus original input.  A triangular dither (sum of two independent
 uniforms on ``[-delta/2, delta/2]``) makes the noise second moment equal
 to ``delta^2 / 4`` independently of the input, which is what the
 bias-corrected estimator relies on.
+
+Both dithers are affine images of i.i.d. U[0, 1) *planes* of the input's
+shape: a uniform dither reads one plane, a triangular dither two.  A plane
+``u`` becomes ``-delta/2 + delta * u``, exactly as numpy forms
+``Generator.uniform(-delta/2, delta/2)`` from the same uniforms, so planes
+drawn once can dither several quantizers of one input bit for bit as if
+each had drawn its own.
 """
 
 from __future__ import annotations
@@ -47,7 +54,17 @@ class QuantizerConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta) or self.delta < 0:
             raise InvalidArgumentError(f"delta must be finite and >= 0, got {self.delta}")
+        # the noise power delta^2 / 4 enters the correction and the bounds
+        if not math.isfinite(float(self.delta) * float(self.delta)):
+            raise InvalidArgumentError(f"delta^2 (the dither's noise power) must be finite, got delta = {self.delta}")
         object.__setattr__(self, "dither", Dither(self.dither))
+
+    @property
+    def planes(self) -> int:
+        """How many U[0, 1) planes of the input's shape the dither reads: 0, 1 (uniform) or 2 (triangular)."""
+        if self.delta == 0 or self.dither is Dither.NONE:
+            return 0
+        return 2 if self.dither is Dither.TRIANGULAR else 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,12 @@ class QuantizationTrace:
 
 
 def _grid_round(values: np.ndarray, delta: float) -> np.ndarray:
-    return delta * (np.floor(values / delta) + 0.5)
+    """Round ``values`` onto the grid ``delta * (Z + 1/2)`` in place and return them."""
+    values /= delta
+    np.floor(values, out=values)
+    values += 0.5
+    values *= delta
+    return values
 
 
 def quantize_scalar(x: float, delta: float) -> float:
@@ -79,14 +101,39 @@ def quantize_scalar(x: float, delta: float) -> float:
     return float(delta * (math.floor(x / delta) + 0.5))
 
 
-def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. dither of the configured kind."""
-    if cfg.delta == 0 or cfg.dither is Dither.NONE:
-        return np.zeros(size)
+def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarray) -> np.ndarray:
+    """Draw i.i.d. dither of the configured kind, as a fresh array the caller may overwrite.
+
+    ``rng`` is a generator, from which the ``cfg.planes`` U[0, 1) planes
+    are drawn one after the other and scaled in place, or planes already
+    drawn, of shape (k, *size) with k >= ``cfg.planes``.  Writable planes
+    are the caller's to give away and are scaled in place; read-only
+    planes are shared by several quantizers and are scaled into fresh
+    arrays.  The dither is bit for bit ``rng.uniform(-delta/2, delta/2,
+    size)`` (the sum of two such draws for triangular), and a generator
+    ends in the state those draws leave it in.
+    """
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    k = cfg.planes
+    if k == 0:
+        return np.zeros(shape)
+    if isinstance(rng, np.ndarray) and (rng.shape[1:] != shape or rng.shape[0] < k):
+        raise InvalidArgumentError(f"dither of shape {shape} needs {k} planes of that shape, got {rng.shape}")
     half = cfg.delta / 2.0
-    tau = rng.uniform(-half, half, size)
-    if cfg.dither is Dither.TRIANGULAR:
-        tau = tau + rng.uniform(-half, half, size)
+
+    def plane(i: int) -> np.ndarray:
+        if isinstance(rng, np.ndarray):
+            u, out = rng[i], rng[i] if rng.flags.writeable else None
+        else:
+            u = out = rng.random(shape)
+        # numpy's uniform(low, high) is low + (high - low) * u
+        u = np.multiply(u, half - -half, out=out)
+        u += -half
+        return u
+
+    tau = plane(0)
+    if k == 2:
+        tau += plane(1)
     return tau
 
 

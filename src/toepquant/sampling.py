@@ -147,14 +147,16 @@ def observe(
     samples: np.ndarray,
     ruler: Ruler,
     cfg: QuantizerConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.ndarray,
 ) -> SampleBatch:
     """Restrict samples to the ruler's indices and quantize them.
 
     ``samples`` is (n, d), or (n, |R|) when already drawn on the ruler only
     (see :func:`sample_gaussian`); the two agree for the full ruler, whose
-    restriction changes nothing.  A fresh dither is drawn for every entry;
-    with ``delta == 0`` the rows are the raw restricted samples.
+    restriction changes nothing.  A fresh dither is drawn for every entry
+    from ``rng``, a generator or U[0, 1) planes of shape (k, n, |R|)
+    already drawn from one (see :func:`draw_dither`); with ``delta == 0``
+    the rows are the raw restricted samples and ``rng`` is not read.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] not in (ruler.d, ruler.size):
@@ -167,5 +169,7 @@ def observe(
     if cfg.delta == 0:
         rows = sub
     else:
-        rows = _grid_round(sub + draw_dither(cfg, sub.shape, rng), cfg.delta)
+        rows = draw_dither(cfg, sub.shape, rng)
+        rows += sub
+        _grid_round(rows, cfg.delta)
     return SampleBatch(rows, ruler, cfg.delta)

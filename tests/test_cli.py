@@ -213,6 +213,16 @@ class TestEstimate:
         assert "only --threshold-auto reads" in err
         assert out == ""
 
+    def test_delta_whose_noise_power_overflows_rejected_before_the_trial(self, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "sample_gaussian", no_trials)
+        code, out, err = run_cli(capsys, "estimate", "--simulate", "--delta", "1e200")
+        assert code == 2
+        assert "invalid configuration: delta^2" in err
+        assert out == ""
+
     def test_explicit_index_ruler(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "samples.csv"
@@ -364,6 +374,8 @@ class TestExp:
             ["--seed", "1", "--trials", "2", "exp", "--id", "3", "--deltas", "1,1", "--alphas", "0.5"],
             ["--trials", "1", "exp", "--id", "4", "--d-grid", "16,16", "--eps", "0.5"],
             ["exp", "--id", "2", "--alphas", "0.5,1,0.5"],
+            # a quantization level whose noise power delta^2 / 4 overflows
+            ["--trials", "1", "exp", "--id", "3", "--deltas", "0,1e200"],
         ],
         ids=lambda argv: " ".join(argv),
     )

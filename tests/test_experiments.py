@@ -268,6 +268,36 @@ class TestRunExperiment:
         assert sparse < 16
         assert sorted(calls) == sorted([(n, size) for n in (50, 100) for size in (sparse, 16)] * 2)
 
+    def test_one_plane_draw_per_n_trial_and_dithering_ruler(self, tmp_path, monkeypatch):
+        # the arms of a ruler share one draw of dither planes, as many as the
+        # most any arm reads (two: triangular), and a ruler whose arms are all
+        # undithered draws none
+        draws = []
+
+        class Counting(np.random.Generator):
+            def random(self, *args, **kwargs):
+                out = super().random(*args, **kwargs)
+                draws.append(out.shape)
+                return out
+
+            def uniform(self, *args, **kwargs):
+                out = super().uniform(*args, **kwargs)
+                draws.append(out.shape)
+                return out
+
+        stream = experiments.observation_rng
+        monkeypatch.setattr(experiments, "observation_rng", lambda seed, n: Counting(stream(seed, n).bit_generator))
+        common = dict(seed=0, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0))
+        cfg = default_config(1, out_dir=tmp_path / "dithered", **common)
+        run_experiment(cfg)
+        sparse = cfg.ruler(16, 0.5).size
+        assert sorted(draws) == sorted([(2, n, size) for n in (50, 100) for size in (sparse, 16)] * 2)
+
+        draws.clear()
+        out = run_experiment(default_config(1, out_dir=tmp_path / "undithered", deltas=(0.0,), **common))
+        assert {r.delta for r in out.rows} == {0.0}
+        assert draws == []
+
     @staticmethod
     def exp4_factorizations(tmp_path, monkeypatch, **overrides):
         """An experiment 4 run and the shape of every ``eigh`` it called."""

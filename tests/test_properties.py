@@ -1,4 +1,4 @@
-"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer and the CLI exit codes."""
+"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer, the dither and the CLI exit codes."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +16,9 @@ from toepquant import (
     Ruler,
     SampleBatch,
     avg,
+    draw_dither,
     full_ruler,
+    observe,
     quantize_vector,
     quantized_estimate,
     ruler_alpha,
@@ -123,6 +125,62 @@ def test_quantizer_output_on_grid_and_within_half_a_step(x, delta, dither, seed)
     # half a step, plus the rounding of the floating-point division
     slack = 4 * np.spacing(np.maximum(np.abs(dithered), delta))
     assert np.all(np.abs(trace.output - dithered) <= delta / 2 + slack)
+
+
+def reference_dither(cfg, size, rng):
+    """The dither drawn directly: one ``uniform`` call per plane, summed for triangular."""
+    if cfg.delta == 0 or cfg.dither is Dither.NONE:
+        return np.zeros(size)
+    half = cfg.delta / 2.0
+    tau = rng.uniform(-half, half, size)
+    if cfg.dither is Dither.TRIANGULAR:
+        tau = tau + rng.uniform(-half, half, size)
+    return tau
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(0.0, 1e150, exclude_min=True),
+    st.sampled_from(Dither),
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+    st.integers(0, 2**32 - 1),
+)
+@example(1e-3, Dither.TRIANGULAR, (7, 3), 0)
+@example(123.456, Dither.UNIFORM, (5, 4), 1)
+@example(1e150, Dither.TRIANGULAR, (2, 2), 2)
+def test_dither_from_planes_is_the_reference_draw(delta, dither, shape, seed):
+    cfg = QuantizerConfig(delta, dither)
+    reference = np.random.default_rng(seed)
+    want = reference_dither(cfg, shape, reference)
+
+    # drawn from a generator, which ends where the reference draws left theirs
+    rng = np.random.default_rng(seed)
+    assert draw_dither(cfg, shape, rng).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+    # from planes drawn ahead: shared (read-only, left as they were) or owned
+    planes = np.random.default_rng(seed).random((2, *shape))
+    planes.flags.writeable = False
+    assert draw_dither(cfg, shape, planes).tobytes() == want.tobytes()
+    assert planes.tobytes() == np.random.default_rng(seed).random((2, *shape)).tobytes()
+    owned = np.random.default_rng(seed).random((cfg.planes, *shape))
+    assert draw_dither(cfg, shape, owned).tobytes() == want.tobytes()
+
+    # observe and quantize_vector quantize with that dither and leave their
+    # generator in the same state; a delta near the smallest float takes
+    # x / delta to +-inf, in the reference as in the package
+    x = np.random.default_rng(seed + 1).standard_normal(shape)
+    rows = x.reshape(shape[0], -1)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        batch = observe(rows, full_ruler(rows.shape[1]), cfg, rng)
+        dithered = rows + want.reshape(rows.shape)
+        assert batch.rows.tobytes() == (delta * (np.floor(dithered / delta) + 0.5)).tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        rng = np.random.default_rng(seed)
+        trace = quantize_vector(x, cfg, rng)
+    assert trace.tau.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # Command lines are drawn from usable values, then up to two options are

@@ -63,6 +63,40 @@ class TestDrawDither:
         with pytest.raises(InvalidArgumentError):
             QuantizerConfig(-1.0, Dither.UNIFORM)
 
+    @pytest.mark.parametrize("delta", [1e155, 1e200, np.finfo(np.float64).max])
+    def test_delta_whose_square_overflows(self, delta):
+        # delta^2 / 4 is the dither's noise power, read by the correction and the bounds
+        with pytest.raises(InvalidArgumentError, match="noise power"):
+            QuantizerConfig(delta)
+        assert QuantizerConfig(1e150).delta == 1e150
+
+    @pytest.mark.parametrize(
+        "delta,dither,planes",
+        [(0.0, Dither.TRIANGULAR, 0), (2.0, Dither.NONE, 0), (2.0, Dither.UNIFORM, 1), (2.0, Dither.TRIANGULAR, 2)],
+    )
+    def test_planes_read(self, delta, dither, planes):
+        assert QuantizerConfig(delta, dither).planes == planes
+
+    def test_shared_planes_are_read_not_written(self):
+        planes = np.random.default_rng(3).random((2, 4, 5))
+        planes.flags.writeable = False
+        before = planes.copy()
+        uniform = draw_dither(QuantizerConfig(2.0, Dither.UNIFORM), (4, 5), planes)
+        triangular = draw_dither(QuantizerConfig(2.0, Dither.TRIANGULAR), (4, 5), planes)
+        np.testing.assert_array_equal(planes, before)
+        np.testing.assert_array_equal(uniform, -1.0 + 2.0 * before[0])
+        assert uniform.flags.writeable and triangular.flags.writeable
+
+    def test_owned_planes_are_scaled_in_place(self):
+        planes = np.random.default_rng(3).random((1, 4, 5))
+        tau = draw_dither(QuantizerConfig(2.0, Dither.UNIFORM), (4, 5), planes)
+        assert np.shares_memory(tau, planes)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 5), (2, 5, 4), (2, 4)])
+    def test_planes_of_another_shape_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError, match="planes"):
+            draw_dither(QuantizerConfig(2.0, Dither.TRIANGULAR), (4, 5), np.zeros(shape))
+
 
 class TestQuantizeVector:
     def test_zero_delta_is_identity(self):
