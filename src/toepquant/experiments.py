@@ -19,9 +19,9 @@ ruler's draw.  Each ruler's draw starts from the observation stream of
 ``(seed, n)``.  Right after it, the U[0, 1) planes of the dither are drawn
 from that stream once for all the ruler's arms: as many as the most any
 arm reads (none when no arm dithers, one for uniform, two for triangular
-dither).  Each arm scales them to its own quantization level, which gives
-bit for bit the dither it would draw alone from the stream as it stood
-after the samples.  So every result row equals one
+dither).  Each arm scales them to its own quantization level, which is
+bit for bit the dither a lone arm draws from the stream right after the
+samples.  So every result row equals one
 :func:`simulate_estimate` call at the row's ``(seed, n)`` and
 configuration columns and is reproducible in isolation.  An arm's
 ``seconds`` is its own time plus an equal share of its ruler's draw of
@@ -122,8 +122,7 @@ class Arm:
         """Observe, estimate and post-process ``samples``; return the estimate and its threshold.
 
         ``rng`` gives the dither: a generator, which is consumed, or the
-        U[0, 1) planes drawn from one, which are scaled in place when
-        writable and only read when read-only (see
+        U[0, 1) planes drawn from one, which are only read (see
         :func:`~toepquant.quantization.draw_dither`).  At ``delta == 0``
         with no correction the estimate is the plain ruler estimator's.
         """
@@ -186,13 +185,12 @@ class _Trial:
             # depends only on its own ruler
             rng = observation_rng(self.seed, n)
             samples = sample_gaussian(self.truth, n, rng, arms[group[0]].ruler.indices)
-            # the next uniforms of the stream are every arm's dither planes: a
-            # lone arm owns and scales them in place, several share them read-only
+            # the next uniforms of the stream are the dither planes: several
+            # arms share one draw of them, a lone arm draws its own
             dither = rng
             planes = max(arms[i].quantizer.planes for i in group)
-            if planes:
+            if planes and len(group) > 1:
                 dither = rng.random((planes, *samples.shape))
-                dither.flags.writeable = len(group) == 1
             share = (time.perf_counter() - start) / len(group)
             for i in group:
                 start = time.perf_counter()

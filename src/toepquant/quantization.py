@@ -106,12 +106,11 @@ def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarra
 
     ``rng`` is a generator, from which the ``cfg.planes`` U[0, 1) planes
     are drawn one after the other and scaled in place, or planes already
-    drawn, of shape (k, *size) with k >= ``cfg.planes``.  Writable planes
-    are the caller's to give away and are scaled in place; read-only
-    planes are shared by several quantizers and are scaled into fresh
-    arrays.  The dither is bit for bit ``rng.uniform(-delta/2, delta/2,
-    size)`` (the sum of two such draws for triangular), and a generator
-    ends in the state those draws leave it in.
+    drawn, of shape (k, *size) with k >= ``cfg.planes``, which are only
+    read, so several quantizers can share them.  The dither is bit for bit
+    ``rng.uniform(-delta/2, delta/2, size)`` (the sum of two such draws
+    for triangular), and a generator ends in the state those draws leave
+    it in.
     """
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     k = cfg.planes
@@ -122,12 +121,12 @@ def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarra
     half = cfg.delta / 2.0
 
     def plane(i: int) -> np.ndarray:
-        if isinstance(rng, np.ndarray):
-            u, out = rng[i], rng[i] if rng.flags.writeable else None
-        else:
-            u = out = rng.random(shape)
         # numpy's uniform(low, high) is low + (high - low) * u
-        u = np.multiply(u, half - -half, out=out)
+        if isinstance(rng, np.ndarray):
+            u = rng[i] * (half - -half)
+        else:
+            u = rng.random(shape)
+            u *= half - -half
         u += -half
         return u
 

@@ -270,8 +270,8 @@ class TestRunExperiment:
 
     def test_one_plane_draw_per_n_trial_and_dithering_ruler(self, tmp_path, monkeypatch):
         # the arms of a ruler share one draw of dither planes, as many as the
-        # most any arm reads (two: triangular), and a ruler whose arms are all
-        # undithered draws none
+        # most any arm reads (two: triangular), a ruler whose arms are all
+        # undithered draws none, and a lone arm draws its planes one at a time
         draws = []
 
         class Counting(np.random.Generator):
@@ -297,6 +297,9 @@ class TestRunExperiment:
         out = run_experiment(default_config(1, out_dir=tmp_path / "undithered", deltas=(0.0,), **common))
         assert {r.delta for r in out.rows} == {0.0}
         assert draws == []
+
+        experiments.simulate_estimate(GenSpec(16, k=2), 50, 0, alpha=0.5, delta=2.0)
+        assert draws == [(50, sparse), (50, sparse)]
 
     @staticmethod
     def exp4_factorizations(tmp_path, monkeypatch, **overrides):

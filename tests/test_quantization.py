@@ -77,20 +77,15 @@ class TestDrawDither:
     def test_planes_read(self, delta, dither, planes):
         assert QuantizerConfig(delta, dither).planes == planes
 
-    def test_shared_planes_are_read_not_written(self):
+    def test_planes_are_read_not_written(self):
+        # planes may be shared by several quantizers, so even writable ones stay as they were
         planes = np.random.default_rng(3).random((2, 4, 5))
-        planes.flags.writeable = False
         before = planes.copy()
         uniform = draw_dither(QuantizerConfig(2.0, Dither.UNIFORM), (4, 5), planes)
         triangular = draw_dither(QuantizerConfig(2.0, Dither.TRIANGULAR), (4, 5), planes)
         np.testing.assert_array_equal(planes, before)
         np.testing.assert_array_equal(uniform, -1.0 + 2.0 * before[0])
-        assert uniform.flags.writeable and triangular.flags.writeable
-
-    def test_owned_planes_are_scaled_in_place(self):
-        planes = np.random.default_rng(3).random((1, 4, 5))
-        tau = draw_dither(QuantizerConfig(2.0, Dither.UNIFORM), (4, 5), planes)
-        assert np.shares_memory(tau, planes)
+        assert not np.shares_memory(uniform, planes) and not np.shares_memory(triangular, planes)
 
     @pytest.mark.parametrize("shape", [(1, 4, 5), (2, 5, 4), (2, 4)])
     def test_planes_of_another_shape_rejected(self, shape):
