@@ -35,15 +35,12 @@ from .experiments import (
     fit_loglog_slope,
     run_experiment,
     simulate_estimate,
-    total_complexity,
 )
 from .quantization import (
     Dither,
     QuantizationTrace,
     QuantizerConfig,
     draw_dither,
-    noise_moment_report,
-    quantize_scalar,
     quantize_vector,
 )
 from .rulers import (
@@ -51,7 +48,6 @@ from .rulers import (
     coverage_coefficient,
     full_ruler,
     is_ruler,
-    pairs_at_distance,
     phi_bound,
     ruler_alpha,
 )
@@ -69,7 +65,6 @@ from .toeplitz import (
     avg,
     best_rank_k,
     fro_norm,
-    l_func,
     max_norm,
     op_norm,
     principal_submatrix,

@@ -181,6 +181,10 @@ def evaluate_bounds(
     The sample-complexity prediction uses the low-rank coefficient when a
     rank ``k`` is given and the general one otherwise.
     """
+    try:
+        delta**4  # read by script_l and kappa; a float power raises on overflow
+    except OverflowError:
+        raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
     ruler = ruler_alpha(d, alpha)
     phi = coverage_coefficient(ruler)
     kv = big_k(op_norm_t, delta)

@@ -54,7 +54,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import DomainError, EmptyInputError, InvalidArgumentError
+from .exceptions import DomainError, InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -71,7 +71,6 @@ __all__ = [
     "default_config",
     "run_experiment",
     "fit_loglog_slope",
-    "total_complexity",
     "emit_plot_script",
     "TRIAL_SCHEMA",
 ]
@@ -361,13 +360,6 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
     return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
 
 
-def total_complexity(vsc: int, esc: int) -> int:
-    """Total sampled entries: sample count times entries observed per sample."""
-    if vsc < 1 or esc < 1:
-        raise InvalidArgumentError("vsc and esc must be >= 1")
-    return int(vsc) * int(esc)
-
-
 @dataclass
 class ExperimentOutput:
     config: ExperimentConfig
@@ -511,7 +503,7 @@ class _Runner:
                             "d": d,
                             "esc": esc,
                             "n_star": n_star,
-                            "total": total_complexity(n_star, esc),
+                            "total": n_star * esc,
                             "capped": int(capped),
                         }
                     )
@@ -584,19 +576,40 @@ class _Runner:
 
 
 @dataclass(frozen=True)
+class _Plot:
+    """The gnuplot figure of one experiment: ``y`` against ``x``, one line per ``series`` value.
+
+    ``logscale`` names the log axes ("xy", or "" for linear ones);
+    ``summary`` plots the summary records rather than the medians.
+    """
+
+    x: str
+    y: str
+    series: tuple[str, ...]
+    logscale: str
+    xlabel: str
+    ylabel: str
+    summary: bool = False
+
+
+@dataclass(frozen=True)
 class _Experiment:
-    """What one experiment runs and reads.
+    """What one experiment runs, reads and writes.
 
     ``reads`` holds every per-experiment field the experiment reads, with its
     default; ``sizes`` the (fewest, most) values of each grid that does not
     take one or more.  ``recipe(cfg, d, variant)`` is the covariance recipe
-    of its trials at dimension ``d``.
+    of its trials at dimension ``d``.  ``plot`` describes its figure, and
+    ``summary`` names its summary file, ``experiment<id>_<summary>.csv``,
+    when it has summary records.
     """
 
     run: Callable[[_Runner], None]
     recipe: Callable[[ExperimentConfig, int, str | None], GenSpec]
     reads: dict[str, object]
+    plot: _Plot
     sizes: dict[str, tuple[int, float]] = field(default_factory=dict)
+    summary: str = "summary"
 
 
 _VARIANTS = ("fullrank", "rank10")
@@ -618,15 +631,19 @@ def _mixture(cfg: ExperimentConfig, d: int, variant: str | None) -> GenSpec:
 # variant mixing d // 2 modes and its rank10 variant ``rank_freqs``;
 # experiment 5 is one banded point per d.
 _CURVES = dict(normalize=True, d=16, num_freqs=8)
+_ERROR_VS_N = _Plot("n", "median_rel_error", ("tag", "alpha", "delta"), "xy", "samples n", "relative error")
 _EXPERIMENTS: dict[int, _Experiment] = {
     1: _Experiment(
         _Runner.run_curves, _mixture,
         dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
+        _ERROR_VS_N,
     ),
     2: _Experiment(
         _Runner.run_curves, _mixture,
         dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
+        _ERROR_VS_N,
         dict(n_grid=(3, math.inf)),
+        summary="slopes",
     ),
     3: _Experiment(
         _Runner.run_curves, _mixture,
@@ -634,6 +651,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
             _CURVES, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
             alphas=(0.5, 0.75, 1.0),
         ),
+        _Plot("delta", "median_rel_error", ("tag", "alpha"), "", "quantization level", "relative error"),
         dict(n_grid=(1, 1)),
     ),
     4: _Experiment(
@@ -643,6 +661,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
             normalize=False, d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
             rank_freqs=5, eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
         ),
+        _Plot("d", "total", ("tag", "alpha"), "xy", "dimension d", "total samples (n x |R|)", summary=True),
         dict(deltas=(1, 1)),
     ),
     5: _Experiment(
@@ -652,6 +671,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
             normalize=False, d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
             bandwidth=5, thresh_c=0.07, thresh_p=2.0,
         ),
+        _Plot("d", "median_rel_error", ("tag",), "", "dimension d", "relative error"),
         dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
     ),
 }
@@ -691,7 +711,7 @@ def _write_outputs(out: ExperimentOutput) -> list[Path]:
 
 def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
     cfg = out.config
-    paths = []
+    spec = _EXPERIMENTS[cfg.experiment]
 
     trial_path = directory / f"experiment{cfg.experiment}.csv"
     with open(trial_path, "w", newline="") as fh:
@@ -699,20 +719,16 @@ def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
         writer.writerow(TRIAL_SCHEMA)
         for row in out.rows:
             writer.writerow(row.csv_values())
-    paths.append(trial_path)
-
     median_path = directory / f"experiment{cfg.experiment}_medians.csv"
     _write_dicts(median_path, out.medians)
-    paths.append(median_path)
+    paths = [trial_path, median_path]
 
     if out.summary:
-        name = "slopes" if cfg.experiment == 2 else "summary"
-        summary_path = directory / f"experiment{cfg.experiment}_{name}.csv"
-        _write_dicts(summary_path, out.summary)
-        paths.append(summary_path)
+        paths.append(directory / f"experiment{cfg.experiment}_{spec.summary}.csv")
+        _write_dicts(paths[-1], out.summary)
 
-    source = paths[-1] if cfg.experiment == 4 else median_path
-    paths.append(emit_plot_script(source))
+    plotted = (out.summary, paths[-1]) if spec.plot.summary else (out.medians, median_path)
+    paths.append(emit_plot_script(*plotted))
     return paths
 
 
@@ -725,66 +741,39 @@ def _write_dicts(path: Path, records: list[dict]) -> None:
         writer.writerows(records)
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+def emit_plot_script(records: Sequence[dict], csv_path: str | Path) -> Path:
+    """Write a gnuplot script of an experiment's medians or summary records next to their CSV.
 
-
-def emit_plot_script(csv_path: str | Path) -> Path:
-    """Write a gnuplot script next to a medians or summary CSV.
-
-    Error-versus-samples experiments get log-log axes; the quantization
-    sweep and the banded experiment are linear in x; the complexity
-    summary is plotted log-log in dimension.  Data is inlined so the
-    script is self-contained.
+    The records' ``experiment`` selects the figure its ``_EXPERIMENTS``
+    entry describes: the x and y fields, the series fields whose values
+    make one line each, the log axes and the axis labels.  A line is keyed,
+    titled and sorted by the CSV text of its series values, and its points
+    are plotted as floats.  Data is inlined so the script is self-contained.
     """
     csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise EmptyInputError(f"no such CSV: {csv_path}")
-    records = _read_csv(csv_path)
-    if not records:
-        raise EmptyInputError(f"CSV has no data rows: {csv_path}")
-
-    exp = int(records[0]["experiment"])
-    if "total" in records[0]:
-        x_field, y_field = "d", "total"
-        series_fields = ("tag", "alpha")
-        logscale, xlabel, ylabel = "xy", "dimension d", "total samples (n x |R|)"
-    elif exp in (1, 2):
-        x_field = "n"
-        y_field = "median_rel_error" if "median_rel_error" in records[0] else "rel_error"
-        series_fields = ("tag", "alpha", "delta")
-        logscale, xlabel, ylabel = "xy", "samples n", "relative error"
-    elif exp == 3:
-        x_field, y_field = "delta", "median_rel_error"
-        series_fields = ("tag", "alpha")
-        logscale, xlabel, ylabel = "", "quantization level", "relative error"
-    else:
-        x_field, y_field = "d", "median_rel_error"
-        series_fields = ("tag",)
-        logscale, xlabel, ylabel = "", "dimension d", "relative error"
-
+    plot = _EXPERIMENTS[records[0]["experiment"]].plot
     series: dict[tuple, list[tuple[float, float]]] = {}
     for rec in records:
-        key = tuple(rec.get(f, "") for f in series_fields)
-        series.setdefault(key, []).append((float(rec[x_field]), float(rec[y_field])))
+        # str() of an int, float or str is the text the CSV holds for it
+        key = tuple(str(rec[f]) for f in plot.series)
+        series.setdefault(key, []).append((float(rec[plot.x]), float(rec[plot.y])))
 
     script_path = csv_path.with_suffix(".gp")
     lines = [
         f"# generated from {csv_path.name}",
         "set terminal pngcairo size 960,640",
         f'set output "{csv_path.stem}.png"',
-        f'set xlabel "{xlabel}"',
-        f'set ylabel "{ylabel}"',
+        f'set xlabel "{plot.xlabel}"',
+        f'set ylabel "{plot.ylabel}"',
         "set key outside",
     ]
-    if logscale:
-        lines.append(f"set logscale {logscale}")
+    if plot.logscale:
+        lines.append(f"set logscale {plot.logscale}")
     blocks = []
     plots = []
     for i, (key, pts) in enumerate(sorted(series.items())):
         name = f"$series{i}"
-        title = " ".join(f"{f}={v}" for f, v in zip(series_fields, key) if v != "")
+        title = " ".join(f"{f}={v}" for f, v in zip(plot.series, key))
         blocks.append(name + " << EOD")
         blocks.extend(f"{x} {y}" for x, y in sorted(pts))
         blocks.append("EOD")

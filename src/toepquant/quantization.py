@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,10 +30,8 @@ __all__ = [
     "Dither",
     "QuantizerConfig",
     "QuantizationTrace",
-    "quantize_scalar",
     "draw_dither",
     "quantize_vector",
-    "noise_moment_report",
 ]
 
 
@@ -88,19 +85,6 @@ def _grid_round(values: np.ndarray, delta: float) -> np.ndarray:
     return values
 
 
-def quantize_scalar(x: float, delta: float) -> float:
-    """Quantize one value to the grid ``delta * (Z + 1/2)``.
-
-    Values exactly on a cell boundary (``x/delta`` integral) map to the
-    upper cell's midpoint, matching the mathematical floor.
-    """
-    if delta <= 0:
-        raise InvalidArgumentError(f"delta must be positive, got {delta}")
-    if not math.isfinite(x):
-        raise NumericError(f"cannot quantize non-finite value {x}")
-    return float(delta * (math.floor(x / delta) + 0.5))
-
-
 def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarray) -> np.ndarray:
     """Draw i.i.d. dither of the configured kind, as a fresh array the caller may overwrite.
 
@@ -147,35 +131,3 @@ def quantize_vector(x: np.ndarray, cfg: QuantizerConfig, rng: np.random.Generato
     tau = draw_dither(cfg, x.shape, rng)
     output = _grid_round(x + tau, cfg.delta)
     return QuantizationTrace(x, tau, output, output - (x + tau), output - x, cfg.delta)
-
-
-def noise_moment_report(traces: Sequence[QuantizationTrace] | Iterable[QuantizationTrace]) -> dict[str, float]:
-    """Pool empirical error/noise moments over one or more traces.
-
-    ``cross_moment_xi`` averages ``noise_i * noise_j`` over distinct
-    coordinate pairs within each trace (NaN if every trace has length one).
-    Under triangular dither the noise second moment concentrates at
-    ``delta^2 / 4`` and the cross moment at zero; under uniform dither the
-    second moment is input-dependent and no particular value is implied.
-    """
-    traces = list(traces)
-    if not traces:
-        raise InvalidArgumentError("at least one trace is required")
-    omega = np.concatenate([t.error.ravel() for t in traces])
-    xi = np.concatenate([t.noise.ravel() for t in traces])
-    cross_num = 0.0
-    cross_den = 0
-    for t in traces:
-        v = t.noise.ravel()
-        m = v.size
-        if m >= 2:
-            s = v.sum()
-            cross_num += s * s - np.dot(v, v)
-            cross_den += m * (m - 1)
-    return {
-        "mean_omega": float(omega.mean()),
-        "var_omega": float(omega.var()),
-        "mean_xi": float(xi.mean()),
-        "second_moment_xi": float(np.mean(xi * xi)),
-        "cross_moment_xi": float(cross_num / cross_den) if cross_den else float("nan"),
-    }

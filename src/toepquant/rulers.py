@@ -22,7 +22,6 @@ __all__ = [
     "full_ruler",
     "ruler_alpha",
     "is_ruler",
-    "pairs_at_distance",
     "coverage_coefficient",
     "phi_bound",
 ]
@@ -133,15 +132,6 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
         chosen.add(j)
         ok, missing = is_ruler(chosen, d)
     return Ruler(d, np.fromiter(sorted(chosen), dtype=np.int64))
-
-
-def pairs_at_distance(ruler: Ruler, s: int) -> set[tuple[int, int]]:
-    """Ordered index pairs ``(j, k)`` of the ruler with ``|j - k| == s``."""
-    if not 0 <= s < ruler.d:
-        raise IndexOutOfRangeError(f"distance must lie in [0, {ruler.d}), got {s}")
-    rows, cols = np.nonzero(ruler.distance_matrix() == s)
-    idx = ruler.indices
-    return {(int(idx[r]), int(idx[c])) for r, c in zip(rows, cols)}
 
 
 def coverage_coefficient(ruler: Ruler) -> float:

@@ -58,6 +58,7 @@ class SampleBatch:
 
     ``rows`` has shape (n, |R|) with columns in ascending ruler-index
     order.  When ``delta > 0`` every entry lies on the half-integer grid.
+    ``rows`` is a read-only view of the array given, not a copy of it.
     """
 
     rows: np.ndarray
@@ -72,7 +73,7 @@ class SampleBatch:
             )
         if rows.shape[0] < 1:
             raise InvalidArgumentError("a batch needs at least one sample")
-        rows = rows.copy()
+        rows = rows.view()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

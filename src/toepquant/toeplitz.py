@@ -13,7 +13,6 @@ from typing import Callable, Hashable, TypeVar
 import numpy as np
 
 from .exceptions import (
-    DomainError,
     IndexOutOfRangeError,
     InvalidArgumentError,
     InvalidDimensionError,
@@ -29,7 +28,6 @@ __all__ = [
     "op_norm",
     "fro_norm",
     "max_norm",
-    "l_func",
     "sup_l",
     "best_rank_k",
 ]
@@ -232,28 +230,14 @@ def max_norm(m: SymToeplitz | np.ndarray) -> float:
     return float(np.abs(_as_dense(m)).max())
 
 
-def l_func(e: np.ndarray, x: float) -> float:
-    """Cosine polynomial ``e[0] + 2 * sum_s e[s] cos(2 pi s x)`` on [0, 1].
-
-    Its supremum in absolute value dominates the operator norm of the
-    Toeplitz matrix generated by ``e``.
-    """
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.size < 1:
-        raise InvalidDimensionError("generating vector must be 1-D and non-empty")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    s = np.arange(1, e.size)
-    return float(e[0] + 2.0 * np.dot(e[1:], np.cos(2.0 * np.pi * s * x)))
-
-
 def sup_l(e: np.ndarray, grid: int) -> float:
-    """Certified upper bound on ``sup_x |l_func(e, x)|`` over [0, 1].
+    """Certified upper bound on ``sup_x |L(x)|`` over [0, 1].
 
-    Evaluates the polynomial on ``grid`` equispaced points via an FFT and
-    adds the slack ``4 pi d^2 max|e| / grid`` derived from the derivative
-    bound ``|L'(y)| <= 4 pi d^2 max|e|``, so the returned value always
-    dominates the operator norm of ``toep(e)``.
+    ``L(x) = e[0] + 2 * sum_{s>=1} e[s] cos(2 pi s x)`` is the cosine
+    polynomial of ``e``.  Evaluates it on ``grid`` equispaced points via
+    an FFT and adds the slack ``4 pi d^2 max|e| / grid`` derived from the
+    derivative bound ``|L'(y)| <= 4 pi d^2 max|e|``, so the returned value
+    always dominates the operator norm of ``toep(e)``.
     """
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.size < 1:

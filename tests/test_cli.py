@@ -311,6 +311,17 @@ class TestBounds:
         assert out == ""
 
 
+    def test_delta_whose_fourth_power_overflows(self, capsys):
+        # delta^4 enters script_l and kappa: past about 1.16e77 it is no float
+        code, out, err = run_cli(capsys, "bounds", "--d", "16", "--delta", "1,1e78")
+        assert code == 2
+        assert "delta^4" in err
+        assert out == ""
+        code, out, _ = run_cli(capsys, "bounds", "--d", "16", "--delta", "1e76")
+        assert code == 0
+        assert len(parse_csv(out)) == 2
+
+
 class TestExp:
     def test_tiny_experiment_three(self, capsys, tmp_path):
         code, out, _ = run_cli(

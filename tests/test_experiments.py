@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from toepquant import (
     fit_loglog_slope,
     run_experiment,
     simulate_estimate,
-    total_complexity,
 )
-from toepquant.exceptions import DomainError, EmptyInputError, InvalidArgumentError
+from toepquant.exceptions import DomainError, InvalidArgumentError
 from toepquant import experiments, sample_gaussian
 from toepquant.experiments import TRIAL_SCHEMA, ExperimentConfig
 
@@ -37,16 +37,6 @@ class TestFitLoglogSlope:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             fit_loglog_slope([(10, 1.0), (100, 0.0), (1000, 0.1)])
-
-
-class TestTotalComplexity:
-    def test_values(self):
-        assert total_complexity(100, 7) == 700
-        assert total_complexity(100, 16) == 1600
-
-    def test_range(self):
-        with pytest.raises(InvalidArgumentError):
-            total_complexity(0, 7)
 
 
 class TestSimulateEstimate:
@@ -351,7 +341,7 @@ class TestRunExperiment:
         assert {row.d for row in out.rows} == {8, 16}
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
-        def failing(csv_path):
+        def failing(*args):
             raise OSError("disk full")
 
         cfg = default_config(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,), num_freqs=2)
@@ -527,23 +517,25 @@ class TestRunExperiment:
 
 
 class TestEmitPlotScript:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(EmptyInputError):
-            emit_plot_script(tmp_path / "nope.csv")
-
-    def test_empty_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("experiment,d,n,tag,median_rel_error\n")
-        with pytest.raises(EmptyInputError):
-            emit_plot_script(path)
-
     def test_script_contains_series(self, tmp_path):
-        path = tmp_path / "experiment1_medians.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["experiment", "d", "alpha", "delta", "n", "tag", "trials", "median_rel_error"])
-            writer.writerow([1, 16, 0.5, 5.0, 100, "hatT", 2, 0.5])
-            writer.writerow([1, 16, 0.5, 5.0, 1000, "hatT", 2, 0.2])
-        script_path = emit_plot_script(path)
+        records = [
+            {"experiment": 1, "d": 16, "alpha": 0.5, "delta": 5.0, "n": n, "tag": "hatT", "trials": 2,
+             "median_rel_error": err}
+            for n, err in ((100, 0.5), (1000, 0.2))
+        ]
+        script_path = emit_plot_script(records, tmp_path / "experiment1_medians.csv")
+        assert script_path == tmp_path / "experiment1_medians.gp"
         text = script_path.read_text()
         assert "plot" in text and "hatT" in text and "logscale" in text
+
+    def test_series_sort_on_csv_text(self, tmp_path):
+        # lines are ordered by the CSV text of their values, so delta=10.0 comes before delta=2.0
+        cfg = default_config(
+            2, seed=0, out_dir=tmp_path, trials=1, n_grid=(50, 100, 200), deltas=(2.0, 10.0), alphas=(1.0,),
+            num_freqs=2,
+        )
+        run_experiment(cfg)
+        text = (tmp_path / "experiment2_medians.gp").read_text()
+        assert re.findall(r'title "([^"]*)"', text) == [
+            "tag=hatT alpha=1.0 delta=10.0", "tag=hatT alpha=1.0 delta=2.0"
+        ]

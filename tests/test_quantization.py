@@ -5,35 +5,36 @@ from toepquant import (
     Dither,
     QuantizerConfig,
     draw_dither,
-    noise_moment_report,
-    quantize_scalar,
     quantize_vector,
 )
 from toepquant.exceptions import InvalidArgumentError, NumericError
 
 
 class TestQuantizeScalar:
+    """One value at a time through ``quantize_vector`` without dither."""
+
+    @staticmethod
+    def quantize(x, delta):
+        return quantize_vector(np.array([x]), QuantizerConfig(delta, Dither.NONE), None).output[0]
+
     @pytest.mark.parametrize(
         "x,delta,want",
         [(0.5, 2.0, 1.0), (-0.5, 2.0, -1.0), (3.0, 2.0, 3.0), (2.0, 2.0, 3.0)],
     )
     def test_values(self, x, delta, want):
-        assert quantize_scalar(x, delta) == want
-
-    def test_requires_positive_delta(self):
-        with pytest.raises(InvalidArgumentError):
-            quantize_scalar(1.0, 0.0)
+        # a value on a cell boundary maps to the upper cell's midpoint
+        assert self.quantize(x, delta) == want
 
     def test_non_finite(self):
         with pytest.raises(NumericError):
-            quantize_scalar(float("inf"), 1.0)
+            self.quantize(float("inf"), 1.0)
 
     def test_half_cell_accuracy(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             x = float(rng.uniform(-50, 50))
             delta = float(rng.uniform(0.1, 10))
-            q = quantize_scalar(x, delta)
+            q = self.quantize(x, delta)
             assert abs(q - x) <= delta / 2 + 1e-12
             assert abs(q / delta - 0.5 - round(q / delta - 0.5)) < 1e-9
 
@@ -97,9 +98,10 @@ class TestQuantizeVector:
     def test_zero_delta_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(50)
-        trace = quantize_vector(x, QuantizerConfig(0.0, Dither.TRIANGULAR), rng)
-        np.testing.assert_array_equal(trace.output, x)
-        assert not trace.tau.any() and not trace.error.any() and not trace.noise.any()
+        for dither in (Dither.TRIANGULAR, Dither.NONE):
+            trace = quantize_vector(x, QuantizerConfig(0.0, dither), rng)
+            np.testing.assert_array_equal(trace.output, x)
+            assert not trace.tau.any() and not trace.error.any() and not trace.noise.any()
 
     def test_zero_input_uniform(self):
         rng = np.random.default_rng(4)
@@ -131,55 +133,12 @@ class TestQuantizeVector:
         trace = quantize_vector(x, QuantizerConfig(2.0, Dither.TRIANGULAR), rng)
         assert np.mean(trace.noise**2) == pytest.approx(1.0, rel=0.01)
 
-
-class TestNoiseMomentReport:
-    def _traces(self, dither, delta, n_traces=100, width=3000, seed=8):
-        rng = np.random.default_rng(seed)
-        cfg = QuantizerConfig(delta, dither)
-        return [
-            quantize_vector(rng.standard_normal(width), cfg, rng)
-            for _ in range(n_traces)
-        ]
-
-    def test_triangular_moments(self):
-        report = noise_moment_report(self._traces(Dither.TRIANGULAR, 2.0))
-        assert report["var_omega"] == pytest.approx(4 / 12, rel=0.01)
-        assert report["second_moment_xi"] == pytest.approx(1.0, rel=0.01)
-        assert abs(report["cross_moment_xi"]) < 0.01
-        assert abs(report["mean_omega"]) < 0.01
-        assert abs(report["mean_xi"]) < 0.01
-
-    def test_uniform_report_generated(self):
-        # second moment is input-dependent under uniform dither; just check
-        # the report is well-formed and the error stays uniform
-        report = noise_moment_report(self._traces(Dither.UNIFORM, 2.0))
-        assert set(report) == {
-            "mean_omega",
-            "var_omega",
-            "mean_xi",
-            "second_moment_xi",
-            "cross_moment_xi",
-        }
-        assert report["var_omega"] == pytest.approx(4 / 12, rel=0.02)
-        assert np.isfinite(report["second_moment_xi"])
-
     def test_error_independent_of_input(self):
+        # the error is uniform on [-delta/2, delta/2], variance delta^2 / 12, whatever the input
         rng = np.random.default_rng(9)
         for dither in (Dither.TRIANGULAR, Dither.UNIFORM):
             x = rng.standard_normal(3 * 10**5)
             trace = quantize_vector(x, QuantizerConfig(2.0, dither), rng)
             corr = np.corrcoef(trace.x, trace.error)[0, 1]
             assert abs(corr) < 0.01
-
-    def test_passthrough_moments_are_zero(self):
-        rng = np.random.default_rng(10)
-        traces = [
-            quantize_vector(rng.standard_normal(100), QuantizerConfig(0.0, Dither.NONE), rng)
-            for _ in range(3)
-        ]
-        report = noise_moment_report(traces)
-        assert all(v == 0.0 for v in report.values())
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            noise_moment_report([])
+            assert trace.error.var() == pytest.approx(4 / 12, rel=0.02)

@@ -8,7 +8,6 @@ from toepquant import (
     coverage_coefficient,
     full_ruler,
     is_ruler,
-    pairs_at_distance,
     phi_bound,
     ruler_alpha,
 )
@@ -79,21 +78,19 @@ class TestIsRuler:
 
 
 class TestPairs:
+    """The ordered-pair index that the estimator reads: pair positions in the distance matrix."""
+
     def test_full_d3_distance2(self):
-        assert pairs_at_distance(full_ruler(3), 2) == {(0, 2), (2, 0)}
+        np.testing.assert_array_equal(full_ruler(3).distance_matrix(), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_sparse_distance3(self):
         r = Ruler(10, np.array([0, 1, 4, 7, 9]))
-        assert pairs_at_distance(r, 3) == {(1, 4), (4, 1), (4, 7), (7, 4)}
+        assert r.indices[np.argwhere(r.distance_matrix() == 3)].tolist() == [[1, 4], [4, 1], [4, 7], [7, 4]]
 
     def test_distance_zero_is_diagonal(self):
         r = Ruler(10, np.array([0, 1, 4, 7, 9]))
-        assert pairs_at_distance(r, 0) == {(j, j) for j in [0, 1, 4, 7, 9]}
+        np.testing.assert_array_equal(np.argwhere(r.distance_matrix() == 0), [[j, j] for j in range(5)])
         assert r.pair_counts[0] == r.size
-
-    def test_distance_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            pairs_at_distance(full_ruler(3), 3)
 
     def test_counts_even_off_diagonal(self):
         for d, alpha in ((16, 0.5), (64, 0.75), (100, 1.0)):

@@ -6,6 +6,7 @@ from toepquant import (
     GenSpec,
     QuantizerConfig,
     Ruler,
+    SampleBatch,
     avg,
     full_ruler,
     gen_banded,
@@ -234,6 +235,13 @@ class TestObserve:
             np.zeros((1, 3)), full_ruler(3), QuantizerConfig(1.0, Dither.UNIFORM), rng
         )
         assert set(np.unique(batch.rows)) <= {-0.5, 0.5}
+
+    def test_batch_keeps_a_read_only_view(self):
+        x = np.random.default_rng(32).standard_normal((4, 2))
+        batch = SampleBatch(x, full_ruler(2), 0.0)
+        assert np.shares_memory(batch.rows, x)
+        assert not batch.rows.flags.writeable
+        assert x.flags.writeable
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(30)

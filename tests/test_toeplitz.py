@@ -6,7 +6,6 @@ from toepquant import (
     avg,
     best_rank_k,
     fro_norm,
-    l_func,
     max_norm,
     op_norm,
     principal_submatrix,
@@ -15,7 +14,6 @@ from toepquant import (
     toeplitz_from_modes,
 )
 from toepquant.exceptions import (
-    DomainError,
     IndexOutOfRangeError,
     InvalidArgumentError,
     InvalidDimensionError,
@@ -179,21 +177,6 @@ class TestNorms:
 
 
 class TestCosinePolynomial:
-    def test_constant(self):
-        for x in (0.0, 0.3, 1.0):
-            assert l_func([1, 0, 0], x) == pytest.approx(1.0)
-
-    def test_single_mode(self):
-        assert l_func([0, 1], 0.0) == pytest.approx(2.0)
-        assert l_func([0, 1], 0.5) == pytest.approx(-2.0)
-
-    def test_quarter_period(self):
-        assert l_func([1, 1], 0.25) == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            l_func([1, 0], 1.5)
-
     def test_sup_delta_generator(self):
         a = np.zeros(5)
         a[0] = 1.0

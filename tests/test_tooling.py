@@ -1,10 +1,12 @@
-"""Tooling around the package: the traced benchmark and ``python -m toepquant``.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant`` and unused imports.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
 tracer test installs and removes the tracer without running any workload.
+Those bindings are the package's only unused imports, each marked ``noqa``.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -51,3 +53,24 @@ def test_python_dash_m_runs_the_cli():
     header, row = done.stdout.splitlines()
     assert header.startswith("d,alpha,size")
     assert row.endswith("1 2 3 4 8 12 16")
+
+
+def test_every_module_uses_what_it_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "toepquant").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if any("noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
