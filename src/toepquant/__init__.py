@@ -28,9 +28,9 @@ from .estimators import (
     threshold_estimate,
 )
 from .experiments import (
+    Arm,
     ExperimentConfig,
     ResultRow,
-    default_config,
     emit_plot_script,
     fit_loglog_slope,
     run_experiment,

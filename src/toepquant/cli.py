@@ -34,7 +34,7 @@ from .exceptions import (
     NumericError,
     ToepquantError,
 )
-from .experiments import Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
+from .experiments import THRESHOLD_AUTO, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, full_ruler, phi_bound, ruler_alpha
 from .sampling import GenSpec
@@ -72,25 +72,14 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return int(env) if env else 0
 
 
-def _parse_ruler_spec(text: str) -> tuple[float | None, tuple[int, ...] | None]:
-    """A ruler is an alpha ("0.5") or explicit 1-based indices ("1,2,5,8,10")."""
-    if "," in text:
-        return None, _parse_ints(text)
-    return float(text), None
-
-
-def _zero_based(one_based: tuple[int, ...], d: int) -> np.ndarray:
-    """Ruler indices given 1-based, range-checked in the terms they were given in."""
-    idx = np.asarray(one_based, dtype=np.int64)
-    if idx.size and (idx.min() < 1 or idx.max() > d):
-        raise IndexOutOfRangeError(f"ruler indices must lie in [1, {d}], got [{idx.min()}, {idx.max()}]")
-    return idx - 1
-
-
 def _ruler_from_spec(text: str, d: int) -> Ruler:
-    alpha, one_based = _parse_ruler_spec(text)
-    if one_based is not None:
-        return Ruler(d, _zero_based(one_based, d))
+    """An alpha ("0.5"), the full ruler at d = 1, or 1-based indices ("1,2,5,8,10") range-checked as given."""
+    if "," in text:
+        idx = np.asarray(_parse_ints(text), dtype=np.int64)
+        if idx.size and (idx.min() < 1 or idx.max() > d):
+            raise IndexOutOfRangeError(f"ruler indices must lie in [1, {d}], got [{idx.min()}, {idx.max()}]")
+        return Ruler(d, idx - 1)
+    alpha = float(text)
     return full_ruler(d) if d == 1 else ruler_alpha(d, alpha)
 
 
@@ -114,15 +103,14 @@ def cmd_ruler(args: argparse.Namespace) -> int:
 # --simulate takes for each one not given; their parser default is None, so
 # --input can reject any that is given.  The mixture recipe's k = 8 applies
 # only when --m does not pick the banded recipe.
-_SIMULATION_DEFAULTS = {"d": 16, "n": 1000, "k": 8, "m": None, "normalize": False, "thresh_c": 0.07, "thresh_p": 2.0}
+_SIMULATION_DEFAULTS = {
+    "d": 16, "n": 1000, "k": 8, "m": None, "normalize": False,
+    "thresh_c": THRESHOLD_AUTO[0], "thresh_p": THRESHOLD_AUTO[1],
+}
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    dither = Dither(args.dither)
-    correction = Correction(args.correction)
-
-    alpha, one_based = _parse_ruler_spec(args.ruler)
     if args.simulate:
         given = ["--" + name.replace("_", "-") for name in ("thresh_c", "thresh_p") if getattr(args, name) is not None]
         if given and not args.threshold_auto:
@@ -131,27 +119,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             name: default if getattr(args, name) is None else getattr(args, name)
             for name, default in _SIMULATION_DEFAULTS.items()
         }
-        spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"])
-        sim = simulate_estimate(
-            spec,
-            opt["n"],
-            seed,
-            alpha=alpha if alpha is not None else 1.0,
-            indices=_zero_based(one_based, opt["d"]) if one_based is not None else None,
-            delta=args.delta,
-            dither=dither,
-            correction=correction,
-            normalize=opt["normalize"],
-            threshold=args.threshold,
-            threshold_auto=(opt["thresh_c"], opt["thresh_p"]) if args.threshold_auto else None,
-            band_est=args.bandwidth,
-        )
-        est = sim.estimate
-        extra = [
-            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("op", "fro", "max")
-        ]
-        if sim.zeta is not None:
-            extra.append(["zeta", repr(float(sim.zeta))])
+        spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"], normalize=opt["normalize"])
+        d = spec.d
     else:
         if args.threshold_auto:
             raise InvalidArgumentError(
@@ -161,10 +130,21 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples = _load_samples(Path(args.input))
-        ruler = _ruler_from_spec(args.ruler, samples.shape[1])
-        arm = Arm(
-            "", alpha, ruler, QuantizerConfig(args.delta, dither), correction, args.threshold, band_est=args.bandwidth
-        )
+        d = samples.shape[1]
+    arm = Arm(
+        "", None, _ruler_from_spec(args.ruler, d), QuantizerConfig(args.delta, Dither(args.dither)),
+        Correction(args.correction), args.threshold,
+        (opt["thresh_c"], opt["thresh_p"]) if args.threshold_auto else None, args.bandwidth,
+    )
+    if args.simulate:
+        sim = simulate_estimate(spec, opt["n"], seed, arm)
+        est = sim.estimate
+        extra = [
+            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("op", "fro", "max")
+        ]
+        if sim.zeta is not None:
+            extra.append(["zeta", repr(float(sim.zeta))])
+    else:
         est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
         extra = []
 

@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, MisuseError
+from .exceptions import InvalidArgumentError, MisuseError, NumericError
 from .sampling import SampleBatch
 from .toeplitz import SymToeplitz, fro_norm, max_norm, op_norm, toep
 
@@ -44,13 +44,17 @@ class Correction(str, enum.Enum):
 
 
 def _pair_means(batch: SampleBatch) -> np.ndarray:
-    """Mean product over samples and ordered pairs, for every distance."""
+    """Mean product over samples and ordered pairs, for every distance; raises NumericError if one overflows."""
     rows = batch.rows
     ruler = batch.ruler
-    gram = rows.T @ rows
-    dist = ruler.distance_matrix().ravel()
-    sums = np.bincount(dist, weights=gram.ravel(), minlength=ruler.d)
-    return sums / (batch.n * ruler.pair_counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.T @ rows
+        dist = ruler.distance_matrix().ravel()
+        sums = np.bincount(dist, weights=gram.ravel(), minlength=ruler.d)
+        means = sums / (batch.n * ruler.pair_counts)
+    if not np.all(np.isfinite(means)):
+        raise NumericError("a pair mean of the samples is not finite: their products overflow")
+    return means
 
 
 def ruler_estimate(batch: SampleBatch) -> SymToeplitz:

@@ -11,19 +11,19 @@ Five experiments are provided:
    dimension, full-rank and rank-10 matrices, sparse versus full ruler;
 5. banded matrices: thresholded estimator error versus dimension.
 
-Every trial runs one pipeline: the covariance is drawn once per trial
-seed, the samples once per ``(seed, n, ruler)`` on that ruler's columns
-only, and every estimator arm of the experiment (tag, ruler, quantization
-level, dither, correction and post-processing) is evaluated on its
-ruler's draw.  Each ruler's draw starts from the observation stream of
-``(seed, n)``.  Right after it, the U[0, 1) planes of the dither are drawn
-from that stream once for all the ruler's arms: as many as the most any
-arm reads (none when no arm dithers, one for uniform, two for triangular
-dither).  Each arm scales them to its own quantization level, which is
-bit for bit the dither a lone arm draws from the stream right after the
-samples.  So every result row equals one
-:func:`simulate_estimate` call at the row's ``(seed, n)`` and
-configuration columns and is reproducible in isolation.  An arm's
+A covariance is described by its ``GenSpec`` recipe, an estimator by its
+:class:`Arm` (ruler, quantizer, correction and post-processing).  Every
+trial runs one pipeline: the covariance is drawn once per trial seed, the
+samples once per ``(seed, n, ruler)`` on that ruler's columns only, and
+every arm of the experiment is evaluated on its ruler's draw.  Each
+ruler's draw starts from the observation stream of ``(seed, n)``.  Right
+after it, the U[0, 1) planes of the dither are drawn from that stream once
+for all the ruler's arms: as many as the most any arm reads (none when no
+arm dithers, one for uniform, two for triangular dither).  Each arm scales
+them to its own quantization level, which is bit for bit the dither a lone
+arm draws from the stream right after the samples.  So every result row
+equals one ``simulate_estimate(spec, n, seed, arm)`` call with the row's
+recipe, ``(seed, n)`` and arm, and is reproducible in isolation.  An arm's
 ``seconds`` is its own time plus an equal share of its ruler's draw of
 samples and planes.
 """
@@ -66,9 +66,9 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "SimResult",
+    "THRESHOLD_AUTO",
     "draw_truth",
     "simulate_estimate",
-    "default_config",
     "run_experiment",
     "fit_loglog_slope",
     "emit_plot_script",
@@ -76,6 +76,9 @@ __all__ = [
 ]
 
 TRIAL_SCHEMA = ("experiment", "d", "alpha", "delta", "n", "tag", "trial", "rel_error", "seconds", "seed")
+
+# (c, p) of the calibrated threshold c * K * sqrt((log|R| + 4p log d) / n)
+THRESHOLD_AUTO = (0.07, 2.0)
 
 # estimator tags of experiment 1: (delta scale, dither, correction)
 _EXP1_TAGS: dict[str, tuple[float, Dither, Correction]] = {
@@ -140,17 +143,17 @@ class Arm:
         return est, zeta
 
 
-def draw_truth(spec: GenSpec, seed: int, normalize: bool = False) -> SymToeplitz:
+def draw_truth(spec: GenSpec, seed: int) -> SymToeplitz:
     """The covariance of trial ``seed``, drawn from its generator stream.
 
-    With ``normalize`` it is rescaled to unit diagonal.
+    With ``spec.normalize`` it is rescaled to unit diagonal.
     """
     g = generator_rng(seed)
     if spec.k is not None:
         truth = gen_toeplitz_vandermonde(spec.d, spec.k, g)
     else:
         truth = gen_banded(spec.d, spec.m, g)
-    if normalize:
+    if spec.normalize:
         truth = toep(truth.a / truth.a[0])
     return truth
 
@@ -161,7 +164,6 @@ class _Trial:
 
     seed: int
     spec: GenSpec
-    normalize: bool
     truth: SymToeplitz | None = None
 
     def run(self, ns: Iterable[int], arms: Sequence[Arm]) -> dict[int, list[tuple[SimResult, float]]]:
@@ -179,7 +181,7 @@ class _Trial:
         for group in by_ruler.values():
             start = time.perf_counter()
             if self.truth is None:
-                self.truth = draw_truth(self.spec, self.seed, self.normalize)
+                self.truth = draw_truth(self.spec, self.seed)
             # every ruler's draw starts from the same stream, so each row
             # depends only on its own ruler
             rng = observation_rng(self.seed, n)
@@ -199,35 +201,16 @@ class _Trial:
         return out
 
 
-def simulate_estimate(
-    spec: GenSpec,
-    n: int,
-    seed: int,
-    *,
-    alpha: float = 1.0,
-    indices: Sequence[int] | None = None,
-    delta: float = 0.0,
-    dither: Dither = Dither.TRIANGULAR,
-    correction: Correction = Correction.NONE,
-    normalize: bool = False,
-    threshold: float | None = None,
-    threshold_auto: tuple[float, float] | None = None,
-    band_est: int | None = None,
-) -> SimResult:
-    """Run one fully seeded trial: draw, sample, observe, estimate.
+def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
+    """Run one fully seeded trial of ``arm``: draw, sample, observe, estimate.
 
     The covariance of recipe ``spec`` comes from the generator stream of
     ``seed``; samples and dither come from the observation stream of
-    ``(seed, n)``.  With ``normalize`` the matrix is rescaled to unit
-    diagonal so that the quantization level is measured against
-    unit-variance coordinates.  The remaining settings are those of
-    :class:`Arm`.
+    ``(seed, n)``.
     """
-    ruler = Ruler(spec.d, np.asarray(indices)) if indices is not None else ruler_alpha(spec.d, alpha)
-    arm = Arm(
-        "", alpha, ruler, QuantizerConfig(delta, dither), Correction(correction), threshold, threshold_auto, band_est
-    )
-    return _Trial(seed, spec, normalize).run([n], [arm])[n][0][0]
+    if arm.ruler.d != spec.d:
+        raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
+    return _Trial(seed, spec).run([n], [arm])[n][0][0]
 
 
 @dataclass(frozen=True)
@@ -274,19 +257,15 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 20
     threads: int = 1
-    normalize: bool | None = None
     d: int | None = None
     d_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
     deltas: tuple[float, ...] | None = None
     alphas: tuple[float, ...] | None = None
     num_freqs: int | None = None
-    rank_freqs: int | None = None
     bandwidth: int | None = None
     eps: float | None = None
     n_cap: int | None = None
-    thresh_c: float | None = None
-    thresh_p: float | None = None
     variants: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -338,11 +317,6 @@ class ExperimentConfig:
         return _EXPERIMENTS[self.experiment].recipe(self, d, variant)
 
 
-def default_config(experiment: int, **overrides) -> ExperimentConfig:
-    """Config with this package's documented defaults for one experiment; the same as ``ExperimentConfig``."""
-    return ExperimentConfig(experiment, **overrides)
-
-
 def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
     """Least-squares line through ``(log10 n, log10 error)`` pairs."""
     pts = [(float(x), float(y)) for x, y in points]
@@ -384,7 +358,7 @@ class _Runner:
     def seeded_trials(self, spec: GenSpec, *key: int) -> list[_Trial]:
         """The run's trials of recipe ``spec`` at seeds ``(cfg.seed, *key, trial)``."""
         cfg = self.cfg
-        return [_Trial(derive_seed(cfg.seed, *key, t), spec, cfg.normalize) for t in range(cfg.trials)]
+        return [_Trial(derive_seed(cfg.seed, *key, t), spec) for t in range(cfg.trials)]
 
     def run_trials(
         self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]
@@ -548,7 +522,7 @@ class _Runner:
             ruler = cfg.ruler(d, alpha)
             arms = [
                 Arm("hatT", alpha, ruler, quantizer),
-                Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=(cfg.thresh_c, cfg.thresh_p)),
+                Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=THRESHOLD_AUTO),
                 Arm("breveM", alpha, ruler, quantizer, band_est=m),
             ]
             trials = self.seeded_trials(cfg.spec(d), 5)
@@ -617,20 +591,20 @@ _VARIANTS = ("fullrank", "rank10")
 # scalar field -> the least value it takes and whether that value itself is
 # allowed; a NaN or infinite value never is
 _LEAST = {
-    "trials": (1, True), "threads": (1, True), "n_cap": (1, True), "thresh_p": (1, True),
-    "eps": (0, False), "thresh_c": (0, False),
+    "trials": (1, True), "threads": (1, True), "n_cap": (1, True),
+    "eps": (0, False),
 }
 
 
 def _mixture(cfg: ExperimentConfig, d: int, variant: str | None) -> GenSpec:
-    return GenSpec(d, k=cfg.num_freqs)
+    return GenSpec(d, k=cfg.num_freqs, normalize=True)
 
 
-# Experiments 1-3 run at ``d`` and 4-5 over ``d_grid``; experiment 2 fits a
-# line through its n values; experiment 4 searches n itself, its full-rank
-# variant mixing d // 2 modes and its rank10 variant ``rank_freqs``;
-# experiment 5 is one banded point per d.
-_CURVES = dict(normalize=True, d=16, num_freqs=8)
+# Experiments 1-3 run at ``d`` on a unit-diagonal mixture and 4-5 over
+# ``d_grid``; experiment 2 fits a line through its n values; experiment 4
+# searches n itself, its full-rank variant mixing d // 2 modes and its rank10
+# variant 5; experiment 5 is one banded point per d.
+_CURVES = dict(d=16, num_freqs=8)
 _ERROR_VS_N = _Plot("n", "median_rel_error", ("tag", "alpha", "delta"), "xy", "samples n", "relative error")
 _EXPERIMENTS: dict[int, _Experiment] = {
     1: _Experiment(
@@ -656,10 +630,10 @@ _EXPERIMENTS: dict[int, _Experiment] = {
     ),
     4: _Experiment(
         _Runner.run_total_complexity,
-        lambda cfg, d, variant: GenSpec(d, k=cfg.rank_freqs if variant == "rank10" else max(1, d // 2)),
+        lambda cfg, d, variant: GenSpec(d, k=5 if variant == "rank10" else max(1, d // 2)),
         dict(
-            normalize=False, d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
-            rank_freqs=5, eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
+            d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
+            eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
         ),
         _Plot("d", "total", ("tag", "alpha"), "xy", "dimension d", "total samples (n x |R|)", summary=True),
         dict(deltas=(1, 1)),
@@ -668,8 +642,8 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         _Runner.run_banded,
         lambda cfg, d, variant: GenSpec(d, m=cfg.bandwidth),
         dict(
-            normalize=False, d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
-            bandwidth=5, thresh_c=0.07, thresh_p=2.0,
+            d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
+            bandwidth=5,
         ),
         _Plot("d", "median_rel_error", ("tag",), "", "dimension d", "relative error"),
         dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),

@@ -76,6 +76,16 @@ class QuantizationTrace:
     delta: float
 
 
+def _check_input(x: np.ndarray, delta: float) -> None:
+    """Reject a non-finite entry of ``x``, and a ``delta > 0`` so small that a dithered entry over it overflows."""
+    # a dithered entry lies within delta of its input; max|x| by reductions makes no array of x's shape
+    top = max(float(x.max()), -float(x.min())) if x.size else 0.0
+    if not math.isfinite(top):
+        raise NumericError("input contains non-finite values")
+    if delta > 0 and not math.isfinite((top + delta) / delta):
+        raise InvalidArgumentError(f"delta = {delta} is too small for input of magnitude {top}: x / delta overflows")
+
+
 def _grid_round(values: np.ndarray, delta: float) -> np.ndarray:
     """Round ``values`` onto the grid ``delta * (Z + 1/2)`` in place and return them."""
     values /= delta
@@ -123,8 +133,7 @@ def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarra
 def quantize_vector(x: np.ndarray, cfg: QuantizerConfig, rng: np.random.Generator) -> QuantizationTrace:
     """Dither and quantize a vector, returning the full trace."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("input contains non-finite values")
+    _check_input(x, cfg.delta)
     if cfg.delta == 0:
         zero = np.zeros_like(x)
         return QuantizationTrace(x, zero, x.copy(), zero.copy(), zero.copy(), 0.0)

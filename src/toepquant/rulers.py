@@ -80,17 +80,17 @@ class Ruler:
 
 
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
-    """Check the ruler property; return (ok, sorted missing distances)."""
+    """Check the ruler property; return (ok, sorted missing distances), as :class:`Ruler` finds them."""
     idx = np.unique(np.asarray(list(indices), dtype=np.int64))
     if idx.size == 0:
         return False, list(range(d))
     if idx.min() < 0 or idx.max() >= d:
         raise IndexOutOfRangeError(f"indices must lie in [0, {d})")
-    realized = np.zeros(d, dtype=bool)
-    dist = np.abs(idx[:, None] - idx[None, :]).ravel()
-    realized[dist] = True
-    missing = np.flatnonzero(~realized).tolist()
-    return not missing, missing
+    try:
+        Ruler(d, idx)
+    except NotARulerError as exc:
+        return False, exc.missing
+    return True, []
 
 
 def full_ruler(d: int) -> Ruler:

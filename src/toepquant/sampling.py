@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError
-from .quantization import QuantizerConfig, draw_dither, _grid_round
+from .exceptions import InvalidArgumentError
+from .quantization import QuantizerConfig, draw_dither, _check_input, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
 
@@ -36,12 +36,14 @@ __all__ = [
 class GenSpec:
     """How to draw a random covariance: cosine mixture (k) or banded (m).
 
-    ``experiments.draw_truth`` draws a trial's covariance from a spec.
+    ``experiments.draw_truth`` draws a trial's covariance from a spec,
+    rescaled to unit diagonal (unit-variance coordinates) with ``normalize``.
     """
 
     d: int
     k: int | None = None
     m: int | None = None
+    normalize: bool = False
 
     def __post_init__(self) -> None:
         if (self.k is None) == (self.m is None):
@@ -165,8 +167,7 @@ def observe(
             f"samples must be (n, d) = (n, {ruler.d}) or (n, |R|) = (n, {ruler.size}), got {samples.shape}"
         )
     sub = samples if samples.shape[1] == ruler.size else samples[:, ruler.indices]
-    if not np.all(np.isfinite(sub)):
-        raise NumericError("observed samples contain non-finite values")
+    _check_input(sub, cfg.delta)
     if cfg.delta == 0:
         rows = sub
     else:

@@ -12,13 +12,14 @@ import math
 import numpy as np
 
 from toepquant import (
+    Arm,
     Correction,
     Dither,
+    ExperimentConfig,
     GenSpec,
     QuantizerConfig,
     Ruler,
     coverage_coefficient,
-    default_config,
     full_ruler,
     gen_toeplitz_vandermonde,
     is_ruler,
@@ -70,7 +71,7 @@ def test_criterion_01_unbiasedness():
 
 def test_criterion_02_convergence_order(tmp_path):
     """Log-log slope in [-0.55, -0.45] with r^2 >= 0.98 on all four curves."""
-    cfg = default_config(2, seed=ACCEPT_SEED, out_dir=tmp_path, trials=20)
+    cfg = ExperimentConfig(2, seed=ACCEPT_SEED, out_dir=tmp_path, trials=20)
     out = run_experiment(cfg)
     assert len(out.summary) == 4
     slopes = [rec["slope"] for rec in out.summary]
@@ -95,14 +96,10 @@ def test_criterion_03_dither_correction_separation():
     for tag, (dith, corr) in tags.items():
         errs = [
             simulate_estimate(
-                GenSpec(d, k=8),
+                GenSpec(d, k=8, normalize=True),
                 n,
                 int(np.random.SeedSequence((ACCEPT_SEED, 3, trial)).generate_state(1)[0]),
-                alpha=0.5,
-                delta=delta,
-                dither=dith,
-                correction=corr,
-                normalize=True,
+                Arm(tag, 0.5, ruler_alpha(d, 0.5), QuantizerConfig(delta, dith), corr),
             ).rel_error
             for trial in range(trials)
         ]
@@ -261,7 +258,7 @@ def test_criterion_09_banded_flatness(tmp_path):
 
     400 trials: the error distribution is right-skewed, so the ratio of
     per-dimension medians needs that many samples to stabilize."""
-    cfg = default_config(5, seed=ACCEPT_SEED, out_dir=tmp_path, trials=400)
+    cfg = ExperimentConfig(5, seed=ACCEPT_SEED, out_dir=tmp_path, trials=400)
     out = run_experiment(cfg)
     tail_fracs = {rec["d"]: rec["tail_zero_fraction"] for rec in out.summary}
     surv32 = next(rec["nonzero_survival_fraction"] for rec in out.summary if rec["d"] == 32)
@@ -280,7 +277,7 @@ def test_criterion_10_complexity_crossover(tmp_path):
     only at large dimension.  Exact figure curves are not reproducible (the
     source plots depend on unstated trial counts and generator state), so
     acceptance rests on the property suite plus this ordering check."""
-    cfg = default_config(
+    cfg = ExperimentConfig(
         4,
         seed=ACCEPT_SEED,
         out_dir=tmp_path,

@@ -2,19 +2,21 @@ import argparse
 import csv
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from toepquant import (
+    Arm,
     Correction,
     Dither,
     GenSpec,
     STREAM_VERSION,
     QuantizerConfig,
-    default_config,
     full_ruler,
     observe,
+    ruler_alpha,
     ruler_estimate,
     run_experiment,
     simulate_estimate,
@@ -108,15 +110,8 @@ class TestEstimate:
         )
         assert code == 0
         rec = {k: v for k, v in parse_csv(out)[1:]}
-        sim = simulate_estimate(
-            GenSpec(8, k=2),
-            100,
-            11,
-            alpha=0.5,
-            delta=2.0,
-            dither=Dither.TRIANGULAR,
-            correction=Correction.TRIANGULAR_QUARTER,
-        )
+        arm = Arm("", 0.5, ruler_alpha(8, 0.5), QuantizerConfig(2.0, Dither.TRIANGULAR), Correction.TRIANGULAR_QUARTER)
+        sim = simulate_estimate(GenSpec(8, k=2), 100, 11, arm)
         assert float(rec["rel_error_op"]) == sim.rel_error
         assert rec["seed"] == "11" and rec["stream_version"] == str(STREAM_VERSION)
         np.testing.assert_array_equal(
@@ -223,6 +218,49 @@ class TestEstimate:
         assert "invalid configuration: delta^2" in err
         assert out == ""
 
+    @pytest.mark.parametrize("delta", ["0", "1e-10"])
+    def test_non_finite_estimate_is_numeric_failure(self, capsys, tmp_path, delta):
+        # the entries are finite, but the square of 1e200 is not
+        path = tmp_path / "big.csv"
+        path.write_text("1e200,2\n3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--delta", delta)
+        assert code == 3
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("delta", ["1e-310", "1e-308"])
+    def test_delta_too_small_for_the_samples_rejected(self, capsys, delta):
+        # delta^2 is finite (or zero), but the samples over delta are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--seed", "1", "estimate", "--simulate", "--delta", delta)
+        assert code == 2
+        assert f"invalid configuration: delta = {float(delta)} is too small" in err
+        assert out == ""
+
+    def test_one_dimension_takes_the_full_ruler(self, capsys, tmp_path):
+        # a simulation of dimension 1 runs as an input of one column does
+        path = tmp_path / "one.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((20, 1)), delimiter=",")
+        for source in (["--input", str(path)], ["--simulate", "--d", "1", "--k", "1"]):
+            code, out, err = run_cli(capsys, "estimate", *source, "--ruler", "0.5")
+            assert code == 0, err
+            assert [key for key, _ in parse_csv(out)[1:] if key.startswith("a[")] == ["a[0]"]
+
+    @pytest.mark.parametrize(
+        "ruler", ["1.0", "0.5", "0.75", "0.3", "1.5", "x", "", "1,2", "1,", "1,99", "0,1", "1,2,5,8,10"]
+    )
+    def test_simulate_and_input_read_the_same_ruler_texts(self, capsys, tmp_path, ruler):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.random.default_rng(4).standard_normal((20, 10)), delimiter=",")
+        codes = [
+            run_cli(capsys, "estimate", *source, "--ruler", ruler)[0]
+            for source in (["--input", str(path)], ["--simulate", "--d", "10", "--n", "20"])
+        ]
+        assert codes[0] == codes[1] and codes[0] in (0, 2)
+
     def test_explicit_index_ruler(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "samples.csv"
@@ -251,7 +289,7 @@ class TestEstimate:
         assert "must lie in [1, 16], got [1, 17]" in err
 
     def test_experiment_row_reproducible_via_cli(self, capsys, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             3, seed=21, out_dir=tmp_path, trials=2, n_grid=(60,),
             deltas=(2.0,), alphas=(0.5,), num_freqs=2,
         )

@@ -1,22 +1,25 @@
 import csv
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from toepquant import (
+    Arm,
     Correction,
     Dither,
     GenSpec,
-    default_config,
+    QuantizerConfig,
     emit_plot_script,
     fit_loglog_slope,
+    ruler_alpha,
     run_experiment,
     simulate_estimate,
 )
 from toepquant.exceptions import DomainError, InvalidArgumentError
 from toepquant import experiments, sample_gaussian
-from toepquant.experiments import TRIAL_SCHEMA, ExperimentConfig
+from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
 
 
 class TestFitLoglogSlope:
@@ -39,45 +42,41 @@ class TestFitLoglogSlope:
             fit_loglog_slope([(10, 1.0), (100, 0.0), (1000, 0.1)])
 
 
+def plain_arm(d, alpha=1.0, delta=0.0, dither=Dither.TRIANGULAR, correction=Correction.NONE, **post):
+    """An untagged arm on ``ruler_alpha(d, alpha)``."""
+    return Arm("", alpha, ruler_alpha(d, alpha), QuantizerConfig(delta, dither), correction, **post)
+
+
 class TestSimulateEstimate:
     def test_bit_reproducible(self):
-        kwargs = dict(
-            alpha=0.5,
-            delta=2.0,
-            dither=Dither.TRIANGULAR,
-            correction=Correction.TRIANGULAR_QUARTER,
-            normalize=True,
-        )
-        a = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
-        b = simulate_estimate(GenSpec(16, k=4), 200, 7, **kwargs)
+        arm = plain_arm(16, 0.5, 2.0, Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER)
+        a = simulate_estimate(GenSpec(16, k=4, normalize=True), 200, 7, arm)
+        b = simulate_estimate(GenSpec(16, k=4, normalize=True), 200, 7, arm)
         assert a.rel_error == b.rel_error
         np.testing.assert_array_equal(a.estimate.a, b.estimate.a)
 
     def test_matrix_pinned_by_seed_across_n(self):
-        a = simulate_estimate(GenSpec(8, k=2), 50, 3)
-        b = simulate_estimate(GenSpec(8, k=2), 200, 3)
+        a = simulate_estimate(GenSpec(8, k=2), 50, 3, plain_arm(8))
+        b = simulate_estimate(GenSpec(8, k=2), 200, 3, plain_arm(8))
         np.testing.assert_array_equal(a.truth.a, b.truth.a)
 
     def test_normalize_unit_diagonal(self):
-        sim = simulate_estimate(GenSpec(8, k=2), 50, 3, normalize=True)
+        sim = simulate_estimate(GenSpec(8, k=2, normalize=True), 50, 3, plain_arm(8))
         assert sim.truth.a[0] == pytest.approx(1.0)
 
     def test_threshold_auto_records_zeta(self):
-        sim = simulate_estimate(
-            GenSpec(16, m=3),
-            100,
-            5,
-            alpha=0.5,
-            delta=1.0,
-            correction=Correction.TRIANGULAR_QUARTER,
-            threshold_auto=(0.06, 2.0),
-        )
+        arm = plain_arm(16, 0.5, 1.0, correction=Correction.TRIANGULAR_QUARTER, threshold_auto=(0.06, 2.0))
+        sim = simulate_estimate(GenSpec(16, m=3), 100, 5, arm)
         assert sim.zeta is not None and sim.zeta > 0
 
     def test_recipe_needs_exactly_one_kind(self):
         for kinds in ({}, {"k": 2, "m": 3}):
             with pytest.raises(InvalidArgumentError, match="exactly one"):
-                simulate_estimate(GenSpec(8, **kinds), 10, 0)
+                simulate_estimate(GenSpec(8, **kinds), 10, 0, plain_arm(8))
+
+    def test_ruler_must_fit_the_recipe(self):
+        with pytest.raises(InvalidArgumentError, match="ruler is for dimension 16, the recipe's is 8"):
+            simulate_estimate(GenSpec(8, k=2), 10, 0, plain_arm(16))
 
 
 class TestConfig:
@@ -92,13 +91,17 @@ class TestConfig:
     def test_unread_field_rejected(self):
         # fields the CLI never sets are checked the same way
         with pytest.raises(InvalidArgumentError, match="does not use num_freqs"):
-            default_config(5, num_freqs=3)
+            ExperimentConfig(5, num_freqs=3)
         with pytest.raises(InvalidArgumentError, match="does not use variants"):
-            default_config(1, variants=("rank10",))
+            ExperimentConfig(1, variants=("rank10",))
 
     @pytest.mark.parametrize("experiment", [1, 2, 3, 4, 5])
     def test_constructor_fills_the_experiment_defaults(self, experiment):
-        assert ExperimentConfig(experiment=experiment) == default_config(experiment)
+        cfg = ExperimentConfig(experiment=experiment)
+        reads = experiments._EXPERIMENTS[experiment].reads
+        assert {name: getattr(cfg, name) for name in reads} == reads
+        unread = [f.name for f in dataclasses.fields(cfg) if f.default is None and f.name not in reads]
+        assert all(getattr(cfg, name) is None for name in unread)
 
     @pytest.mark.parametrize(
         "fields",
@@ -121,36 +124,31 @@ class TestConfig:
             (4, "eps", float("inf")),
             (4, "eps", -1.0),
             (4, "n_cap", 0),
-            (5, "thresh_c", 0.0),
-            (5, "thresh_c", -1.0),
-            (5, "thresh_c", float("nan")),
-            (5, "thresh_p", 0.5),
-            (5, "thresh_p", float("nan")),
         ],
     )
     def test_unusable_scalar_rejected(self, experiment, field, value):
         with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
-            default_config(experiment, **{field: value})
+            ExperimentConfig(experiment, **{field: value})
 
     def test_experiment_range(self):
         with pytest.raises(InvalidArgumentError):
-            default_config(6)
+            ExperimentConfig(6)
 
     def test_defaults_match_documented_setups(self):
-        cfg1 = default_config(1)
+        cfg1 = ExperimentConfig(1)
         assert cfg1.d == 16 and cfg1.deltas == (5.0,) and cfg1.alphas == (0.5,)
-        cfg2 = default_config(2)
+        cfg2 = ExperimentConfig(2)
         assert cfg2.deltas == (2.0, 5.0) and cfg2.alphas == (0.5, 1.0)
         assert cfg2.n_grid == (100, 316, 1000, 3162, 10000)
-        cfg3 = default_config(3)
+        cfg3 = ExperimentConfig(3)
         assert cfg3.n_grid == (1000,) and cfg3.alphas == (0.5, 0.75, 1.0)
-        cfg4 = default_config(4)
+        cfg4 = ExperimentConfig(4)
         assert cfg4.d_grid == (16, 32, 64, 128, 256, 512) and cfg4.eps == 0.1
-        cfg5 = default_config(5)
+        cfg5 = ExperimentConfig(5)
         assert cfg5.bandwidth == 5 and cfg5.d_grid == (32, 64, 128)
 
 
-# small configurations of each experiment, as default_config overrides
+# small configurations of each experiment, as ExperimentConfig overrides
 SMALL_CONFIGS = {
     1: dict(trials=2, n_grid=(50, 100), num_freqs=2),
     2: dict(trials=2, n_grid=(50, 100, 200), deltas=(2.0,), alphas=(0.5, 1.0), num_freqs=2),
@@ -169,20 +167,20 @@ EXP1_TAGS = {
 
 
 def simulate_args(cfg, row):
-    """The simulate_estimate recipe and settings that produce one row of an experiment."""
+    """The simulate_estimate recipe and arm that produce one row of an experiment."""
     dither, corr = EXP1_TAGS[row.tag] if cfg.experiment == 1 else (Dither.TRIANGULAR, Correction.TRIANGULAR_QUARTER)
-    kwargs = dict(alpha=row.alpha, delta=row.delta, dither=dither, correction=corr, normalize=cfg.normalize)
+    post = {}
     if cfg.experiment == 4:
-        spec = GenSpec(row.d, k=cfg.rank_freqs if row.tag == "rank10" else max(1, row.d // 2))
+        spec = GenSpec(row.d, k=5 if row.tag == "rank10" else max(1, row.d // 2))
     elif cfg.experiment == 5:
         spec = GenSpec(row.d, m=cfg.bandwidth)
         if row.tag == "breveZeta":
-            kwargs["threshold_auto"] = (cfg.thresh_c, cfg.thresh_p)
+            post["threshold_auto"] = THRESHOLD_AUTO
         elif row.tag == "breveM":
-            kwargs["band_est"] = cfg.bandwidth
+            post["band_est"] = cfg.bandwidth
     else:
-        spec = GenSpec(row.d, k=cfg.num_freqs)
-    return spec, kwargs
+        spec = GenSpec(row.d, k=cfg.num_freqs, normalize=True)
+    return spec, plain_arm(row.d, row.alpha, row.delta, dither, corr, **post)
 
 
 def read_rows(path):
@@ -192,7 +190,7 @@ def read_rows(path):
 
 class TestRunExperiment:
     def small_exp1(self, tmp_path, seed=0):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             1, seed=seed, out_dir=tmp_path, trials=2, n_grid=(50, 100), num_freqs=2
         )
         return run_experiment(cfg)
@@ -231,12 +229,12 @@ class TestRunExperiment:
     def test_rows_reproducible_in_isolation(self, tmp_path, experiment):
         # every arm of a trial shares one truth and one sample draw, yet each
         # row must equal a lone simulate_estimate call, bit for bit
-        cfg = default_config(experiment, seed=9, out_dir=tmp_path, **SMALL_CONFIGS[experiment])
+        cfg = ExperimentConfig(experiment, seed=9, out_dir=tmp_path, **SMALL_CONFIGS[experiment])
         out = run_experiment(cfg)
         assert out.rows
         for row in out.rows:
-            spec, kwargs = simulate_args(cfg, row)
-            sim = simulate_estimate(spec, row.n, row.seed, **kwargs)
+            spec, arm = simulate_args(cfg, row)
+            sim = simulate_estimate(spec, row.n, row.seed, arm)
             assert sim.rel_error == row.rel_error, row
 
     def test_one_sample_draw_per_n_trial_and_ruler(self, tmp_path, monkeypatch):
@@ -248,7 +246,7 @@ class TestRunExperiment:
             return sample_gaussian(t, n, rng, indices)
 
         monkeypatch.setattr(experiments, "sample_gaussian", counting)
-        cfg = default_config(
+        cfg = ExperimentConfig(
             1, seed=0, out_dir=tmp_path, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0)
         )
         out = run_experiment(cfg)
@@ -278,17 +276,17 @@ class TestRunExperiment:
         stream = experiments.observation_rng
         monkeypatch.setattr(experiments, "observation_rng", lambda seed, n: Counting(stream(seed, n).bit_generator))
         common = dict(seed=0, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0))
-        cfg = default_config(1, out_dir=tmp_path / "dithered", **common)
+        cfg = ExperimentConfig(1, out_dir=tmp_path / "dithered", **common)
         run_experiment(cfg)
         sparse = cfg.ruler(16, 0.5).size
         assert sorted(draws) == sorted([(2, n, size) for n in (50, 100) for size in (sparse, 16)] * 2)
 
         draws.clear()
-        out = run_experiment(default_config(1, out_dir=tmp_path / "undithered", deltas=(0.0,), **common))
+        out = run_experiment(ExperimentConfig(1, out_dir=tmp_path / "undithered", deltas=(0.0,), **common))
         assert {r.delta for r in out.rows} == {0.0}
         assert draws == []
 
-        experiments.simulate_estimate(GenSpec(16, k=2), 50, 0, alpha=0.5, delta=2.0)
+        experiments.simulate_estimate(GenSpec(16, k=2), 50, 0, plain_arm(16, 0.5, 2.0))
         assert draws == [(50, sparse), (50, sparse)]
 
     @staticmethod
@@ -302,7 +300,7 @@ class TestRunExperiment:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        cfg = default_config(4, seed=2, out_dir=tmp_path, trials=3, **overrides)
+        cfg = ExperimentConfig(4, seed=2, out_dir=tmp_path, trials=3, **overrides)
         return cfg, run_experiment(cfg), factorizations
 
     def test_exp4_factors_each_truth_once(self, tmp_path, monkeypatch):
@@ -335,7 +333,7 @@ class TestRunExperiment:
             return ruler_alpha(d, alpha)
 
         monkeypatch.setattr(experiments, "ruler_alpha", counting)
-        cfg = default_config(5, seed=3, out_dir=tmp_path, trials=1, d_grid=(8, 16), n_grid=(40,), alphas=(0.5,))
+        cfg = ExperimentConfig(5, seed=3, out_dir=tmp_path, trials=1, d_grid=(8, 16), n_grid=(40,), alphas=(0.5,))
         out = run_experiment(cfg)
         assert sorted(built) == [(8, 0.5), (16, 0.5)]
         assert {row.d for row in out.rows} == {8, 16}
@@ -344,7 +342,7 @@ class TestRunExperiment:
         def failing(*args):
             raise OSError("disk full")
 
-        cfg = default_config(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,), num_freqs=2)
+        cfg = ExperimentConfig(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,), num_freqs=2)
         monkeypatch.setattr(experiments, "emit_plot_script", failing)
         with pytest.raises(OSError):
             run_experiment(cfg)
@@ -355,7 +353,7 @@ class TestRunExperiment:
         assert [p.name for p in out.paths] == ["experiment3.csv", "experiment3_medians.csv", "experiment3_medians.gp"]
 
     def test_exp3_linear_axes(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             3,
             seed=1,
             out_dir=tmp_path,
@@ -371,7 +369,7 @@ class TestRunExperiment:
         assert len(out.rows) == 2 * 2 * 2
 
     def test_exp4_summary(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             4,
             seed=2,
             out_dir=tmp_path,
@@ -390,7 +388,7 @@ class TestRunExperiment:
         assert len(summary_rows) == 2
 
     def test_exp4_search_stops_at_n_cap(self, tmp_path):
-        cfg = default_config(4, seed=1, out_dir=tmp_path, trials=2, d_grid=(16,), eps=0.9, n_cap=1)
+        cfg = ExperimentConfig(4, seed=1, out_dir=tmp_path, trials=2, d_grid=(16,), eps=0.9, n_cap=1)
         out = run_experiment(cfg)
         assert len(out.summary) == 4
         assert all(rec["n_star"] <= 1 for rec in out.summary)
@@ -455,7 +453,7 @@ class TestRunExperiment:
 
     def test_exp4_search_below_a_cap_that_is_not_a_power_of_two(self, tmp_path):
         # a cap of 24 used to end the search at n = 16 with every cell capped
-        cfg = default_config(4, seed=1, out_dir=tmp_path, trials=3, d_grid=(16,), eps=0.35, n_cap=24)
+        cfg = ExperimentConfig(4, seed=1, out_dir=tmp_path, trials=3, d_grid=(16,), eps=0.35, n_cap=24)
         out = run_experiment(cfg)
         found = {(rec["tag"], rec["alpha"]): (rec["n_star"], rec["capped"]) for rec in out.summary}
         assert found[("fullrank", 1.0)] == (19, 0)
@@ -463,7 +461,7 @@ class TestRunExperiment:
         assert 24 in {rec["n"] for rec in out.medians}
 
     def test_exp5_summary_fractions(self, tmp_path):
-        cfg = default_config(5, seed=3, out_dir=tmp_path, trials=4, d_grid=(32,))
+        cfg = ExperimentConfig(5, seed=3, out_dir=tmp_path, trials=4, d_grid=(32,))
         out = run_experiment(cfg)
         assert {r.tag for r in out.rows} == {"hatT", "breveZeta", "breveM"}
         rec = out.summary[0]
@@ -472,7 +470,7 @@ class TestRunExperiment:
         assert rec["median_zeta"] > 0
 
     def test_exp1_multi_delta_keeps_keys_unique(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             1, seed=8, out_dir=tmp_path, trials=2, n_grid=(50,),
             deltas=(2.0, 5.0), num_freqs=2,
         )
@@ -484,11 +482,11 @@ class TestRunExperiment:
         assert sum(r.tag == "hatT" for r in out.rows) == 4
 
     def test_threads_do_not_change_results(self, tmp_path):
-        base = default_config(
+        base = ExperimentConfig(
             3, seed=6, out_dir=tmp_path / "t1", trials=3, n_grid=(80,),
             deltas=(1.0,), alphas=(0.5,), num_freqs=2, threads=1,
         )
-        threaded = default_config(
+        threaded = ExperimentConfig(
             3, seed=6, out_dir=tmp_path / "t4", trials=3, n_grid=(80,),
             deltas=(1.0,), alphas=(0.5,), num_freqs=2, threads=4,
         )
@@ -499,7 +497,7 @@ class TestRunExperiment:
         ]
 
     def test_exp2_slope_records(self, tmp_path):
-        cfg = default_config(
+        cfg = ExperimentConfig(
             2,
             seed=4,
             out_dir=tmp_path,
@@ -530,7 +528,7 @@ class TestEmitPlotScript:
 
     def test_series_sort_on_csv_text(self, tmp_path):
         # lines are ordered by the CSV text of their values, so delta=10.0 comes before delta=2.0
-        cfg = default_config(
+        cfg = ExperimentConfig(
             2, seed=0, out_dir=tmp_path, trials=1, n_grid=(50, 100, 200), deltas=(2.0, 10.0), alphas=(1.0,),
             num_freqs=2,
         )

@@ -25,6 +25,7 @@ from toepquant import (
     ruler_estimate,
 )
 from toepquant.cli import main
+from toepquant.exceptions import InvalidArgumentError
 from toepquant.toeplitz import op_norm, toep
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -148,6 +149,8 @@ def reference_dither(cfg, size, rng):
 @example(1e-3, Dither.TRIANGULAR, (7, 3), 0)
 @example(123.456, Dither.UNIFORM, (5, 4), 1)
 @example(1e150, Dither.TRIANGULAR, (2, 2), 2)
+@example(1e-310, Dither.TRIANGULAR, (3, 2), 3)
+@example(1e-308, Dither.UNIFORM, (4,), 4)
 def test_dither_from_planes_is_the_reference_draw(delta, dither, shape, seed):
     cfg = QuantizerConfig(delta, dither)
     reference = np.random.default_rng(seed)
@@ -164,18 +167,24 @@ def test_dither_from_planes_is_the_reference_draw(delta, dither, shape, seed):
     assert planes.tobytes() == np.random.default_rng(seed).random((2, *shape)).tobytes()
 
     # observe and quantize_vector quantize with that dither and leave their
-    # generator in the same state; a delta near the smallest float takes
-    # x / delta to +-inf, in the reference as in the package
+    # generator in the same state; a delta so small that x / delta overflows
+    # is rejected before the generator is read
     x = np.random.default_rng(seed + 1).standard_normal(shape)
     rows = x.reshape(shape[0], -1)
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore"):
-        batch = observe(rows, full_ruler(rows.shape[1]), cfg, rng)
-        dithered = rows + want.reshape(rows.shape)
-        assert batch.rows.tobytes() == (delta * (np.floor(dithered / delta) + 0.5)).tobytes()
-        assert rng.bit_generator.state == reference.bit_generator.state
-        rng = np.random.default_rng(seed)
-        trace = quantize_vector(x, cfg, rng)
+    if not np.isfinite((float(np.abs(x).max()) + delta) / delta):
+        with pytest.raises(InvalidArgumentError, match="too small"):
+            observe(rows, full_ruler(rows.shape[1]), cfg, rng)
+        with pytest.raises(InvalidArgumentError, match="too small"):
+            quantize_vector(x, cfg, rng)
+        assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        return
+    batch = observe(rows, full_ruler(rows.shape[1]), cfg, rng)
+    dithered = rows + want.reshape(rows.shape)
+    assert batch.rows.tobytes() == (delta * (np.floor(dithered / delta) + 0.5)).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    rng = np.random.default_rng(seed)
+    trace = quantize_vector(x, cfg, rng)
     assert trace.tau.tobytes() == want.tobytes()
     assert rng.bit_generator.state == reference.bit_generator.state
 

@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant`` and unused imports.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, unused imports and config knobs.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -6,13 +6,18 @@ tracer test installs and removes the tracer without running any workload.
 Those bindings are the package's only unused imports, each marked ``noqa``.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from toepquant.cli import build_parser
+from toepquant.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -74,3 +79,13 @@ def test_every_module_uses_what_it_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_config_field_is_a_command_line_option():
+    # a field no option sets is a knob only Python callers can turn; the two
+    # left are the ones tests size their runs with
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in parser._actions + subparsers.choices["exp"]._actions if a.option_strings}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert fields - dests == {"num_freqs", "variants"}
