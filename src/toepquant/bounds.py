@@ -127,7 +127,7 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     if not 1 <= k <= d:
         raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
     ruler = ruler_alpha(d, alpha)
-    sub = principal_submatrix(t, ruler)
+    sub = principal_submatrix(t, ruler.indices)
     left = op_norm(sub) ** 2
     resid = t.dense() - best_rank_k(t, k)
     lam = min(op_norm(resid) ** 2, 2.0 / d ** (1.0 - alpha) * fro_norm(resid) ** 2)

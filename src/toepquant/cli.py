@@ -17,6 +17,7 @@ import argparse
 import csv
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .exceptions import (
     NumericError,
     ToepquantError,
 )
-from .experiments import THRESHOLD_AUTO, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
+from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, full_ruler, phi_bound, ruler_alpha
 from .sampling import GenSpec
@@ -105,16 +106,12 @@ def cmd_ruler(args: argparse.Namespace) -> int:
 # only when --m does not pick the banded recipe.
 _SIMULATION_DEFAULTS = {
     "d": 16, "n": 1000, "k": 8, "m": None, "normalize": False,
-    "thresh_c": THRESHOLD_AUTO[0], "thresh_p": THRESHOLD_AUTO[1],
 }
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     if args.simulate:
-        given = ["--" + name.replace("_", "-") for name in ("thresh_c", "thresh_p") if getattr(args, name) is not None]
-        if given and not args.threshold_auto:
-            raise InvalidArgumentError(f"only --threshold-auto reads {' and '.join(given)}")
         opt = {
             name: default if getattr(args, name) is None else getattr(args, name)
             for name, default in _SIMULATION_DEFAULTS.items()
@@ -126,15 +123,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise InvalidArgumentError(
                 "--threshold-auto needs the true matrix (simulation only); pass --threshold"
             )
-        given = ["--" + name.replace("_", "-") for name in _SIMULATION_DEFAULTS if getattr(args, name) is not None]
+        given = ["--" + name for name in _SIMULATION_DEFAULTS if getattr(args, name) is not None]
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples = _load_samples(Path(args.input))
         d = samples.shape[1]
     arm = Arm(
         "", None, _ruler_from_spec(args.ruler, d), QuantizerConfig(args.delta, Dither(args.dither)),
-        Correction(args.correction), args.threshold,
-        (opt["thresh_c"], opt["thresh_p"]) if args.threshold_auto else None, args.bandwidth,
+        Correction(args.correction), args.threshold, args.threshold_auto, args.bandwidth,
     )
     if args.simulate:
         sim = simulate_estimate(spec, opt["n"], seed, arm)
@@ -157,7 +153,10 @@ def _load_samples(path: Path) -> np.ndarray:
     if not path.exists():
         raise EmptyInputError(f"no such input file: {path}")
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a file with no samples is reported below as an error, not also as numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise EmptyInputError(f"could not parse samples from {path}: {exc}") from exc
     if data.size == 0:
@@ -261,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     post.add_argument("--threshold", type=float, default=None, help="zero coefficients below this value")
     post.add_argument("--threshold-auto", action="store_true", help="threshold at c*K*sqrt((log|R|+4p log d)/n)")
     post.add_argument("--bandwidth", type=int, default=None, help="zero coefficients at offsets >= this bandwidth")
-    p.add_argument(
-        "--thresh-c", type=float, default=None, help=f"c of --threshold-auto (default {sim_default['thresh_c']})"
-    )
-    p.add_argument(
-        "--thresh-p", type=float, default=None, help=f"p of --threshold-auto (default {sim_default['thresh_p']})"
-    )
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bounds", help="evaluate theoretical constants as CSV")
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp", help="run one of experiments 1..5")
     # every option but --quiet parses into the ExperimentConfig field named by its dest,
     # and cmd_exp passes each one given straight to the config
-    p.add_argument("--id", dest="experiment", type=int, required=True, choices=[1, 2, 3, 4, 5])
+    p.add_argument("--id", dest="experiment", type=int, required=True, choices=sorted(_EXPERIMENTS))
     p.add_argument("--d", type=int, help="dimension (experiments 1-3)")
     p.add_argument("--d-grid", type=_parse_ints, help="comma-separated dimensions (experiments 4, 5)")
     p.add_argument("--n-grid", type=_parse_ints, help="comma-separated sample counts")

@@ -1,6 +1,6 @@
 """Experiment drivers: trial orchestration, slope fits, CSV and plot output.
 
-Five experiments are provided:
+Five experiments are provided, each described by its ``_EXPERIMENTS`` entry:
 
 1. estimator comparison (corrected/uncorrected/uniform/no-dither/raw) on a
    coarse quantizer, error versus sample count;
@@ -36,9 +36,9 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import DomainError, InvalidArgumentError
+from .exceptions import DomainError, InvalidArgumentError, MisuseError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -74,8 +74,6 @@ __all__ = [
     "emit_plot_script",
     "TRIAL_SCHEMA",
 ]
-
-TRIAL_SCHEMA = ("experiment", "d", "alpha", "delta", "n", "tag", "trial", "rel_error", "seconds", "seed")
 
 # (c, p) of the calibrated threshold c * K * sqrt((log|R| + 4p log d) / n)
 THRESHOLD_AUTO = (0.07, 2.0)
@@ -104,9 +102,9 @@ class SimResult:
 class Arm:
     """One estimator: ruler, quantizer, diagonal correction and post-processing.
 
-    ``tag`` and ``alpha`` only label result rows.  ``threshold_auto=(c, p)``
-    thresholds at ``c * K * sqrt((log|R| + 4p log d) / n)`` with the true
-    operator norm in ``K``, so :meth:`estimate` then needs ``truth``.
+    ``tag`` and ``alpha`` only label result rows.  ``threshold_auto``
+    thresholds at the ``THRESHOLD_AUTO`` level, which reads the true
+    operator norm, so :meth:`estimate` then needs ``truth``.
     """
 
     tag: str
@@ -115,7 +113,7 @@ class Arm:
     quantizer: QuantizerConfig
     correction: Correction = Correction.TRIANGULAR_QUARTER
     threshold: float | None = None
-    threshold_auto: tuple[float, float] | None = None
+    threshold_auto: bool = False
     band_est: int | None = None
 
     def estimate(
@@ -131,8 +129,10 @@ class Arm:
         batch = observe(samples, self.ruler, self.quantizer, rng)
         est = quantized_estimate(batch, self.correction)
         zeta = None
-        if self.threshold_auto is not None:
-            c, p = self.threshold_auto
+        if self.threshold_auto:
+            if truth is None:
+                raise MisuseError("the oracle threshold needs the true matrix")
+            c, p = THRESHOLD_AUTO
             zeta = threshold_zeta(big_k(kept_op_norm(truth), batch.delta), self.ruler.size, truth.d, p, batch.n, c)
         elif self.threshold is not None:
             zeta = float(self.threshold)
@@ -166,11 +166,8 @@ class _Trial:
     spec: GenSpec
     truth: SymToeplitz | None = None
 
-    def run(self, ns: Iterable[int], arms: Sequence[Arm]) -> dict[int, list[tuple[SimResult, float]]]:
-        """Per ``n``: one sample draw per ruler, then every arm on its ruler's draw, with its seconds."""
-        return {n: self._draw(n, arms) for n in ns}
-
-    def _draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
+    def draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
+        """One sample draw of ``n`` per ruler, then every arm on its ruler's draw, with its seconds."""
         # An arm's seconds are its own time plus an equal share of its ruler's
         # draw of samples and dither planes, the seed's covariance included on
         # its first draw.  So the arms of a trial sum to the trial's wall time.
@@ -210,11 +207,10 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     """
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
-    return _Trial(seed, spec).run([n], [arm])[n][0][0]
+    return _Trial(seed, spec).draw(n, [arm])[0][0]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     experiment: int
     d: int
     alpha: float
@@ -229,19 +225,8 @@ class ResultRow:
     def key(self) -> tuple:
         return (self.d, self.alpha, self.delta, self.n, self.tag, self.trial)
 
-    def csv_values(self) -> list[str]:
-        return [
-            str(self.experiment),
-            str(self.d),
-            repr(float(self.alpha)),
-            repr(float(self.delta)),
-            str(self.n),
-            self.tag,
-            str(self.trial),
-            repr(float(self.rel_error)),
-            f"{self.seconds:.6f}",
-            str(self.seed),
-        ]
+
+TRIAL_SCHEMA = ResultRow._fields
 
 
 @dataclass
@@ -262,7 +247,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] | None = None
     deltas: tuple[float, ...] | None = None
     alphas: tuple[float, ...] | None = None
-    num_freqs: int | None = None
     bandwidth: int | None = None
     eps: float | None = None
     n_cap: int | None = None
@@ -270,7 +254,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.experiment not in _EXPERIMENTS:
-            raise InvalidArgumentError(f"experiment must be 1..5, got {self.experiment}")
+            raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {self.experiment}")
         reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
         # a field defaulting to None is per-experiment: every other one is read by all
         per_experiment = [f.name for f in fields(self) if f.default is None]
@@ -362,14 +346,14 @@ class _Runner:
 
     def run_trials(
         self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]
-    ) -> dict[tuple[int, int], list[tuple[SimResult, float]]]:
+    ) -> list[list[list[tuple[SimResult, float]]]]:
         """Every trial at every n, trials spread over the workers.
 
-        Returns ``{(n, arm index): [(result, seconds) per trial]}``.
+        Returns, per arm and then per n, the ``(result, seconds)`` of each trial.
         """
 
         def run(trial: _Trial) -> dict[int, list[tuple[SimResult, float]]]:
-            return trial.run(ns, arms)
+            return {n: trial.draw(n, arms) for n in ns}
 
         if self.cfg.threads > 1:
             # the workers are the parallelism: OpenBLAS threads on top would oversubscribe the cores
@@ -377,17 +361,17 @@ class _Runner:
                 per_trial = list(pool.map(run, trials))
         else:
             per_trial = list(map(run, trials))
-        return {(n, i): [draws[n][i] for draws in per_trial] for n in ns for i in range(len(arms))}
+        return [[[draws[n][i] for draws in per_trial] for n in ns] for i in range(len(arms))]
 
     def record(
         self, d: int, n: int, arm: Arm, trials: list[_Trial], cell: list[tuple[SimResult, float]]
     ) -> float:
         """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
         cfg = self.cfg
-        delta = arm.quantizer.delta
+        alpha, delta = float(arm.alpha), float(arm.quantizer.delta)
         for t, (trial, (sim, secs)) in enumerate(zip(trials, cell)):
             self.rows.append(
-                ResultRow(cfg.experiment, d, arm.alpha, delta, n, arm.tag, t, sim.rel_error, secs, trial.seed)
+                ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(sim.rel_error), secs, trial.seed)
             )
         med = _median(sim.rel_error for sim, _ in cell)
         self.medians.append(
@@ -395,7 +379,7 @@ class _Runner:
                 "experiment": cfg.experiment,
                 "d": d,
                 "alpha": arm.alpha,
-                "delta": delta,
+                "delta": arm.quantizer.delta,
                 "n": n,
                 "tag": arm.tag,
                 "trials": cfg.trials,
@@ -404,48 +388,22 @@ class _Runner:
         )
         return med
 
-    # ----- experiments 1..3: error curves over a grid -----
-
-    def run_curves(self) -> None:
+    def run_grid(self) -> None:
+        """Experiments 1, 2, 3 and 5: every arm of the entry at every d and n of the grid, and its summary record."""
         cfg = self.cfg
-        if cfg.experiment == 1:
-            arms = [
-                Arm(tag, alpha, cfg.ruler(cfg.d, alpha), QuantizerConfig(delta * scale, dither), corr)
-                for alpha in cfg.alphas
-                for di, delta in enumerate(cfg.deltas)
-                for tag, (scale, dither, corr) in _EXP1_TAGS.items()
-                # the raw-sample baseline is delta-independent; emit it once
-                if scale != 0.0 or di == 0
-            ]
-        else:
-            arms = [
-                Arm("hatT", alpha, cfg.ruler(cfg.d, alpha), QuantizerConfig(delta, Dither.TRIANGULAR))
-                for alpha in cfg.alphas
-                for delta in cfg.deltas
-            ]
-        trials = self.seeded_trials(cfg.spec(cfg.d), cfg.experiment)
-        cells = self.run_trials(trials, cfg.n_grid, arms)
-
-        for i, arm in enumerate(arms):
-            meds = [self.record(cfg.d, n, arm, trials, cells[(n, i)]) for n in cfg.n_grid]
-            self.note(
-                f"experiment {cfg.experiment}: finished series alpha={arm.alpha} "
-                f"delta={arm.quantizer.delta} tag={arm.tag}"
-            )
-            if cfg.experiment == 2:
-                fit = fit_loglog_slope(zip(cfg.n_grid, meds))
-                self.summary.append(
-                    {
-                        "experiment": 2,
-                        "d": cfg.d,
-                        "alpha": arm.alpha,
-                        "delta": arm.quantizer.delta,
-                        "tag": arm.tag,
-                        "slope": fit["slope"],
-                        "intercept": fit["intercept"],
-                        "r2": fit["r2"],
-                    }
+        entry = _EXPERIMENTS[cfg.experiment]
+        for d in cfg.d_grid or (cfg.d,):
+            arms = entry.arms(cfg, d)
+            trials = self.seeded_trials(cfg.spec(d), cfg.experiment)
+            for arm, cells in zip(arms, self.run_trials(trials, cfg.n_grid, arms)):
+                medians = [self.record(d, n, arm, trials, cell) for n, cell in zip(cfg.n_grid, cells)]
+                self.note(
+                    f"experiment {cfg.experiment}: finished series d={d} alpha={arm.alpha} "
+                    f"delta={arm.quantizer.delta} tag={arm.tag}"
                 )
+                record = entry.summarize(cfg, d, arm, medians, cells)
+                if record is not None:
+                    self.summary.append(record)
 
     # ----- experiment 4: total complexity versus dimension -----
 
@@ -463,7 +421,7 @@ class _Runner:
 
                     def probe(n: int) -> float:
                         if n not in medians:
-                            cell = self.run_trials(trials, [n], [arm])[(n, 0)]
+                            ((cell,),) = self.run_trials(trials, [n], [arm])
                             medians[n] = self.record(d, n, arm, trials, cell)
                         return medians[n]
 
@@ -511,43 +469,6 @@ class _Runner:
                 lo = mid
         return hi, False
 
-    # ----- experiment 5: banded matrices, thresholded estimator -----
-
-    def run_banded(self) -> None:
-        cfg = self.cfg
-        (n,), (delta,), (alpha,) = cfg.n_grid, cfg.deltas, cfg.alphas
-        m = cfg.bandwidth
-        quantizer = QuantizerConfig(delta, Dither.TRIANGULAR)
-        for d in cfg.d_grid:
-            ruler = cfg.ruler(d, alpha)
-            arms = [
-                Arm("hatT", alpha, ruler, quantizer),
-                Arm("breveZeta", alpha, ruler, quantizer, threshold_auto=THRESHOLD_AUTO),
-                Arm("breveM", alpha, ruler, quantizer, band_est=m),
-            ]
-            trials = self.seeded_trials(cfg.spec(d), 5)
-            cells = self.run_trials(trials, [n], arms)
-            meds = [self.record(d, n, arm, trials, cells[(n, i)]) for i, arm in enumerate(arms)]
-            thresh = [sim for sim, _ in cells[(n, 1)]]
-            tail_zero = np.mean([np.all(s.estimate.a[m:] == 0.0) for s in thresh])
-            survival = np.mean([np.all(s.estimate.a[:m] != 0.0) for s in thresh])
-            self.summary.append(
-                {
-                    "experiment": 5,
-                    "tag": "breveZeta",
-                    "d": d,
-                    "n": n,
-                    "delta": delta,
-                    "median_rel_error": meds[1],
-                    "median_zeta": _median([s.zeta for s in thresh]),
-                    "tail_zero_fraction": float(tail_zero),
-                    "nonzero_survival_fraction": float(survival),
-                }
-            )
-            self.note(
-                f"experiment 5: d={d}: tail-zero {tail_zero:.3f}, survival {survival:.3f}"
-            )
-
 
 @dataclass(frozen=True)
 class _Plot:
@@ -575,15 +496,20 @@ class _Experiment:
     take one or more.  ``recipe(cfg, d, variant)`` is the covariance recipe
     of its trials at dimension ``d``.  ``plot`` describes its figure, and
     ``summary`` names its summary file, ``experiment<id>_<summary>.csv``,
-    when it has summary records.
+    when it has summary records.  ``run`` is experiment 4's search or, by
+    default, :meth:`_Runner.run_grid`, which runs the arms ``arms(cfg, d)``
+    and adds each arm's record ``summarize(cfg, d, arm, medians, cells)``, if
+    any, from its median error and ``(result, seconds)`` per trial at each n.
     """
 
-    run: Callable[[_Runner], None]
     recipe: Callable[[ExperimentConfig, int, str | None], GenSpec]
     reads: dict[str, object]
     plot: _Plot
     sizes: dict[str, tuple[int, float]] = field(default_factory=dict)
     summary: str = "summary"
+    arms: Callable[[ExperimentConfig, int], list[Arm]] | None = None
+    summarize: Callable[..., dict | None] = lambda cfg, d, arm, medians, cells: None
+    run: Callable[[_Runner], None] = _Runner.run_grid
 
 
 _VARIANTS = ("fullrank", "rank10")
@@ -597,39 +523,96 @@ _LEAST = {
 
 
 def _mixture(cfg: ExperimentConfig, d: int, variant: str | None) -> GenSpec:
-    return GenSpec(d, k=cfg.num_freqs, normalize=True)
+    return GenSpec(d, k=8, normalize=True)
 
 
-# Experiments 1-3 run at ``d`` on a unit-diagonal mixture and 4-5 over
-# ``d_grid``; experiment 2 fits a line through its n values; experiment 4
-# searches n itself, its full-rank variant mixing d // 2 modes and its rank10
-# variant 5; experiment 5 is one banded point per d.
-_CURVES = dict(d=16, num_freqs=8)
+def _estimator_arms(cfg: ExperimentConfig, d: int) -> list[Arm]:
+    return [
+        Arm(tag, alpha, cfg.ruler(d, alpha), QuantizerConfig(delta * scale, dither), corr)
+        for alpha in cfg.alphas
+        for di, delta in enumerate(cfg.deltas)
+        for tag, (scale, dither, corr) in _EXP1_TAGS.items()
+        # the raw-sample baseline is delta-independent; emit it once
+        if scale != 0.0 or di == 0
+    ]
+
+
+def _corrected_arms(cfg: ExperimentConfig, d: int) -> list[Arm]:
+    return [
+        Arm("hatT", alpha, cfg.ruler(d, alpha), QuantizerConfig(delta, Dither.TRIANGULAR))
+        for alpha in cfg.alphas
+        for delta in cfg.deltas
+    ]
+
+
+def _banded_arms(cfg: ExperimentConfig, d: int) -> list[Arm]:
+    (hat,) = _corrected_arms(cfg, d)
+    return [hat, replace(hat, tag="breveZeta", threshold_auto=True), replace(hat, tag="breveM", band_est=cfg.bandwidth)]
+
+
+def _slope(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[float], cells: list) -> dict:
+    return {
+        "experiment": 2,
+        "d": d,
+        "alpha": arm.alpha,
+        "delta": arm.quantizer.delta,
+        "tag": arm.tag,
+        **fit_loglog_slope(zip(cfg.n_grid, medians)),
+    }
+
+
+def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[float], cells: list) -> dict | None:
+    if not arm.threshold_auto:
+        return None
+    (n,), (cell,), m = cfg.n_grid, cells, cfg.bandwidth
+    thresh = [sim for sim, _ in cell]
+    tail_zero = np.mean([np.all(s.estimate.a[m:] == 0.0) for s in thresh])
+    survival = np.mean([np.all(s.estimate.a[:m] != 0.0) for s in thresh])
+    return {
+        "experiment": 5,
+        "tag": arm.tag,
+        "d": d,
+        "n": n,
+        "delta": arm.quantizer.delta,
+        "median_rel_error": medians[0],
+        "median_zeta": _median([s.zeta for s in thresh]),
+        "tail_zero_fraction": float(tail_zero),
+        "nonzero_survival_fraction": float(survival),
+    }
+
+
+# Experiments 1-3 run at ``d`` on a unit-diagonal mixture of 8 modes and 4-5
+# over ``d_grid``; experiment 2 fits a line through its n values; experiment
+# 4 searches n itself, its full-rank variant mixing d // 2 modes and its
+# rank10 variant 5; experiment 5 is one banded point per d.
 _ERROR_VS_N = _Plot("n", "median_rel_error", ("tag", "alpha", "delta"), "xy", "samples n", "relative error")
 _EXPERIMENTS: dict[int, _Experiment] = {
     1: _Experiment(
-        _Runner.run_curves, _mixture,
-        dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
+        _mixture,
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
         _ERROR_VS_N,
+        arms=_estimator_arms,
     ),
     2: _Experiment(
-        _Runner.run_curves, _mixture,
-        dict(_CURVES, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
+        _mixture,
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
         _ERROR_VS_N,
         dict(n_grid=(3, math.inf)),
         summary="slopes",
+        arms=_corrected_arms,
+        summarize=_slope,
     ),
     3: _Experiment(
-        _Runner.run_curves, _mixture,
+        _mixture,
         dict(
-            _CURVES, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
+            d=16, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
             alphas=(0.5, 0.75, 1.0),
         ),
         _Plot("delta", "median_rel_error", ("tag", "alpha"), "", "quantization level", "relative error"),
         dict(n_grid=(1, 1)),
+        arms=_corrected_arms,
     ),
     4: _Experiment(
-        _Runner.run_total_complexity,
         lambda cfg, d, variant: GenSpec(d, k=5 if variant == "rank10" else max(1, d // 2)),
         dict(
             d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
@@ -637,9 +620,9 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         ),
         _Plot("d", "total", ("tag", "alpha"), "xy", "dimension d", "total samples (n x |R|)", summary=True),
         dict(deltas=(1, 1)),
+        run=_Runner.run_total_complexity,
     ),
     5: _Experiment(
-        _Runner.run_banded,
         lambda cfg, d, variant: GenSpec(d, m=cfg.bandwidth),
         dict(
             d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
@@ -647,6 +630,8 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         ),
         _Plot("d", "median_rel_error", ("tag",), "", "dimension d", "relative error"),
         dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
+        arms=_banded_arms,
+        summarize=_threshold_recovery,
     ),
 }
 
@@ -692,7 +677,7 @@ def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_SCHEMA)
         for row in out.rows:
-            writer.writerow(row.csv_values())
+            writer.writerow(row._replace(seconds=f"{row.seconds:.6f}"))
     median_path = directory / f"experiment{cfg.experiment}_medians.csv"
     _write_dicts(median_path, out.medians)
     paths = [trial_path, median_path]

@@ -145,10 +145,6 @@ def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
     A :class:`SymToeplitz` is read as ``a[|R_i - R_j|]``, never expanded to
     d x d.
     """
-    from .rulers import Ruler  # local import to avoid a cycle
-
-    if isinstance(indices, Ruler):
-        indices = indices.indices
     idx = np.asarray(indices, dtype=np.int64)
     if not isinstance(m, SymToeplitz):
         m = _as_dense(m)

@@ -140,6 +140,18 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", "--input", str(tmp_path / "none.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no samples\n"], ids=["empty", "blank", "comment"])
+    def test_input_without_samples_is_one_error_line(self, capsys, tmp_path, text):
+        # numpy warns about such a file; the error line must be all that reaches stderr
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert code == 2
+        assert err == f"invalid configuration: input file {path} contains no samples\n"
+        assert out == ""
+
     def test_non_finite_input_is_numeric_failure(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\nnan,3.0\n")
@@ -163,7 +175,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "option",
-        [["--d", "2"], ["--n", "3"], ["--k", "1"], ["--m", "1"], ["--normalize"], ["--thresh-c", "0.1"], ["--thresh-p", "1"]],
+        [["--d", "2"], ["--n", "3"], ["--k", "1"], ["--m", "1"], ["--normalize"]],
         ids=lambda option: option[0],
     )
     def test_simulation_options_rejected_for_input_files(self, capsys, tmp_path, option):
@@ -179,9 +191,6 @@ class TestEstimate:
         [
             ["--threshold", "nan"],
             ["--threshold", "inf"],
-            ["--threshold-auto", "--thresh-c", "nan"],
-            ["--threshold-auto", "--thresh-c", "inf"],
-            ["--threshold-auto", "--thresh-p", "nan"],
         ],
         ids=" ".join,
     )
@@ -189,23 +198,6 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--simulate", *option)
         assert code == 2
         assert "invalid configuration" in err
-        assert out == ""
-
-    @pytest.mark.parametrize(
-        "option",
-        [
-            ["--thresh-c", "5"],
-            ["--thresh-p", "9"],
-            ["--thresh-c", "5", "--thresh-p", "9"],
-            ["--threshold", "0.1", "--thresh-c", "5"],
-            ["--bandwidth", "3", "--thresh-p", "9"],
-        ],
-        ids=" ".join,
-    )
-    def test_threshold_auto_constants_rejected_without_it(self, capsys, option):
-        code, out, err = run_cli(capsys, "--seed", "3", "estimate", "--simulate", *option)
-        assert code == 2
-        assert "only --threshold-auto reads" in err
         assert out == ""
 
     def test_delta_whose_noise_power_overflows_rejected_before_the_trial(self, capsys, monkeypatch):
@@ -291,7 +283,7 @@ class TestEstimate:
     def test_experiment_row_reproducible_via_cli(self, capsys, tmp_path):
         cfg = ExperimentConfig(
             3, seed=21, out_dir=tmp_path, trials=2, n_grid=(60,),
-            deltas=(2.0,), alphas=(0.5,), num_freqs=2,
+            deltas=(2.0,), alphas=(0.5,),
         )
         row = run_experiment(cfg).rows[0]
         capsys.readouterr()
@@ -306,7 +298,7 @@ class TestEstimate:
             "--n",
             str(row.n),
             "--k",
-            str(cfg.num_freqs),
+            "8",
             "--ruler",
             str(row.alpha),
             "--delta",

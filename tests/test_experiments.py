@@ -17,7 +17,7 @@ from toepquant import (
     run_experiment,
     simulate_estimate,
 )
-from toepquant.exceptions import DomainError, InvalidArgumentError
+from toepquant.exceptions import DomainError, InvalidArgumentError, MisuseError
 from toepquant import experiments, sample_gaussian
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
 
@@ -65,9 +65,14 @@ class TestSimulateEstimate:
         assert sim.truth.a[0] == pytest.approx(1.0)
 
     def test_threshold_auto_records_zeta(self):
-        arm = plain_arm(16, 0.5, 1.0, correction=Correction.TRIANGULAR_QUARTER, threshold_auto=(0.06, 2.0))
+        arm = plain_arm(16, 0.5, 1.0, correction=Correction.TRIANGULAR_QUARTER, threshold_auto=True)
         sim = simulate_estimate(GenSpec(16, m=3), 100, 5, arm)
         assert sim.zeta is not None and sim.zeta > 0
+
+    def test_threshold_auto_needs_the_truth(self):
+        arm = plain_arm(8, threshold_auto=True)
+        with pytest.raises(MisuseError, match="needs the true matrix"):
+            arm.estimate(np.ones((5, 8)), np.random.default_rng(0))
 
     def test_recipe_needs_exactly_one_kind(self):
         for kinds in ({}, {"k": 2, "m": 3}):
@@ -90,8 +95,8 @@ class TestConfig:
 
     def test_unread_field_rejected(self):
         # fields the CLI never sets are checked the same way
-        with pytest.raises(InvalidArgumentError, match="does not use num_freqs"):
-            ExperimentConfig(5, num_freqs=3)
+        with pytest.raises(InvalidArgumentError, match="does not use eps"):
+            ExperimentConfig(5, eps=0.2)
         with pytest.raises(InvalidArgumentError, match="does not use variants"):
             ExperimentConfig(1, variants=("rank10",))
 
@@ -107,8 +112,8 @@ class TestConfig:
         "fields",
         [
             dict(experiment=4, d=64),
-            dict(experiment=4, d=64, num_freqs=3, d_grid=(16,), deltas=(2.0,), alphas=(1.0,)),
-            dict(experiment=5, num_freqs=3),
+            dict(experiment=4, d=64, bandwidth=3, d_grid=(16,), deltas=(2.0,), alphas=(1.0,)),
+            dict(experiment=5, n_cap=8),
             dict(experiment=1, eps=0.2),
         ],
         ids=lambda fields: ",".join(fields),
@@ -150,9 +155,9 @@ class TestConfig:
 
 # small configurations of each experiment, as ExperimentConfig overrides
 SMALL_CONFIGS = {
-    1: dict(trials=2, n_grid=(50, 100), num_freqs=2),
-    2: dict(trials=2, n_grid=(50, 100, 200), deltas=(2.0,), alphas=(0.5, 1.0), num_freqs=2),
-    3: dict(trials=2, n_grid=(60,), deltas=(0.0, 2.0), alphas=(0.5, 1.0), num_freqs=2),
+    1: dict(trials=2, n_grid=(50, 100)),
+    2: dict(trials=2, n_grid=(50, 100, 200), deltas=(2.0,), alphas=(0.5, 1.0)),
+    3: dict(trials=2, n_grid=(60,), deltas=(0.0, 2.0), alphas=(0.5, 1.0)),
     4: dict(trials=2, d_grid=(16,), alphas=(0.5, 1.0), eps=0.5, n_cap=1 << 12),
     5: dict(trials=3, d_grid=(32, 40)),
 }
@@ -179,7 +184,7 @@ def simulate_args(cfg, row):
         elif row.tag == "breveM":
             post["band_est"] = cfg.bandwidth
     else:
-        spec = GenSpec(row.d, k=cfg.num_freqs, normalize=True)
+        spec = GenSpec(row.d, k=8, normalize=True)
     return spec, plain_arm(row.d, row.alpha, row.delta, dither, corr, **post)
 
 
@@ -191,7 +196,7 @@ def read_rows(path):
 class TestRunExperiment:
     def small_exp1(self, tmp_path, seed=0):
         cfg = ExperimentConfig(
-            1, seed=seed, out_dir=tmp_path, trials=2, n_grid=(50, 100), num_freqs=2
+            1, seed=seed, out_dir=tmp_path, trials=2, n_grid=(50, 100)
         )
         return run_experiment(cfg)
 
@@ -247,7 +252,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "sample_gaussian", counting)
         cfg = ExperimentConfig(
-            1, seed=0, out_dir=tmp_path, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0)
+            1, seed=0, out_dir=tmp_path, trials=2, n_grid=(50, 100), alphas=(0.5, 1.0)
         )
         out = run_experiment(cfg)
         assert len({r.tag for r in out.rows}) == 5
@@ -275,7 +280,7 @@ class TestRunExperiment:
 
         stream = experiments.observation_rng
         monkeypatch.setattr(experiments, "observation_rng", lambda seed, n: Counting(stream(seed, n).bit_generator))
-        common = dict(seed=0, trials=2, n_grid=(50, 100), num_freqs=2, alphas=(0.5, 1.0))
+        common = dict(seed=0, trials=2, n_grid=(50, 100), alphas=(0.5, 1.0))
         cfg = ExperimentConfig(1, out_dir=tmp_path / "dithered", **common)
         run_experiment(cfg)
         sparse = cfg.ruler(16, 0.5).size
@@ -342,7 +347,7 @@ class TestRunExperiment:
         def failing(*args):
             raise OSError("disk full")
 
-        cfg = ExperimentConfig(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,), num_freqs=2)
+        cfg = ExperimentConfig(3, seed=1, out_dir=tmp_path / "out", trials=1, n_grid=(30,), deltas=(1.0,))
         monkeypatch.setattr(experiments, "emit_plot_script", failing)
         with pytest.raises(OSError):
             run_experiment(cfg)
@@ -361,7 +366,6 @@ class TestRunExperiment:
             n_grid=(60,),
             deltas=(0.0, 2.0),
             alphas=(0.5, 1.0),
-            num_freqs=2,
         )
         out = run_experiment(cfg)
         script = (tmp_path / "experiment3_medians.gp").read_text()
@@ -472,7 +476,7 @@ class TestRunExperiment:
     def test_exp1_multi_delta_keeps_keys_unique(self, tmp_path):
         cfg = ExperimentConfig(
             1, seed=8, out_dir=tmp_path, trials=2, n_grid=(50,),
-            deltas=(2.0, 5.0), num_freqs=2,
+            deltas=(2.0, 5.0),
         )
         out = run_experiment(cfg)
         keys = [r.key() for r in out.rows]
@@ -484,11 +488,11 @@ class TestRunExperiment:
     def test_threads_do_not_change_results(self, tmp_path):
         base = ExperimentConfig(
             3, seed=6, out_dir=tmp_path / "t1", trials=3, n_grid=(80,),
-            deltas=(1.0,), alphas=(0.5,), num_freqs=2, threads=1,
+            deltas=(1.0,), alphas=(0.5,), threads=1,
         )
         threaded = ExperimentConfig(
             3, seed=6, out_dir=tmp_path / "t4", trials=3, n_grid=(80,),
-            deltas=(1.0,), alphas=(0.5,), num_freqs=2, threads=4,
+            deltas=(1.0,), alphas=(0.5,), threads=4,
         )
         rows_a = run_experiment(base).rows
         rows_b = run_experiment(threaded).rows
@@ -505,7 +509,6 @@ class TestRunExperiment:
             n_grid=(50, 100, 200),
             deltas=(2.0,),
             alphas=(1.0,),
-            num_freqs=2,
         )
         out = run_experiment(cfg)
         assert len(out.summary) == 1
@@ -530,7 +533,6 @@ class TestEmitPlotScript:
         # lines are ordered by the CSV text of their values, so delta=10.0 comes before delta=2.0
         cfg = ExperimentConfig(
             2, seed=0, out_dir=tmp_path, trials=1, n_grid=(50, 100, 200), deltas=(2.0, 10.0), alphas=(1.0,),
-            num_freqs=2,
         )
         run_experiment(cfg)
         text = (tmp_path / "experiment2_medians.gp").read_text()

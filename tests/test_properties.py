@@ -223,13 +223,13 @@ _ESTIMATE_USABLE = {
 }
 _SIMULATION_USABLE = {
     "--d": ["8", "12"], "--n": ["1", "5", "50"], "--k": ["1", "3"], "--m": ["1", "3"],
-    "--normalize": [None], "--thresh-c": ["0.07"], "--thresh-p": ["2"],
+    "--normalize": [None],
 }
 _ESTIMATE_UNUSABLE = [
     ("--d", "1"), ("--d", "-1"), ("--n", "0"), ("--k", "0"), ("--k", "99"), ("--m", "0"), ("--normalize", None),
     ("--ruler", "0.3"), ("--ruler", "x"), ("--ruler", "1,99"), ("--ruler", "0,1"), ("--ruler", "1,2"),
     ("--delta", "-1"), ("--delta", "nan"), ("--threshold", "-1"), ("--bandwidth", "0"), ("--bandwidth", "99"),
-    ("--thresh-c", "0"), ("--threshold-auto", None),
+    ("--threshold-auto", None),
 ]
 
 

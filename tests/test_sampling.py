@@ -178,7 +178,7 @@ class TestSampleGaussian:
         t = gen_toeplitz_vandermonde(d, 6, np.random.default_rng(40))
         x = sample_gaussian(t, n, np.random.default_rng(41), ruler.indices)
         assert x.shape == (n, ruler.size) and ruler.size < d
-        want = principal_submatrix(t, ruler)
+        want = principal_submatrix(t, ruler.indices)
         emp = x.T @ x / n
         # Var(x_j x_k) = T_jj T_kk + T_jk^2 <= 2 a_0^2: an entrywise 5-sigma band
         assert np.abs(emp - want).max() <= 5 * np.sqrt(2 / n) * t.a[0]

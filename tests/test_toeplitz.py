@@ -107,7 +107,7 @@ class TestPrincipalSubmatrix:
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4))
         m = m + m.T
-        np.testing.assert_array_equal(principal_submatrix(m, full_ruler(4)), m)
+        np.testing.assert_array_equal(principal_submatrix(m, full_ruler(4).indices), m)
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -118,9 +118,9 @@ class TestPrincipalSubmatrix:
     def test_toeplitz_read_without_the_dense_matrix(self, monkeypatch):
         t = toeplitz_from_modes([0.1, 0.37], [1.0, 0.5], 64)
         ruler = ruler_alpha(64, 0.5)
-        want = principal_submatrix(t.dense(), ruler)
+        want = principal_submatrix(t.dense(), ruler.indices)
         monkeypatch.setattr(SymToeplitz, "dense", lambda self: pytest.fail("built the d x d matrix"))
-        got = principal_submatrix(t, ruler)
+        got = principal_submatrix(t, ruler.indices)
         assert got.tobytes() == want.tobytes()
         # indices are taken in ascending order
         np.testing.assert_array_equal(principal_submatrix(t, [9, 2, 5]), t.a[[[0, 3, 7], [3, 0, 4], [7, 4, 0]]])

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from toepquant.cli import build_parser
-from toepquant.experiments import ExperimentConfig
+from toepquant.experiments import _EXPERIMENTS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -82,10 +82,17 @@ def test_every_module_uses_what_it_imports():
 
 
 def test_every_config_field_is_a_command_line_option():
-    # a field no option sets is a knob only Python callers can turn; the two
-    # left are the ones tests size their runs with
+    # a field no option sets is a knob only Python callers can turn; the one
+    # left is the one tests size experiment 4's runs with
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {a.dest for a in parser._actions + subparsers.choices["exp"]._actions if a.option_strings}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert fields - dests == {"num_freqs", "variants"}
+    assert fields - dests == {"variants"}
+
+
+def test_exp_ids_are_the_experiment_table():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (exp_id,) = [a for a in subparsers.choices["exp"]._actions if a.dest == "experiment"]
+    assert exp_id.choices == sorted(_EXPERIMENTS)
