@@ -1,14 +1,17 @@
 """OpenBLAS thread control through numpy's bundled library, where it has one.
 
-Worker threads that each call BLAS oversubscribe the cores if OpenBLAS also
-runs its own threads, so a pool of workers pins OpenBLAS to one thread for
-its lifetime (:func:`single_blas_thread`).  Where numpy bundles no OpenBLAS
+Every trial runs with OpenBLAS on one thread (:func:`single_blas_thread`).
+Worker threads that each call BLAS would oversubscribe the cores if OpenBLAS
+also ran its own threads, and the eigenvectors of a nearly degenerate
+spectrum depend on OpenBLAS's thread count, so pinning it keeps a trial's
+output the same at any number of workers.  Where numpy bundles no OpenBLAS
 exposing the thread-count symbols, BLAS is left as it is.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -38,17 +41,35 @@ def openblas_threads() -> int | None:
     return None if lib is None else lib[0]()
 
 
+# OpenBLAS's thread count is one per process: the blocks open in any thread
+# share one pin, and the count they found on the first entry
+_pin = threading.Lock()
+_depth = 0
+_before = 0
+
+
 @contextmanager
 def single_blas_thread() -> Iterator[None]:
-    """Run the block with OpenBLAS on one thread, then restore the previous count."""
+    """Run the block with OpenBLAS on one thread, then restore the previous count.
+
+    Blocks may overlap, nested or in different threads: the first to enter
+    pins the count, and the last to leave restores it.
+    """
+    global _depth, _before
     lib = _openblas()
     if lib is None:
         yield
         return
     get, set_ = lib
-    before = get()
-    set_(1)
+    with _pin:
+        if _depth == 0:
+            _before = get()
+            set_(1)
+        _depth += 1
     try:
         yield
     finally:
-        set_(before)
+        with _pin:
+            _depth -= 1
+            if _depth == 0:
+                set_(_before)

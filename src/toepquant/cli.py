@@ -216,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $TOEPQUANT_SEED or 0)")
     parser.add_argument("--out", dest="out_dir", help="output directory for experiment files (default results)")
     parser.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials per grid point")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for experiment trials")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="workers for experiment trials (default 1; experiment 4: one per CPU)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a random Toeplitz generating vector as CSV")

@@ -26,6 +26,17 @@ equals one ``simulate_estimate(spec, n, seed, arm)`` call with the row's
 recipe, ``(seed, n)`` and arm, and is reproducible in isolation.  An arm's
 ``seconds`` is its own time plus an equal share of its ruler's draw of
 samples and planes.
+
+``threads`` workers, the calling thread one of them, share the work: the
+trials of each grid point in experiments 1, 2, 3 and 5, and whole searches
+in experiment 4, each search running its probes and their trials in one
+worker.  Results are recorded in the same order at any number of workers,
+and every trial runs with OpenBLAS on one thread, so the output does not
+depend on ``threads``.  The default is one worker, and one per CPU for
+experiment 4: its trials spend their time in LAPACK, which runs beside
+the other workers, while the small numpy calls of the grid experiments
+mostly wait for each other, and each worker thread's memory arena would
+keep its own peak.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,16 +209,31 @@ class _Trial:
         return out
 
 
+class _Outcome(NamedTuple):
+    """What a result row keeps of one trial."""
+
+    rel_error: float
+    seconds: float
+    seed: int
+
+
+def _outcomes(trials: Sequence[_Trial], cell: Sequence[tuple[SimResult, float]]) -> list[_Outcome]:
+    """The outcome of each trial from its ``(result, seconds)``."""
+    return [_Outcome(sim.rel_error, secs, trial.seed) for trial, (sim, secs) in zip(trials, cell)]
+
+
 def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     """Run one fully seeded trial of ``arm``: draw, sample, observe, estimate.
 
     The covariance of recipe ``spec`` comes from the generator stream of
     ``seed``; samples and dither come from the observation stream of
-    ``(seed, n)``.
+    ``(seed, n)``.  OpenBLAS runs on one thread, as in every trial of an
+    experiment.
     """
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
-    return _Trial(seed, spec).draw(n, [arm])[0][0]
+    with single_blas_thread():
+        return _Trial(seed, spec).draw(n, [arm])[0][0]
 
 
 class ResultRow(NamedTuple):
@@ -241,7 +267,7 @@ class ExperimentConfig:
     out_dir: Path = Path("results")
     seed: int = 0
     trials: int = 20
-    threads: int = 1
+    threads: int | None = None
     d: int | None = None
     d_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
@@ -256,7 +282,8 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {self.experiment}")
         reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
-        # a field defaulting to None is per-experiment: every other one is read by all
+        # a field defaulting to None is per-experiment, its default in the table
+        # (threads is in every entry): every other field is read by all
         per_experiment = [f.name for f in fields(self) if f.default is None]
         unread = [name for name in per_experiment if name not in reads and getattr(self, name) is not None]
         if unread:
@@ -344,6 +371,35 @@ class _Runner:
         cfg = self.cfg
         return [_Trial(derive_seed(cfg.seed, *key, t), spec) for t in range(cfg.trials)]
 
+    def across_workers(self, fn: Callable, items: Sequence) -> Iterator:
+        """``fn`` of each item on the run's workers, yielded in item order as the results arrive.
+
+        The workers are this thread and a pool of ``cfg.threads - 1``: while
+        the next result is not ready, this thread runs the first item no pool
+        thread has started.  Its memory arena already holds the run's other
+        allocations, so the run's peak memory is lower than with a pool of
+        ``cfg.threads`` and this thread only waiting.
+        """
+        if self.cfg.threads == 1:
+            yield from map(fn, items)
+            return
+        with ThreadPoolExecutor(max_workers=self.cfg.threads - 1) as pool:
+            futures = [pool.submit(fn, item) for item in items]
+            own: dict[int, object] = {}
+            try:
+                for i, future in enumerate(futures):
+                    while i not in own and not future.done():
+                        # a future cancelled before it started is one no pool thread will run
+                        j = next((j for j in range(i, len(items)) if j not in own and futures[j].cancel()), None)
+                        if j is None:
+                            break
+                        own[j] = fn(items[j])
+                    yield own.pop(i) if i in own else future.result()
+            finally:
+                # after a failure, or when the caller stops early, start nothing more
+                for future in futures:
+                    future.cancel()
+
     def run_trials(
         self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]
     ) -> list[list[list[tuple[SimResult, float]]]]:
@@ -355,25 +411,16 @@ class _Runner:
         def run(trial: _Trial) -> dict[int, list[tuple[SimResult, float]]]:
             return {n: trial.draw(n, arms) for n in ns}
 
-        if self.cfg.threads > 1:
-            # the workers are the parallelism: OpenBLAS threads on top would oversubscribe the cores
-            with single_blas_thread(), ThreadPoolExecutor(max_workers=self.cfg.threads) as pool:
-                per_trial = list(pool.map(run, trials))
-        else:
-            per_trial = list(map(run, trials))
+        per_trial = list(self.across_workers(run, trials))
         return [[[draws[n][i] for draws in per_trial] for n in ns] for i in range(len(arms))]
 
-    def record(
-        self, d: int, n: int, arm: Arm, trials: list[_Trial], cell: list[tuple[SimResult, float]]
-    ) -> float:
+    def record(self, d: int, n: int, arm: Arm, outcomes: Sequence[_Outcome]) -> float:
         """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
         cfg = self.cfg
         alpha, delta = float(arm.alpha), float(arm.quantizer.delta)
-        for t, (trial, (sim, secs)) in enumerate(zip(trials, cell)):
-            self.rows.append(
-                ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(sim.rel_error), secs, trial.seed)
-            )
-        med = _median(sim.rel_error for sim, _ in cell)
+        for t, (rel_error, secs, seed) in enumerate(outcomes):
+            self.rows.append(ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(rel_error), secs, seed))
+        med = _median(o.rel_error for o in outcomes)
         self.medians.append(
             {
                 "experiment": cfg.experiment,
@@ -396,7 +443,7 @@ class _Runner:
             arms = entry.arms(cfg, d)
             trials = self.seeded_trials(cfg.spec(d), cfg.experiment)
             for arm, cells in zip(arms, self.run_trials(trials, cfg.n_grid, arms)):
-                medians = [self.record(d, n, arm, trials, cell) for n, cell in zip(cfg.n_grid, cells)]
+                medians = [self.record(d, n, arm, _outcomes(trials, cell)) for n, cell in zip(cfg.n_grid, cells)]
                 self.note(
                     f"experiment {cfg.experiment}: finished series d={d} alpha={arm.alpha} "
                     f"delta={arm.quantizer.delta} tag={arm.tag}"
@@ -408,41 +455,55 @@ class _Runner:
     # ----- experiment 4: total complexity versus dimension -----
 
     def run_total_complexity(self) -> None:
+        """Experiment 4: one search of n per (variant, alpha, d) series, the searches spread over the workers."""
         cfg = self.cfg
         quantizer = QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR)
-        for vi, tag in enumerate(_VARIANTS):
-            if tag not in cfg.variants:
-                continue
-            for ai, alpha in enumerate(cfg.alphas):
-                for d in cfg.d_grid:
-                    arm = Arm(tag, alpha, cfg.ruler(d, alpha), quantizer)
-                    trials = self.seeded_trials(cfg.spec(d, tag), 4, vi, ai, d)
-                    medians: dict[int, float] = {}
+        series = [
+            (Arm(tag, alpha, cfg.ruler(d, alpha), quantizer), vi, ai, d)
+            for vi, tag in enumerate(_VARIANTS)
+            if tag in cfg.variants
+            for ai, alpha in enumerate(cfg.alphas)
+            for d in cfg.d_grid
+        ]
+        for (arm, _, _, d), (probes, n_star, capped) in zip(series, self.across_workers(self.search, series)):
+            for n, outcomes in probes.items():
+                self.record(d, n, arm, outcomes)
+            esc = arm.ruler.size
+            self.summary.append(
+                {
+                    "experiment": 4,
+                    "tag": arm.tag,
+                    "alpha": arm.alpha,
+                    "d": d,
+                    "esc": esc,
+                    "n_star": n_star,
+                    "total": n_star * esc,
+                    "capped": int(capped),
+                }
+            )
+            self.note(
+                f"experiment 4: {arm.tag} alpha={arm.alpha} d={d}: n*={n_star}"
+                f"{' (capped)' if capped else ''} esc={esc}"
+            )
 
-                    def probe(n: int) -> float:
-                        if n not in medians:
-                            ((cell,),) = self.run_trials(trials, [n], [arm])
-                            medians[n] = self.record(d, n, arm, trials, cell)
-                        return medians[n]
+    def search(self, series: tuple[Arm, int, int, int]) -> tuple[dict[int, list[_Outcome]], int, bool]:
+        """The search of one ``(arm, variant index, alpha index, d)`` series, every trial in this thread.
 
-                    n_star, capped = self._bisect(probe, cfg.eps, cfg.n_cap)
-                    esc = arm.ruler.size
-                    self.summary.append(
-                        {
-                            "experiment": 4,
-                            "tag": tag,
-                            "alpha": alpha,
-                            "d": d,
-                            "esc": esc,
-                            "n_star": n_star,
-                            "total": n_star * esc,
-                            "capped": int(capped),
-                        }
-                    )
-                    self.note(
-                        f"experiment 4: {tag} alpha={alpha} d={d}: n*={n_star}"
-                        f"{' (capped)' if capped else ''} esc={esc}"
-                    )
+        Returns the outcomes of each probe, in probe order, and the
+        search's n* and whether the cap stopped it.  Only the outcomes
+        outlive the search, not its covariances and their factors.
+        """
+        arm, vi, ai, d = series
+        trials = self.seeded_trials(self.cfg.spec(d, arm.tag), 4, vi, ai, d)
+        probes: dict[int, list[_Outcome]] = {}
+
+        def probe(n: int) -> float:
+            if n not in probes:
+                probes[n] = _outcomes(trials, [trial.draw(n, [arm])[0] for trial in trials])
+            return _median(o.rel_error for o in probes[n])
+
+        n_star, capped = self._bisect(probe, self.cfg.eps, self.cfg.n_cap)
+        return probes, n_star, capped
 
     @staticmethod
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
@@ -514,6 +575,9 @@ class _Experiment:
 
 _VARIANTS = ("fullrank", "rank10")
 
+# the CPUs this process may run on: experiment 4's default workers
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 # scalar field -> the least value it takes and whether that value itself is
 # allowed; a NaN or infinite value never is
 _LEAST = {
@@ -584,18 +648,19 @@ def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[f
 # Experiments 1-3 run at ``d`` on a unit-diagonal mixture of 8 modes and 4-5
 # over ``d_grid``; experiment 2 fits a line through its n values; experiment
 # 4 searches n itself, its full-rank variant mixing d // 2 modes and its
-# rank10 variant 5; experiment 5 is one banded point per d.
+# rank10 variant 5; experiment 5 is one banded point per d.  Experiment 4
+# runs one worker per CPU by default, the others one (see the module docstring).
 _ERROR_VS_N = _Plot("n", "median_rel_error", ("tag", "alpha", "delta"), "xy", "samples n", "relative error")
 _EXPERIMENTS: dict[int, _Experiment] = {
     1: _Experiment(
         _mixture,
-        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,), threads=1),
         _ERROR_VS_N,
         arms=_estimator_arms,
     ),
     2: _Experiment(
         _mixture,
-        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0), threads=1),
         _ERROR_VS_N,
         dict(n_grid=(3, math.inf)),
         summary="slopes",
@@ -606,7 +671,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         _mixture,
         dict(
             d=16, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
-            alphas=(0.5, 0.75, 1.0),
+            alphas=(0.5, 0.75, 1.0), threads=1,
         ),
         _Plot("delta", "median_rel_error", ("tag", "alpha"), "", "quantization level", "relative error"),
         dict(n_grid=(1, 1)),
@@ -616,7 +681,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         lambda cfg, d, variant: GenSpec(d, k=5 if variant == "rank10" else max(1, d // 2)),
         dict(
             d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
-            eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
+            eps=0.1, n_cap=1 << 17, variants=_VARIANTS, threads=_CPUS,
         ),
         _Plot("d", "total", ("tag", "alpha"), "xy", "dimension d", "total samples (n x |R|)", summary=True),
         dict(deltas=(1, 1)),
@@ -626,7 +691,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         lambda cfg, d, variant: GenSpec(d, m=cfg.bandwidth),
         dict(
             d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
-            bandwidth=5,
+            bandwidth=5, threads=1,
         ),
         _Plot("d", "median_rel_error", ("tag",), "", "dimension d", "relative error"),
         dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
@@ -642,14 +707,16 @@ def run_experiment(
     """Run one experiment, write its CSVs and plot script, return everything.
 
     Output is deterministic for a fixed config seed except for the
-    wall-time ``seconds`` column of the trial CSV.
+    wall-time ``seconds`` column of the trial CSV.  OpenBLAS runs on one
+    thread throughout, so the output is the same at any ``threads``.
     """
-    runner = _Runner(cfg, progress)
-    _EXPERIMENTS[cfg.experiment].run(runner)
+    with single_blas_thread():
+        runner = _Runner(cfg, progress)
+        _EXPERIMENTS[cfg.experiment].run(runner)
 
-    runner.rows.sort(key=ResultRow.key)
-    out = ExperimentOutput(cfg, runner.rows, runner.medians, runner.summary)
-    out.paths = _write_outputs(out)
+        runner.rows.sort(key=ResultRow.key)
+        out = ExperimentOutput(cfg, runner.rows, runner.medians, runner.summary)
+        out.paths = _write_outputs(out)
     return out
 
 

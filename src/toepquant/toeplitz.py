@@ -201,15 +201,18 @@ def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
     """The two half-order blocks of ``toep(a)`` whose spectra make up its own (see :func:`op_norm`)."""
     d = a.size
     h = d // 2
-    i = np.arange(h)
-    toe = a[np.abs(i[:, None] - i)]
-    hank = a[d - 1 - i[:, None] - i]
+    # v[d - 1 + t] = a[|t|], so A[i, j] = v[d - 1 - i + j] and H[i, j] = v[i + j]:
+    # both are strided views of v, read in place
+    v = np.concatenate((a[:0:-1], a))
+    step = v.itemsize
+    toe = np.ndarray((h, h), v.dtype, v, offset=(d - 1) * step, strides=(-step, step))
+    hank = np.ndarray((h, h), v.dtype, v, offset=0, strides=(step, step))
     k = d - h
     blocks = np.zeros((2, k, k))
-    blocks[0, :h, :h] = toe + hank
-    blocks[1, :h, :h] = toe - hank
+    np.add(toe, hank, out=blocks[0, :h, :h])
+    np.subtract(toe, hank, out=blocks[1, :h, :h])
     if k > h:
-        edge = np.sqrt(2.0) * a[h - i]
+        edge = np.sqrt(2.0) * a[h:0:-1]
         blocks[0, :h, h] = edge
         blocks[0, h, :h] = edge
         blocks[0, h, h] = a[0]

@@ -384,6 +384,7 @@ class TestExp:
             ["exp", "--id", "3", "--n-grid", ""],
             ["--threads", "0", "exp", "--id", "5"],
             ["--threads", "-3", "exp", "--id", "5"],
+            ["--threads", "0", "exp", "--id", "4", "--d-grid", "16"],
             ["exp", "--id", "5", "--d-grid", ""],
             ["exp", "--id", "2", "--n-grid", "100,1000"],
             ["exp", "--id", "5", "--n-grid", "100,1000"],

@@ -1,6 +1,10 @@
 import csv
 import dataclasses
+import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from toepquant import (
 )
 from toepquant.exceptions import DomainError, InvalidArgumentError, MisuseError
 from toepquant import experiments, sample_gaussian
+from toepquant._blas import openblas_threads
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
 
 
@@ -151,6 +156,13 @@ class TestConfig:
         assert cfg4.d_grid == (16, 32, 64, 128, 256, 512) and cfg4.eps == 0.1
         cfg5 = ExperimentConfig(5)
         assert cfg5.bandwidth == 5 and cfg5.d_grid == (32, 64, 128)
+
+    def test_threads_default_from_the_table(self):
+        # experiment 4's searches run one worker per CPU, the grid experiments one
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert ExperimentConfig(4).threads == cpus
+        assert [ExperimentConfig(k).threads for k in (1, 2, 3, 5)] == [1, 1, 1, 1]
+        assert ExperimentConfig(4, threads=1).threads == 1
 
 
 # small configurations of each experiment, as ExperimentConfig overrides
@@ -515,6 +527,96 @@ class TestRunExperiment:
         assert {"slope", "intercept", "r2"} <= set(out.summary[0])
         slopes = read_rows(tmp_path / "experiment2_slopes.csv")
         assert len(slopes) == 1
+
+
+needs_openblas = pytest.mark.skipif(openblas_threads() is None, reason="numpy's BLAS exposes no OpenBLAS thread count")
+
+# a d=512 experiment 4 run: at the parent of the BLAS pin, its factor, and so
+# its rows, depended on OpenBLAS's thread count
+EXP4_D512 = dict(seed=123, trials=2, d_grid=(512,), alphas=(1.0,), variants=("rank10",), eps=0.45)
+
+
+class TestWorkers:
+    @staticmethod
+    def run(tmp_path, experiment, threads, **fields):
+        notes = []
+        cfg = ExperimentConfig(experiment, out_dir=tmp_path / f"threads{threads}", threads=threads, **fields)
+        return run_experiment(cfg, progress=notes.append), notes
+
+    @needs_openblas
+    def test_exp4_d512_rows_same_at_one_and_two_threads(self, tmp_path):
+        one, _ = self.run(tmp_path, 4, 1, **EXP4_D512)
+        two, _ = self.run(tmp_path, 4, 2, **EXP4_D512)
+        assert [r._replace(seconds=0) for r in one.rows] == [r._replace(seconds=0) for r in two.rows]
+        assert one.medians == two.medians and one.summary == two.summary
+
+    @needs_openblas
+    def test_simulate_estimate_reproduces_the_d512_rows_of_two_workers(self, tmp_path):
+        out, _ = self.run(tmp_path, 4, 2, **EXP4_D512)
+        assert len(out.rows) > 2 and {row.d for row in out.rows} == {512}
+        for row in out.rows:
+            spec, arm = simulate_args(out.config, row)
+            assert simulate_estimate(spec, row.n, row.seed, arm).rel_error == row.rel_error, row
+
+    def test_across_workers_yields_in_order_and_the_caller_works_too(self):
+        # more workers than cores, switching threads as often as the interpreter allows
+        runner = experiments._Runner(ExperimentConfig(5, threads=4), None)
+        ran_in = {}
+
+        def square(i):
+            ran_in[i] = threading.get_ident()
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert list(runner.across_workers(square, range(200))) == [i * i for i in range(200)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran_in) == list(range(200))
+        assert threading.get_ident() in ran_in.values()
+        assert len(set(ran_in.values())) > 1
+
+    def test_across_workers_starts_nothing_after_a_failure(self):
+        runner = experiments._Runner(ExperimentConfig(5, threads=2), None)
+        started = []
+
+        def failing_at_two(i):
+            started.append(i)
+            if i == 2:
+                raise RuntimeError("item 2")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(RuntimeError, match="item 2"):
+            list(runner.across_workers(failing_at_two, range(50)))
+        assert len(started) < 10
+
+    def test_concurrent_searches_record_in_series_order(self, tmp_path, monkeypatch):
+        # searches finish in any order over three workers, yet rows, medians,
+        # summary records and progress lines come out as with one worker
+        fields = dict(seed=5, trials=2, d_grid=(16, 32), eps=0.3, n_cap=1 << 12)
+        one, one_notes = self.run(tmp_path, 4, 1, **fields)
+        workers: dict[int, set[int]] = {}
+        draw = experiments._Trial.draw
+
+        def recording(trial, n, arms):
+            workers.setdefault(trial.seed, set()).add(threading.get_ident())
+            return draw(trial, n, arms)
+
+        monkeypatch.setattr(experiments._Trial, "draw", recording)
+        three, three_notes = self.run(tmp_path, 4, 3, **fields)
+        # a search runs every trial of every probe in one worker
+        by_series: dict[tuple, set[int]] = {}
+        for r in three.rows:
+            by_series.setdefault((r.tag, r.alpha, r.d), set()).update(workers[r.seed])
+        assert len(by_series) == 8 and all(len(idents) == 1 for idents in by_series.values())
+        assert len(one.summary) == 8
+        assert three_notes == one_notes
+        assert three.summary == one.summary
+        assert three.medians == one.medians
+        assert [r._replace(seconds=0) for r in three.rows] == [r._replace(seconds=0) for r in one.rows]
 
 
 class TestEmitPlotScript:

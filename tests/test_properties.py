@@ -26,7 +26,7 @@ from toepquant import (
 )
 from toepquant.cli import main
 from toepquant.exceptions import InvalidArgumentError
-from toepquant.toeplitz import op_norm, toep
+from toepquant.toeplitz import _centrosymmetric_blocks, op_norm, toep
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -94,6 +94,34 @@ def test_toeplitz_op_norm_split_matches_the_dense_spectrum(a):
     t = toep(a)
     want = np.abs(np.linalg.eigvalsh(t.dense())).max()
     assert abs(op_norm(t) - want) <= 1e-13 * want
+
+
+def gathered_blocks(a):
+    """The centrosymmetric blocks of ``toep(a)`` built by gathering ``A`` and ``H`` entry by entry."""
+    d = a.size
+    h = d // 2
+    i = np.arange(h)
+    toe = a[np.abs(i[:, None] - i)]
+    hank = a[d - 1 - i[:, None] - i]
+    k = d - h
+    blocks = np.zeros((2, k, k))
+    blocks[0, :h, :h] = toe + hank
+    blocks[1, :h, :h] = toe - hank
+    if k > h:
+        edge = np.sqrt(2.0) * a[h - i]
+        blocks[0, :h, h] = edge
+        blocks[0, h, :h] = edge
+        blocks[0, h, h] = a[0]
+    return blocks
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 300).flatmap(lambda d: arrays(np.float64, d, elements=FINITE)))
+@example(np.array([-2.5]))
+@example(np.array([1.0, -3.0]))
+def test_centrosymmetric_blocks_are_the_gathered_blocks(a):
+    # the strided views of the generating vector read the entries the gathers copy
+    assert _centrosymmetric_blocks(a).tobytes() == gathered_blocks(a).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
