@@ -1,7 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import gzip
 import io
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -21,7 +24,7 @@ from toepquant import (
     run_experiment,
     simulate_estimate,
 )
-from toepquant import cli, experiments
+from toepquant import cli, experiments, rulers
 from toepquant._blas import openblas_threads
 from toepquant._seeding import observation_rng
 from toepquant.exceptions import NumericError
@@ -37,6 +40,11 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def _sample_lines(n=20, d=16, seed=7):
+    """CSV lines of ``n`` Gaussian samples of dimension ``d``; the sparse ruler at d = 16 reads columns 1-4, 8, 12, 16."""
+    return [",".join(map(repr, row)) for row in np.random.default_rng(seed).standard_normal((n, d)).tolist()]
 
 
 class TestGen:
@@ -279,6 +287,104 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", *argv, "--ruler", "1,2,5,8,17")
         assert code == 2
         assert "must lie in [1, 16], got [1, 17]" in err
+
+    @pytest.mark.parametrize("source", ["--input", "--simulate"])
+    def test_repeated_ruler_index_rejected(self, capsys, tmp_path, source):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.random.default_rng(5).standard_normal((20, 4)), delimiter=",")
+        argv = ["--input", str(path)] if source == "--input" else ["--simulate", "--d", "4", "--k", "2"]
+        code, out, err = run_cli(capsys, "estimate", *argv, "--ruler", "1,1,2,4")
+        assert code == 2
+        assert err == "invalid configuration: ruler indices must not repeat, got [1] more than once\n"
+        assert out == ""
+        # the order of the indices is free
+        orders = [run_cli(capsys, "estimate", *argv, "--ruler", ruler) for ruler in ("4,2,1", "1,2,4")]
+        assert orders[0][0] == 0 and orders[0] == orders[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--simulate", "--d", "100000", "--n", "1"],
+            ["exp", "--id", "4", "--d-grid", "100000"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_memory_is_invalid_configuration(self, capsys, tmp_path, monkeypatch, argv):
+        # a ruler of 100000 indices would allocate its 74.5 GiB distance matrix here
+        def no_memory(self):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type int64")
+
+        monkeypatch.setattr(rulers.Ruler, "__post_init__", no_memory)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("invalid configuration: out of memory: Unable to allocate") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("ruler", ["1.0", "0.5"])
+    @pytest.mark.parametrize(
+        "malformed, code",
+        [
+            ("a row wider than the first", 2),
+            ("a row narrower than the first", 2),
+            ("text in a ruler column", 2),
+            ("a blank in a ruler column", 2),
+            ("nan in a ruler column", 3),
+        ],
+    )
+    def test_malformed_input_is_one_error_line(self, capsys, tmp_path, malformed, code, ruler):
+        lines = _sample_lines()
+        row = lines[3].split(",")
+        if malformed == "a row wider than the first":
+            row.append("1.0")
+        elif malformed == "a row narrower than the first":
+            row.pop(6)
+        else:
+            # column 8 is on both rulers at d = 16
+            row[7] = {"text in a ruler column": "x", "a blank in a ruler column": "", "nan in a ruler column": "nan"}[malformed]
+        lines[3] = ",".join(row)
+        path = tmp_path / "samples.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got, out, err = run_cli(capsys, "estimate", "--input", str(path), "--ruler", ruler)
+        assert got == code
+        assert err.startswith(("invalid configuration: ", "numeric failure: ")) and err.count("\n") == 1
+        assert out == ""
+
+    def test_fields_off_the_ruler_are_not_converted(self, capsys, tmp_path):
+        lines = _sample_lines()
+        filled = tmp_path / "filled.csv"
+        filled.write_text("\n".join(lines) + "\n")
+        for i, (col, value) in enumerate([(4, ""), (5, "x"), (9, "n/a"), (13, " "), (14, "nan")]):
+            row = lines[2 * i].split(",")
+            row[col] = value
+            lines[2 * i] = ",".join(row)
+        holes = tmp_path / "holes.csv"
+        holes.write_text("\n".join(lines) + "\n")
+        argv = ["--seed", "4", "estimate", "--ruler", "0.5", "--delta", "2", "--correction", "quarter"]
+        want = run_cli(capsys, *argv, "--input", str(filled))
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, "--input", str(holes)) == want
+        # on the full ruler every field is converted
+        code, out, err = run_cli(capsys, "estimate", "--input", str(holes), "--ruler", "1.0")
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+    def test_compressed_and_piped_input_read_as_a_plain_file(self, capsys, tmp_path):
+        text = "\n".join(_sample_lines()) + "\n"
+        plain = tmp_path / "samples.csv"
+        plain.write_text(text)
+        packed = tmp_path / "samples.csv.gz"
+        packed.write_bytes(gzip.compress(text.encode()))
+        fifo = tmp_path / "samples.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        argv = ["estimate", "--ruler", "0.5", "--delta", "2", "--correction", "quarter", "--input"]
+        want = run_cli(capsys, *argv, str(plain))
+        assert want[0] == 0
+        assert run_cli(capsys, *argv, str(packed)) == want
+        assert run_cli(capsys, *argv, str(fifo)) == want
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_experiment_row_reproducible_via_cli(self, capsys, tmp_path):
         cfg = ExperimentConfig(

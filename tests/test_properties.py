@@ -1,5 +1,6 @@
-"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer, the dither and the CLI exit codes."""
+"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer, the dither, the CLI exit codes and input files."""
 
+import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from toepquant import (
+    STREAM_VERSION,
+    Arm,
     Correction,
     Dither,
     QuantizerConfig,
@@ -24,7 +27,9 @@ from toepquant import (
     ruler_alpha,
     ruler_estimate,
 )
-from toepquant.cli import main
+from toepquant._seeding import observation_rng
+from toepquant import cli
+from toepquant.cli import _ruler_from_spec, main
 from toepquant.exceptions import InvalidArgumentError
 from toepquant.toeplitz import _centrosymmetric_blocks, op_norm, toep
 
@@ -314,13 +319,16 @@ def _exit_code(argv):
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
-    """An output directory and input CSVs: good, with a non-finite entry, empty, missing."""
+    """An output directory and input CSVs: good, with a non-finite entry, empty, ragged, missing."""
     root = tmp_path_factory.mktemp("cli")
     good = root / "good.csv"
     np.savetxt(good, np.random.default_rng(0).standard_normal((20, 6)), delimiter=",")
     (root / "nan.csv").write_text("1.0,2.0\nnan,3.0\n")
     (root / "empty.csv").write_text("")
-    return str(root / "out"), (str(good), [str(root / name) for name in ("nan.csv", "empty.csv", "missing.csv")])
+    # eight fields, then nine: the extra field is off the sparse ruler at d = 8
+    (root / "ragged.csv").write_text("1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7,8,9\n1,2,3,4,5,6,7,8\n")
+    unusable = ("nan.csv", "empty.csv", "ragged.csv", "missing.csv")
+    return str(root / "out"), (str(good), [str(root / name) for name in unusable])
 
 
 def test_cli_exits_only_with_a_contract_code(cli_files):
@@ -330,5 +338,66 @@ def test_cli_exits_only_with_a_contract_code(cli_files):
     @given(st.one_of(exp_argv(out_dir), estimate_argv(inputs)))
     def check(argv):
         assert _exit_code(argv) in (0, 2, 3), argv
+
+    check()
+
+
+@st.composite
+def decorated_csv(draw):
+    """A CSV of n rows of d numbers, decorated, and ``estimate`` options for it.
+
+    Comment lines, inline comments holding commas and blank lines are
+    mixed in, and lines end in LF, CR LF or CR.  The ruler is an alpha, or
+    1-based indices in any order covering every distance.
+    """
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 64))
+    rows = draw(arrays(np.float64, (n, d), elements=FINITE))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "#", "# a note, with, commas"]), max_size=2))
+        lines.append(",".join(map(repr, row.tolist())) + draw(st.sampled_from(["", " # x,y", "#,"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    if d > 1 and draw(st.booleans()):
+        indices = {0} | set(draw(st.lists(st.integers(0, d - 1), max_size=d)))
+        for s in range(d):
+            if not any(j + s in indices for j in indices):
+                indices.add(s)
+        ruler = ",".join(str(i + 1) for i in draw(st.permutations(sorted(indices))))
+    else:
+        ruler = draw(st.sampled_from(["1.0", "0.75", "0.5"]))
+    return text, ruler, draw(st.sampled_from([0.0, 2.0])), draw(st.sampled_from([c.value for c in Correction]))
+
+
+def _reference_estimate_stdout(path, ruler_text, delta, correction, seed):
+    """``estimate --input``'s stdout from every field of ``path``, converted, then observed on the ruler."""
+    samples = np.loadtxt(path, delimiter=",", ndmin=2)
+    ruler = _ruler_from_spec(ruler_text, samples.shape[1])
+    arm = Arm("", None, ruler, QuantizerConfig(delta, Dither.TRIANGULAR), Correction(correction))
+    est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
+    out = io.StringIO()
+    rows = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
+    csv.writer(out).writerows([["key", "value"], *rows, ["seed", str(seed)], ["stream_version", str(STREAM_VERSION)]])
+    return out.getvalue()
+
+
+def test_input_converts_only_the_ruler_and_prints_what_every_field_would(tmp_path, monkeypatch):
+    path = tmp_path / "samples.csv"
+
+    @PROPERTY_SETTINGS
+    # the file is read a chunk at a time; small chunks cut lines, comments and CR LF pairs
+    @given(decorated_csv(), st.sampled_from([3, 64, cli._CHUNK]))
+    @example(("# one column\r\n1.5\r\n\r\n-2.0 # a, b\r\n0.25", "0.5", 2.0, "quarter"), 3)
+    @example(("1,2,3,4\n# c, d\n\n5,6,7,8 #,\n-1,0,0.5,2\n", "4,1,2", 0.0, "none"), 3)
+    def check(case, chunk):
+        text, ruler, delta, correction = case
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path.write_bytes(text.encode())
+        argv = ["--seed", "3", "estimate", "--input", str(path), "--ruler", ruler, "--delta", repr(delta)]
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv + ["--dither", "triangular", "--correction", correction])
+        assert code == 0
+        assert out.getvalue() == _reference_estimate_stdout(path, ruler, delta, correction, 3)
 
     check()
