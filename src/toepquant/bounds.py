@@ -146,7 +146,6 @@ class BoundsReport:
     prob_delta: float
     op_norm_t: float
     k: int | None
-    m: int | None
     p: float
     n: int
     c: float
@@ -171,7 +170,6 @@ def evaluate_bounds(
     prob_delta: float,
     op_norm_t: float = 1.0,
     k: int | None = None,
-    m: int | None = None,
     p: float = 2.0,
     n: int = 1000,
     c: float = 1.0,
@@ -200,7 +198,6 @@ def evaluate_bounds(
         prob_delta=prob_delta,
         op_norm_t=op_norm_t,
         k=k,
-        m=m,
         p=p,
         n=n,
         c=c,

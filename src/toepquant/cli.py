@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import re
@@ -193,6 +194,15 @@ def _commas(fh: io.BufferedIOBase) -> int:
     return commas
 
 
+def _misfit_row(text: io.TextIOBase, d: int) -> str | None:
+    """The first line of ``text`` whose row has other than ``d`` fields, with its field count; None if none has."""
+    for number, line in enumerate(text, 1):
+        row = line.split("#", 1)[0].rstrip("\n")
+        if row and (fields := row.count(",") + 1) != d:
+            return f"line {number} has {fields} fields, the first row {d}"
+    return None
+
+
 def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
     """The samples of ``path`` on the columns of the ruler ``ruler_text`` gives at their dimension, and that ruler.
 
@@ -200,10 +210,12 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
     is read as ``np.loadtxt(path, delimiter=",")`` reads it, compressed
     files included, but only the ruler's columns are converted, so the
     samples are (n, |R|); fields off the ruler may hold any text.  A row
-    of another width than the first is rejected: by ``np.loadtxt`` on the
-    full ruler; on a sparse ruler, a narrower row when its last column
-    (on every ruler) is read, and a wider one by the count of commas,
-    which is n(d - 1) only when no row is wider.
+    of another width than the first is rejected with its line number.
+    The file is searched for that row only after a check failed, so an
+    accepted file pays nothing: ``np.loadtxt`` fails on such a row on the
+    full ruler, and on a narrower row on a sparse one (it lacks the last
+    column, which every ruler reads); on a sparse ruler a wider row makes
+    the count of commas differ from n(d - 1).
     """
     if not path.exists():
         raise EmptyInputError(f"no such input file: {path}")
@@ -222,10 +234,11 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
         with io.TextIOWrapper(source) as text:
             try:
                 samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=ruler.indices if sparse else None)
+                if sparse and commas != samples.shape[0] * (d - 1):
+                    raise ValueError(f"a row has more than the {d} fields of the first")
             except ValueError as exc:
-                raise EmptyInputError(f"could not parse samples from {path}: {exc}") from exc
-    if sparse and commas != samples.shape[0] * (d - 1):
-        raise EmptyInputError(f"could not parse samples from {path}: a row has more than the {d} fields of the first")
+                text.seek(0)
+                raise EmptyInputError(f"could not parse samples from {path}: {_misfit_row(text, d) or exc}") from exc
     return samples, ruler
 
 
@@ -242,7 +255,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 prob_delta=args.prob_delta,
                 op_norm_t=args.op_norm,
                 k=args.k,
-                m=args.m,
                 p=args.p,
                 n=args.n,
                 c=args.c,
@@ -272,7 +284,9 @@ def cmd_exp(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="toepquant",
         description="Quantized Toeplitz covariance estimation toolkit",
@@ -337,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prob-delta", type=float, default=0.05)
     p.add_argument("--op-norm", type=float, default=1.0, help="operator norm of the target matrix")
     p.add_argument("--k", type=int, default=None, help="rank for the low-rank coefficient")
-    p.add_argument("--m", type=int, default=None, help="bandwidth (echoed in the report)")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--c", type=float, default=1.0)
@@ -362,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         given = [flag for flag, name in _EXP_ONLY.items() if getattr(args, name) is not None]
         if given and args.command != "exp":

@@ -27,16 +27,17 @@ recipe, ``(seed, n)`` and arm, and is reproducible in isolation.  An arm's
 ``seconds`` is its own time plus an equal share of its ruler's draw of
 samples and planes.
 
-``threads`` workers, the calling thread one of them, share the work: the
-trials of each grid point in experiments 1, 2, 3 and 5, and whole searches
-in experiment 4, each search running its probes and their trials in one
-worker.  Results are recorded in the same order at any number of workers,
-and every trial runs with OpenBLAS on one thread, so the output does not
-depend on ``threads``.  The default is one worker, and one per CPU for
-experiment 4: its trials spend their time in LAPACK, which runs beside
-the other workers, while the small numpy calls of the grid experiments
-mostly wait for each other, and each worker thread's memory arena would
-keep its own peak.
+``threads`` workers share the work: the trials of each grid point in
+experiments 1, 2, 3 and 5, and whole searches in experiment 4, each search
+running its probes and their trials in one worker.  One worker is the
+calling thread; more are a thread pool whose results the calling thread
+collects.  Results are recorded in the same order at any number of
+workers, and every trial runs with OpenBLAS on one thread, so the output
+does not depend on ``threads``.  The default is one worker, and one per
+CPU for experiment 4: its trials spend their time in LAPACK, which runs
+beside the other workers, while the small numpy calls of the grid
+experiments mostly wait for each other, and each worker thread's memory
+arena would keep its own peak.
 """
 
 from __future__ import annotations
@@ -169,6 +170,16 @@ def draw_truth(spec: GenSpec, seed: int) -> SymToeplitz:
     return truth
 
 
+class _Outcome(NamedTuple):
+    """What one arm produced on one trial at one n: its estimate, not the covariance."""
+
+    estimate: SymToeplitz
+    zeta: float | None
+    rel_error: float
+    seconds: float
+    seed: int
+
+
 @dataclass
 class _Trial:
     """One trial seed: its covariance is drawn on first use, then shared by every draw."""
@@ -177,15 +188,15 @@ class _Trial:
     spec: GenSpec
     truth: SymToeplitz | None = None
 
-    def draw(self, n: int, arms: Sequence[Arm]) -> list[tuple[SimResult, float]]:
-        """One sample draw of ``n`` per ruler, then every arm on its ruler's draw, with its seconds."""
+    def draw(self, n: int, arms: Sequence[Arm]) -> list[_Outcome]:
+        """One sample draw of ``n`` per ruler, then the outcome of every arm on its ruler's draw."""
         # An arm's seconds are its own time plus an equal share of its ruler's
         # draw of samples and dither planes, the seed's covariance included on
         # its first draw.  So the arms of a trial sum to the trial's wall time.
         by_ruler: dict[bytes, list[int]] = {}
         for i, arm in enumerate(arms):
             by_ruler.setdefault(arm.ruler.indices.tobytes(), []).append(i)
-        out: list[tuple[SimResult, float]] = [None] * len(arms)
+        out: list[_Outcome] = [None] * len(arms)
         for group in by_ruler.values():
             start = time.perf_counter()
             if self.truth is None:
@@ -204,22 +215,9 @@ class _Trial:
             for i in group:
                 start = time.perf_counter()
                 est, zeta = arms[i].estimate(samples, dither, self.truth)
-                sim = SimResult(self.truth, est, relative_error(self.truth, est, "op"), zeta)
-                out[i] = (sim, time.perf_counter() - start + share)
+                err = relative_error(self.truth, est, "op")
+                out[i] = _Outcome(est, zeta, err, time.perf_counter() - start + share, self.seed)
         return out
-
-
-class _Outcome(NamedTuple):
-    """What a result row keeps of one trial."""
-
-    rel_error: float
-    seconds: float
-    seed: int
-
-
-def _outcomes(trials: Sequence[_Trial], cell: Sequence[tuple[SimResult, float]]) -> list[_Outcome]:
-    """The outcome of each trial from its ``(result, seconds)``."""
-    return [_Outcome(sim.rel_error, secs, trial.seed) for trial, (sim, secs) in zip(trials, cell)]
 
 
 def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
@@ -232,8 +230,10 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     """
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
+    trial = _Trial(seed, spec)
     with single_blas_thread():
-        return _Trial(seed, spec).draw(n, [arm])[0][0]
+        (outcome,) = trial.draw(n, [arm])
+    return SimResult(trial.truth, outcome.estimate, outcome.rel_error, outcome.zeta)
 
 
 class ResultRow(NamedTuple):
@@ -372,43 +372,20 @@ class _Runner:
         return [_Trial(derive_seed(cfg.seed, *key, t), spec) for t in range(cfg.trials)]
 
     def across_workers(self, fn: Callable, items: Sequence) -> Iterator:
-        """``fn`` of each item on the run's workers, yielded in item order as the results arrive.
+        """``fn`` of each item on ``cfg.threads`` workers, yielded in item order as the results arrive.
 
-        The workers are this thread and a pool of ``cfg.threads - 1``: while
-        the next result is not ready, this thread runs the first item no pool
-        thread has started.  Its memory arena already holds the run's other
-        allocations, so the run's peak memory is lower than with a pool of
-        ``cfg.threads`` and this thread only waiting.
+        After a failure, or when the caller stops early, no further item starts.
         """
         if self.cfg.threads == 1:
             yield from map(fn, items)
             return
-        with ThreadPoolExecutor(max_workers=self.cfg.threads - 1) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            own: dict[int, object] = {}
-            try:
-                for i, future in enumerate(futures):
-                    while i not in own and not future.done():
-                        # a future cancelled before it started is one no pool thread will run
-                        j = next((j for j in range(i, len(items)) if j not in own and futures[j].cancel()), None)
-                        if j is None:
-                            break
-                        own[j] = fn(items[j])
-                    yield own.pop(i) if i in own else future.result()
-            finally:
-                # after a failure, or when the caller stops early, start nothing more
-                for future in futures:
-                    future.cancel()
+        with ThreadPoolExecutor(self.cfg.threads) as pool:
+            yield from pool.map(fn, items)
 
-    def run_trials(
-        self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]
-    ) -> list[list[list[tuple[SimResult, float]]]]:
-        """Every trial at every n, trials spread over the workers.
+    def run_trials(self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]) -> list[list[list[_Outcome]]]:
+        """Every trial at every n, trials spread over the workers; the outcomes per arm, then per n, then per trial."""
 
-        Returns, per arm and then per n, the ``(result, seconds)`` of each trial.
-        """
-
-        def run(trial: _Trial) -> dict[int, list[tuple[SimResult, float]]]:
+        def run(trial: _Trial) -> dict[int, list[_Outcome]]:
             return {n: trial.draw(n, arms) for n in ns}
 
         per_trial = list(self.across_workers(run, trials))
@@ -418,8 +395,9 @@ class _Runner:
         """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
         cfg = self.cfg
         alpha, delta = float(arm.alpha), float(arm.quantizer.delta)
-        for t, (rel_error, secs, seed) in enumerate(outcomes):
-            self.rows.append(ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(rel_error), secs, seed))
+        for t, o in enumerate(outcomes):
+            row = ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(o.rel_error), o.seconds, o.seed)
+            self.rows.append(row)
         med = _median(o.rel_error for o in outcomes)
         self.medians.append(
             {
@@ -443,7 +421,7 @@ class _Runner:
             arms = entry.arms(cfg, d)
             trials = self.seeded_trials(cfg.spec(d), cfg.experiment)
             for arm, cells in zip(arms, self.run_trials(trials, cfg.n_grid, arms)):
-                medians = [self.record(d, n, arm, _outcomes(trials, cell)) for n, cell in zip(cfg.n_grid, cells)]
+                medians = [self.record(d, n, arm, cell) for n, cell in zip(cfg.n_grid, cells)]
                 self.note(
                     f"experiment {cfg.experiment}: finished series d={d} alpha={arm.alpha} "
                     f"delta={arm.quantizer.delta} tag={arm.tag}"
@@ -499,7 +477,7 @@ class _Runner:
 
         def probe(n: int) -> float:
             if n not in probes:
-                probes[n] = _outcomes(trials, [trial.draw(n, [arm])[0] for trial in trials])
+                probes[n] = [trial.draw(n, [arm])[0] for trial in trials]
             return _median(o.rel_error for o in probes[n])
 
         n_star, capped = self._bisect(probe, self.cfg.eps, self.cfg.n_cap)
@@ -560,7 +538,7 @@ class _Experiment:
     when it has summary records.  ``run`` is experiment 4's search or, by
     default, :meth:`_Runner.run_grid`, which runs the arms ``arms(cfg, d)``
     and adds each arm's record ``summarize(cfg, d, arm, medians, cells)``, if
-    any, from its median error and ``(result, seconds)`` per trial at each n.
+    any, from its median error and the outcomes of its trials at each n.
     """
 
     recipe: Callable[[ExperimentConfig, int, str | None], GenSpec]
@@ -629,9 +607,8 @@ def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[f
     if not arm.threshold_auto:
         return None
     (n,), (cell,), m = cfg.n_grid, cells, cfg.bandwidth
-    thresh = [sim for sim, _ in cell]
-    tail_zero = np.mean([np.all(s.estimate.a[m:] == 0.0) for s in thresh])
-    survival = np.mean([np.all(s.estimate.a[:m] != 0.0) for s in thresh])
+    tail_zero = np.mean([np.all(o.estimate.a[m:] == 0.0) for o in cell])
+    survival = np.mean([np.all(o.estimate.a[:m] != 0.0) for o in cell])
     return {
         "experiment": 5,
         "tag": arm.tag,
@@ -639,7 +616,7 @@ def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[f
         "n": n,
         "delta": arm.quantizer.delta,
         "median_rel_error": medians[0],
-        "median_zeta": _median([s.zeta for s in thresh]),
+        "median_zeta": _median(o.zeta for o in cell),
         "tail_zero_fraction": float(tail_zero),
         "nonzero_survival_fraction": float(survival),
     }

@@ -169,7 +169,7 @@ class TestLambdaDiag:
 
 class TestEvaluateBounds:
     def test_report_fields(self):
-        rep = evaluate_bounds(16, 0.5, 2.0, 0.1, 0.05, op_norm_t=3.0, k=4, m=5)
+        rep = evaluate_bounds(16, 0.5, 2.0, 0.1, 0.05, op_norm_t=3.0, k=4)
         assert rep.ruler_size == 7
         assert rep.big_k == big_k(3.0, 2.0)
         assert rep.script_l >= 1.0

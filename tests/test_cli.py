@@ -349,6 +349,10 @@ class TestEstimate:
         assert got == code
         assert err.startswith(("invalid configuration: ", "numeric failure: ")) and err.count("\n") == 1
         assert out == ""
+        # a row of another width is named by its 1-based line, on every ruler
+        width = {"a row wider than the first": 17, "a row narrower than the first": 15}.get(malformed)
+        if width is not None:
+            assert err.endswith(f"{path}: line 4 has {width} fields, the first row 16\n")
 
     def test_fields_off_the_ruler_are_not_converted(self, capsys, tmp_path):
         lines = _sample_lines()
@@ -446,6 +450,14 @@ class TestBounds:
         assert "invalid configuration" in err
         assert out == ""
 
+
+    def test_bandwidth_is_not_an_option(self, capsys):
+        # it was only echoed into the report
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--d", "16", "--m", "3"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(capsys, "bounds", "--d", "16")
+        assert code == 0 and "m" not in parse_csv(out)[0]
 
     def test_delta_whose_fourth_power_overflows(self, capsys):
         # delta^4 enters script_l and kappa: past about 1.16e77 it is no float

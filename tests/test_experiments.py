@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import gc
 import os
 import re
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -558,7 +560,7 @@ class TestWorkers:
             spec, arm = simulate_args(out.config, row)
             assert simulate_estimate(spec, row.n, row.seed, arm).rel_error == row.rel_error, row
 
-    def test_across_workers_yields_in_order_and_the_caller_works_too(self):
+    def test_across_workers_yields_in_order_from_more_than_one_thread(self):
         # more workers than cores, switching threads as often as the interpreter allows
         runner = experiments._Runner(ExperimentConfig(5, threads=4), None)
         ran_in = {}
@@ -575,7 +577,6 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert sorted(ran_in) == list(range(200))
-        assert threading.get_ident() in ran_in.values()
         assert len(set(ran_in.values())) > 1
 
     def test_across_workers_starts_nothing_after_a_failure(self):
@@ -592,6 +593,26 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="item 2"):
             list(runner.across_workers(failing_at_two, range(50)))
         assert len(started) < 10
+
+    def test_a_search_keeps_no_covariance(self, monkeypatch):
+        # each probe's outcomes outlive the search; its trials' covariances,
+        # with their factors and norms, must not
+        truths = []
+        draw_truth = experiments.draw_truth
+
+        def recording(spec, seed):
+            truth = draw_truth(spec, seed)
+            truths.append(weakref.ref(truth))
+            return truth
+
+        monkeypatch.setattr(experiments, "draw_truth", recording)
+        cfg = ExperimentConfig(4, seed=5, trials=3, d_grid=(32,), alphas=(0.5,), eps=0.3, n_cap=1 << 10)
+        arm = Arm("rank10", 0.5, cfg.ruler(32, 0.5), QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR))
+        probes, n_star, _ = experiments._Runner(cfg, None).search((arm, 1, 0, 32))
+        gc.collect()
+        assert len(truths) == 3 and all(ref() is None for ref in truths)
+        assert len(probes) > 1 and n_star in probes
+        assert all(len(outcomes) == 3 for outcomes in probes.values())
 
     def test_concurrent_searches_record_in_series_order(self, tmp_path, monkeypatch):
         # searches finish in any order over three workers, yet rows, medians,
