@@ -30,10 +30,20 @@ __all__ = [
 ]
 
 
+def _norm_sq(op_norm_t: float) -> float:
+    """``||T||_2^2`` of a finite positive operator norm; it must neither overflow nor underflow to zero."""
+    if not (math.isfinite(op_norm_t) and op_norm_t > 0):
+        raise InvalidArgumentError(f"op_norm_t must be finite and positive, got {op_norm_t}")
+    t2 = op_norm_t * op_norm_t
+    if not (math.isfinite(t2) and t2 > 0):
+        raise InvalidArgumentError(f"||T||^2 must be finite and positive, got op_norm_t = {op_norm_t}")
+    return t2
+
+
 def big_k(op_norm_t: float, delta: float) -> float:
     """Sub-exponential scale of a quantized pair product: ``2(||T||_2 + 2 delta^2)``."""
-    if op_norm_t < 0 or delta < 0:
-        raise InvalidArgumentError("op_norm_t and delta must be >= 0")
+    if not (math.isfinite(op_norm_t) and math.isfinite(delta) and op_norm_t >= 0 and delta >= 0):
+        raise InvalidArgumentError(f"op_norm_t and delta must be finite and >= 0, got {op_norm_t} and {delta}")
     return 2.0 * (op_norm_t + 2.0 * delta * delta)
 
 
@@ -44,30 +54,24 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
     """
     if not 0 < eps <= 1:
         raise InvalidArgumentError(f"eps must lie in (0, 1], got {eps}")
-    if op_norm_t <= 0:
-        raise InvalidArgumentError(f"op_norm_t must be positive, got {op_norm_t}")
-    if phi <= 0:
-        raise InvalidArgumentError(f"phi must be positive, got {phi}")
-    t2 = op_norm_t * op_norm_t
+    t2 = _norm_sq(op_norm_t)
+    if not (math.isfinite(phi) and phi > 0):
+        raise InvalidArgumentError(f"phi must be finite and positive, got {phi}")
     return eps * eps * t2 / ((t2 + delta**4) * phi)
 
 
 def script_l(op_norm_t: float, delta: float) -> float:
     """Quantization penalty on the sample-complexity coefficient, >= 1."""
-    if op_norm_t <= 0:
-        raise InvalidArgumentError(f"op_norm_t must be positive, got {op_norm_t}")
-    t2 = op_norm_t * op_norm_t
+    t2 = _norm_sq(op_norm_t)
     return (t2 + delta**4) / t2
 
 
 def script_l_prime(op_norm_t: float, delta: float, k: int, d: int) -> float:
     """Low-rank penalty: ``(lambda ||T||^2 + delta^4) / ||T||^2`` with ``lambda = k^2/d``."""
-    if op_norm_t <= 0:
-        raise InvalidArgumentError(f"op_norm_t must be positive, got {op_norm_t}")
+    t2 = _norm_sq(op_norm_t)
     if not 1 <= k <= d:
         raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
     lam = k * k / d
-    t2 = op_norm_t * op_norm_t
     return (lam * t2 + delta**4) / t2
 
 

@@ -243,10 +243,13 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    alphas, deltas = _parse_floats(args.alpha), _parse_floats(args.delta)
+    if not alphas or not deltas:
+        raise InvalidArgumentError(f"--alpha and --delta each take a value, got {args.alpha!r} and {args.delta!r}")
     rows: list[list] = []
     header: list[str] | None = None
-    for alpha in _parse_floats(args.alpha):
-        for delta in _parse_floats(args.delta):
+    for alpha in alphas:
+        for delta in deltas:
             report = evaluate_bounds(
                 d=args.d,
                 alpha=alpha,
@@ -263,7 +266,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             if header is None:
                 header = list(record.keys())
             rows.append([("" if record[k] is None else repr(record[k]) if isinstance(record[k], float) else str(record[k])) for k in header])
-    _csv_out(rows, header or [])
+    _csv_out(rows, header)
     return 0
 
 
@@ -271,7 +274,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 _NOT_CONFIG = ("command", "func", "quiet", "seed")
 
 # global options that only ``exp`` reads, by flag and parsed name
-_EXP_ONLY = {"--trials": "trials", "--threads": "threads", "--out": "out_dir"}
+_EXP_ONLY = {"--trials": "trials", "--out": "out_dir"}
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
@@ -295,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $TOEPQUANT_SEED or 0)")
     parser.add_argument("--out", dest="out_dir", help="output directory for experiment files (default results)")
     parser.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials per grid point")
-    parser.add_argument(
-        "--threads", type=int, default=None, help="workers for experiment trials (default 1; experiment 4: one per CPU)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a random Toeplitz generating vector as CSV")

@@ -27,17 +27,15 @@ recipe, ``(seed, n)`` and arm, and is reproducible in isolation.  An arm's
 ``seconds`` is its own time plus an equal share of its ruler's draw of
 samples and planes.
 
-``threads`` workers share the work: the trials of each grid point in
-experiments 1, 2, 3 and 5, and whole searches in experiment 4, each search
-running its probes and their trials in one worker.  One worker is the
-calling thread; more are a thread pool whose results the calling thread
-collects.  Results are recorded in the same order at any number of
-workers, and every trial runs with OpenBLAS on one thread, so the output
-does not depend on ``threads``.  The default is one worker, and one per
-CPU for experiment 4: its trials spend their time in LAPACK, which runs
-beside the other workers, while the small numpy calls of the grid
-experiments mostly wait for each other, and each worker thread's memory
-arena would keep its own peak.
+Experiments 1, 2, 3 and 5 run their trials in the calling thread.
+Experiment 4 runs its searches on a thread pool of one worker per CPU the
+process may run on, each search running its probes and their trials in
+one worker; the calling thread records the results in series order.
+Every trial runs with OpenBLAS on one thread, so the output does not
+depend on the number of CPUs.  Experiment 4's trials spend their time in
+LAPACK, which runs beside the other workers, while the small numpy calls
+of the grid experiments mostly wait for each other, and each worker
+thread's memory arena would keep its own peak.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,7 +114,8 @@ class Arm:
 
     ``tag`` and ``alpha`` only label result rows.  ``threshold_auto``
     thresholds at the ``THRESHOLD_AUTO`` level, which reads the true
-    operator norm, so :meth:`estimate` then needs ``truth``.
+    operator norm, so :meth:`estimate` then needs ``truth``.  At most one
+    post-processing is set: ``threshold``, ``threshold_auto`` or ``band_est``.
     """
 
     tag: str
@@ -127,6 +126,10 @@ class Arm:
     threshold: float | None = None
     threshold_auto: bool = False
     band_est: int | None = None
+
+    def __post_init__(self) -> None:
+        if sum((self.threshold is not None, bool(self.threshold_auto), self.band_est is not None)) > 1:
+            raise InvalidArgumentError("an arm takes at most one of threshold, threshold_auto and band_est")
 
     def estimate(
         self, samples: np.ndarray, rng: np.random.Generator | np.ndarray, truth: SymToeplitz | None = None
@@ -267,7 +270,6 @@ class ExperimentConfig:
     out_dir: Path = Path("results")
     seed: int = 0
     trials: int = 20
-    threads: int | None = None
     d: int | None = None
     d_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
@@ -282,8 +284,8 @@ class ExperimentConfig:
         if self.experiment not in _EXPERIMENTS:
             raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {self.experiment}")
         reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
-        # a field defaulting to None is per-experiment, its default in the table
-        # (threads is in every entry): every other field is read by all
+        # a field defaulting to None is per-experiment, its default in the
+        # table: every other field is read by all
         per_experiment = [f.name for f in fields(self) if f.default is None]
         unread = [name for name in per_experiment if name not in reads and getattr(self, name) is not None]
         if unread:
@@ -371,24 +373,9 @@ class _Runner:
         cfg = self.cfg
         return [_Trial(derive_seed(cfg.seed, *key, t), spec) for t in range(cfg.trials)]
 
-    def across_workers(self, fn: Callable, items: Sequence) -> Iterator:
-        """``fn`` of each item on ``cfg.threads`` workers, yielded in item order as the results arrive.
-
-        After a failure, or when the caller stops early, no further item starts.
-        """
-        if self.cfg.threads == 1:
-            yield from map(fn, items)
-            return
-        with ThreadPoolExecutor(self.cfg.threads) as pool:
-            yield from pool.map(fn, items)
-
     def run_trials(self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]) -> list[list[list[_Outcome]]]:
-        """Every trial at every n, trials spread over the workers; the outcomes per arm, then per n, then per trial."""
-
-        def run(trial: _Trial) -> dict[int, list[_Outcome]]:
-            return {n: trial.draw(n, arms) for n in ns}
-
-        per_trial = list(self.across_workers(run, trials))
+        """Every trial at every n, in this thread; the outcomes per arm, then per n, then per trial."""
+        per_trial = [{n: trial.draw(n, arms) for n in ns} for trial in trials]
         return [[[draws[n][i] for draws in per_trial] for n in ns] for i in range(len(arms))]
 
     def record(self, d: int, n: int, arm: Arm, outcomes: Sequence[_Outcome]) -> float:
@@ -433,7 +420,11 @@ class _Runner:
     # ----- experiment 4: total complexity versus dimension -----
 
     def run_total_complexity(self) -> None:
-        """Experiment 4: one search of n per (variant, alpha, d) series, the searches spread over the workers."""
+        """Experiment 4: one search of n per (variant, alpha, d) series, the searches spread over ``_CPUS`` workers.
+
+        Results are recorded in series order as they arrive.  After a
+        failure no further search starts.
+        """
         cfg = self.cfg
         quantizer = QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR)
         series = [
@@ -443,26 +434,27 @@ class _Runner:
             for ai, alpha in enumerate(cfg.alphas)
             for d in cfg.d_grid
         ]
-        for (arm, _, _, d), (probes, n_star, capped) in zip(series, self.across_workers(self.search, series)):
-            for n, outcomes in probes.items():
-                self.record(d, n, arm, outcomes)
-            esc = arm.ruler.size
-            self.summary.append(
-                {
-                    "experiment": 4,
-                    "tag": arm.tag,
-                    "alpha": arm.alpha,
-                    "d": d,
-                    "esc": esc,
-                    "n_star": n_star,
-                    "total": n_star * esc,
-                    "capped": int(capped),
-                }
-            )
-            self.note(
-                f"experiment 4: {arm.tag} alpha={arm.alpha} d={d}: n*={n_star}"
-                f"{' (capped)' if capped else ''} esc={esc}"
-            )
+        with ThreadPoolExecutor(_CPUS) as pool:
+            for (arm, _, _, d), (probes, n_star, capped) in zip(series, pool.map(self.search, series)):
+                for n, outcomes in probes.items():
+                    self.record(d, n, arm, outcomes)
+                esc = arm.ruler.size
+                self.summary.append(
+                    {
+                        "experiment": 4,
+                        "tag": arm.tag,
+                        "alpha": arm.alpha,
+                        "d": d,
+                        "esc": esc,
+                        "n_star": n_star,
+                        "total": n_star * esc,
+                        "capped": int(capped),
+                    }
+                )
+                self.note(
+                    f"experiment 4: {arm.tag} alpha={arm.alpha} d={d}: n*={n_star}"
+                    f"{' (capped)' if capped else ''} esc={esc}"
+                )
 
     def search(self, series: tuple[Arm, int, int, int]) -> tuple[dict[int, list[_Outcome]], int, bool]:
         """The search of one ``(arm, variant index, alpha index, d)`` series, every trial in this thread.
@@ -553,13 +545,13 @@ class _Experiment:
 
 _VARIANTS = ("fullrank", "rank10")
 
-# the CPUs this process may run on: experiment 4's default workers
+# the CPUs this process may run on: experiment 4's workers
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # scalar field -> the least value it takes and whether that value itself is
 # allowed; a NaN or infinite value never is
 _LEAST = {
-    "trials": (1, True), "threads": (1, True), "n_cap": (1, True),
+    "trials": (1, True), "n_cap": (1, True),
     "eps": (0, False),
 }
 
@@ -625,19 +617,18 @@ def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[f
 # Experiments 1-3 run at ``d`` on a unit-diagonal mixture of 8 modes and 4-5
 # over ``d_grid``; experiment 2 fits a line through its n values; experiment
 # 4 searches n itself, its full-rank variant mixing d // 2 modes and its
-# rank10 variant 5; experiment 5 is one banded point per d.  Experiment 4
-# runs one worker per CPU by default, the others one (see the module docstring).
+# rank10 variant 5; experiment 5 is one banded point per d.
 _ERROR_VS_N = _Plot("n", "median_rel_error", ("tag", "alpha", "delta"), "xy", "samples n", "relative error")
 _EXPERIMENTS: dict[int, _Experiment] = {
     1: _Experiment(
         _mixture,
-        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,), threads=1),
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000, 31623, 100000), deltas=(5.0,), alphas=(0.5,)),
         _ERROR_VS_N,
         arms=_estimator_arms,
     ),
     2: _Experiment(
         _mixture,
-        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0), threads=1),
+        dict(d=16, n_grid=(100, 316, 1000, 3162, 10000), deltas=(2.0, 5.0), alphas=(0.5, 1.0)),
         _ERROR_VS_N,
         dict(n_grid=(3, math.inf)),
         summary="slopes",
@@ -648,7 +639,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         _mixture,
         dict(
             d=16, n_grid=(1000,), deltas=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0),
-            alphas=(0.5, 0.75, 1.0), threads=1,
+            alphas=(0.5, 0.75, 1.0),
         ),
         _Plot("delta", "median_rel_error", ("tag", "alpha"), "", "quantization level", "relative error"),
         dict(n_grid=(1, 1)),
@@ -658,7 +649,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
         lambda cfg, d, variant: GenSpec(d, k=5 if variant == "rank10" else max(1, d // 2)),
         dict(
             d_grid=(16, 32, 64, 128, 256, 512), deltas=(2.0,), alphas=(0.5, 1.0),
-            eps=0.1, n_cap=1 << 17, variants=_VARIANTS, threads=_CPUS,
+            eps=0.1, n_cap=1 << 17, variants=_VARIANTS,
         ),
         _Plot("d", "total", ("tag", "alpha"), "xy", "dimension d", "total samples (n x |R|)", summary=True),
         dict(deltas=(1, 1)),
@@ -666,10 +657,7 @@ _EXPERIMENTS: dict[int, _Experiment] = {
     ),
     5: _Experiment(
         lambda cfg, d, variant: GenSpec(d, m=cfg.bandwidth),
-        dict(
-            d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,),
-            bandwidth=5, threads=1,
-        ),
+        dict(d_grid=(32, 64, 128), n_grid=(1000,), deltas=(0.5,), alphas=(0.5,), bandwidth=5),
         _Plot("d", "median_rel_error", ("tag",), "", "dimension d", "relative error"),
         dict(n_grid=(1, 1), deltas=(1, 1), alphas=(1, 1)),
         arms=_banded_arms,
@@ -685,7 +673,7 @@ def run_experiment(
 
     Output is deterministic for a fixed config seed except for the
     wall-time ``seconds`` column of the trial CSV.  OpenBLAS runs on one
-    thread throughout, so the output is the same at any ``threads``.
+    thread throughout, so the output is the same at any number of CPUs.
     """
     with single_blas_thread():
         runner = _Runner(cfg, progress)

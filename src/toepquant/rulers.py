@@ -49,8 +49,7 @@ class Ruler:
         idx = np.unique(np.asarray(self.indices, dtype=np.int64))
         if idx.size == 0:
             raise InvalidArgumentError("a ruler needs at least one index")
-        if self.d < 1:
-            raise InvalidArgumentError(f"dimension must be positive, got {self.d}")
+        # at d < 1 every index lies outside [0, d)
         if idx.min() < 0 or idx.max() >= self.d:
             raise IndexOutOfRangeError(
                 f"ruler indices must lie in [0, {self.d}), got [{idx.min()}, {idx.max()}]"
@@ -81,11 +80,9 @@ class Ruler:
 
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
     """Check the ruler property; return (ok, sorted missing distances), as :class:`Ruler` finds them."""
-    idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+    idx = np.asarray(list(indices), dtype=np.int64)
     if idx.size == 0:
         return False, list(range(d))
-    if idx.min() < 0 or idx.max() >= d:
-        raise IndexOutOfRangeError(f"indices must lie in [0, {d})")
     try:
         Ruler(d, idx)
     except NotARulerError as exc:
@@ -121,17 +118,12 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
         if j >= 0:
             chosen.add(j)
 
-    ok, missing = is_ruler(chosen, d)
-    while not ok:
-        s = missing[-1]
-        j = min(
-            j
-            for j in range(d)
-            if j not in chosen and ((j - s) in chosen or (j + s) in chosen)
-        )
-        chosen.add(j)
-        ok, missing = is_ruler(chosen, d)
-    return Ruler(d, np.fromiter(sorted(chosen), dtype=np.int64))
+    while True:
+        try:
+            return Ruler(d, np.fromiter(chosen, dtype=np.int64))
+        except NotARulerError as exc:
+            s = exc.missing[-1]
+        chosen.add(min(j for j in range(d) if j not in chosen and ((j - s) in chosen or (j + s) in chosen)))
 
 
 def coverage_coefficient(ruler: Ruler) -> float:

@@ -74,6 +74,25 @@ class TestCoefficients:
         with pytest.raises(InvalidArgumentError):
             script_l_prime(1.0, 1.0, 0, 16)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        for call in (
+            lambda: big_k(bad, 0.0), lambda: big_k(1.0, bad), lambda: kappa(0.5, bad, 0.0, 1.0),
+            lambda: kappa(0.5, 1.0, 0.0, bad), lambda: script_l(bad, 0.0), lambda: script_l_prime(bad, 0.0, 1, 4),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                call()
+
+    @pytest.mark.parametrize("op_norm_t", [1e200, 1e-200])
+    def test_norm_whose_square_is_no_positive_float_rejected(self, op_norm_t):
+        # ||T||^2 overflows to inf at 1e200 and underflows to zero at 1e-200
+        for call in (
+            lambda: kappa(0.5, op_norm_t, 0.0, 1.0), lambda: script_l(op_norm_t, 0.0),
+            lambda: script_l_prime(op_norm_t, 0.0, 1, 4),
+        ):
+            with pytest.raises(InvalidArgumentError, match="must be finite and positive"):
+                call()
+
 
 class TestVscPredict:
     def test_full_ruler_formula(self):

@@ -459,6 +459,23 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "--d", "16")
         assert code == 0 and "m" not in parse_csv(out)[0]
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--delta", "nan"], ["--delta", "inf"], ["--delta", "1,-inf"],
+            ["--op-norm", "nan"], ["--op-norm", "inf"], ["--op-norm=-inf"],
+            # ||T||^2 overflows, or underflows to zero
+            ["--op-norm", "1e200"], ["--op-norm", "1e-200"],
+            ["--alpha", ","], ["--delta", ","], ["--alpha", ""],
+        ],
+        ids=" ".join,
+    )
+    def test_value_without_a_finite_row_rejected(self, capsys, option):
+        code, out, err = run_cli(capsys, "bounds", "--d", "16", *option)
+        assert code == 2
+        assert err.startswith("invalid configuration") and err.count("\n") == 1
+        assert out == ""
+
     def test_delta_whose_fourth_power_overflows(self, capsys):
         # delta^4 enters script_l and kappa: past about 1.16e77 it is no float
         code, out, err = run_cli(capsys, "bounds", "--d", "16", "--delta", "1,1e78")
@@ -500,9 +517,6 @@ class TestExp:
         "argv",
         [
             ["exp", "--id", "3", "--n-grid", ""],
-            ["--threads", "0", "exp", "--id", "5"],
-            ["--threads", "-3", "exp", "--id", "5"],
-            ["--threads", "0", "exp", "--id", "4", "--d-grid", "16"],
             ["exp", "--id", "5", "--d-grid", ""],
             ["exp", "--id", "2", "--n-grid", "100,1000"],
             ["exp", "--id", "5", "--n-grid", "100,1000"],
@@ -550,7 +564,7 @@ class TestExp:
         assert "invalid configuration" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("option", [["--trials", "5"], ["--threads", "3"], ["--out", "out"]], ids=lambda o: o[0])
+    @pytest.mark.parametrize("option", [["--trials", "5"], ["--out", "out"]], ids=lambda o: o[0])
     @pytest.mark.parametrize(
         "command",
         [
@@ -606,7 +620,7 @@ class TestExp:
 
 
 class TestThreads:
-    EXP5 = ("exp", "--id", "5", "--d-grid", "16,32", "--n-grid", "200", "--quiet")
+    EXP4 = ("exp", "--id", "4", "--d-grid", "16,32", "--eps", "0.3", "--n-cap", "4096", "--quiet")
 
     @pytest.fixture
     def blas_counts(self, monkeypatch):
@@ -623,9 +637,10 @@ class TestThreads:
         monkeypatch.setattr(experiments, "sample_gaussian", recording)
         return counts
 
-    def test_workers_run_blas_on_one_thread_and_restore_it(self, capsys, tmp_path, blas_counts):
+    def test_workers_run_blas_on_one_thread_and_restore_it(self, capsys, tmp_path, monkeypatch, blas_counts):
+        monkeypatch.setattr(experiments, "_CPUS", 2)
         before = openblas_threads()
-        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", "--threads", "2", *self.EXP5)
+        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", *self.EXP4)
         assert code == 0, err
         assert blas_counts and set(blas_counts) == {1}
         assert openblas_threads() == before
@@ -637,17 +652,26 @@ class TestThreads:
             raise NumericError("injected")
 
         monkeypatch.setattr(experiments, "sample_gaussian", failing)
-        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", "--threads", "2", *self.EXP5)
+        monkeypatch.setattr(experiments, "_CPUS", 2)
+        code, _, err = run_cli(capsys, "--out", str(tmp_path), "--trials", "4", *self.EXP4)
         assert code == 3, err
         assert openblas_threads() == before
 
-    def test_one_and_two_threads_write_identical_medians(self, capsys, tmp_path):
-        for threads in ("1", "2"):
-            out_dir = tmp_path / threads
-            code, _, err = run_cli(capsys, "--out", str(out_dir), "--trials", "4", "--threads", threads, *self.EXP5)
+    def test_one_and_two_threads_write_identical_medians(self, capsys, tmp_path, monkeypatch):
+        for workers in (1, 2):
+            monkeypatch.setattr(experiments, "_CPUS", workers)
+            code, _, err = run_cli(capsys, "--out", str(tmp_path / str(workers)), "--trials", "4", *self.EXP4)
             assert code == 0, err
-        for name in ("experiment5_medians.csv", "experiment5_summary.csv"):
+        for name in ("experiment4_medians.csv", "experiment4_summary.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_threads_is_not_an_option(self, capsys):
+        # the worker count follows from the experiment: the calling thread for
+        # experiments 1, 2, 3 and 5, one per CPU for experiment 4
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "exp", "--id", "4"])
+        assert exc.value.code == 2
+        assert "toepquant: error:" in capsys.readouterr().err
 
 
 class TestParser:

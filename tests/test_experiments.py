@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import gc
-import os
 import re
 import sys
 import threading
@@ -90,6 +89,16 @@ class TestSimulateEstimate:
         with pytest.raises(InvalidArgumentError, match="ruler is for dimension 16, the recipe's is 8"):
             simulate_estimate(GenSpec(8, k=2), 10, 0, plain_arm(16))
 
+    @pytest.mark.parametrize(
+        "post",
+        [dict(threshold=0.9, threshold_auto=True), dict(threshold=0.1, band_est=2), dict(threshold_auto=True, band_est=2)],
+        ids=lambda post: "+".join(post),
+    )
+    def test_arm_takes_at_most_one_post_processing(self, post):
+        # the estimate would apply one of them and drop the other, or apply both
+        with pytest.raises(InvalidArgumentError, match="at most one of threshold, threshold_auto and band_est"):
+            plain_arm(8, **post)
+
 
 class TestConfig:
     def test_n_grid_must_increase(self):
@@ -158,13 +167,6 @@ class TestConfig:
         assert cfg4.d_grid == (16, 32, 64, 128, 256, 512) and cfg4.eps == 0.1
         cfg5 = ExperimentConfig(5)
         assert cfg5.bandwidth == 5 and cfg5.d_grid == (32, 64, 128)
-
-    def test_threads_default_from_the_table(self):
-        # experiment 4's searches run one worker per CPU, the grid experiments one
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert ExperimentConfig(4).threads == cpus
-        assert [ExperimentConfig(k).threads for k in (1, 2, 3, 5)] == [1, 1, 1, 1]
-        assert ExperimentConfig(4, threads=1).threads == 1
 
 
 # small configurations of each experiment, as ExperimentConfig overrides
@@ -499,21 +501,6 @@ class TestRunExperiment:
         assert sum(r.tag == "tildeT" for r in out.rows) == 2
         assert sum(r.tag == "hatT" for r in out.rows) == 4
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        base = ExperimentConfig(
-            3, seed=6, out_dir=tmp_path / "t1", trials=3, n_grid=(80,),
-            deltas=(1.0,), alphas=(0.5,), threads=1,
-        )
-        threaded = ExperimentConfig(
-            3, seed=6, out_dir=tmp_path / "t4", trials=3, n_grid=(80,),
-            deltas=(1.0,), alphas=(0.5,), threads=4,
-        )
-        rows_a = run_experiment(base).rows
-        rows_b = run_experiment(threaded).rows
-        assert [(r.key(), r.rel_error, r.seed) for r in rows_a] == [
-            (r.key(), r.rel_error, r.seed) for r in rows_b
-        ]
-
     def test_exp2_slope_records(self, tmp_path):
         cfg = ExperimentConfig(
             2,
@@ -540,58 +527,88 @@ EXP4_D512 = dict(seed=123, trials=2, d_grid=(512,), alphas=(1.0,), variants=("ra
 
 class TestWorkers:
     @staticmethod
-    def run(tmp_path, experiment, threads, **fields):
+    def run(tmp_path, monkeypatch, workers, **fields):
+        """Experiment 4 with ``fields`` on ``workers`` pool threads, and its progress lines."""
+        monkeypatch.setattr(experiments, "_CPUS", workers)
         notes = []
-        cfg = ExperimentConfig(experiment, out_dir=tmp_path / f"threads{threads}", threads=threads, **fields)
+        cfg = ExperimentConfig(4, out_dir=tmp_path / f"workers{workers}", **fields)
         return run_experiment(cfg, progress=notes.append), notes
 
+    @staticmethod
+    def series_runner(monkeypatch, workers, dims, search):
+        """An experiment 4 runner on ``workers`` pool threads whose search of a series is ``search``.
+
+        Its series are both variants at alpha 1 and each of ``dims``: the
+        series ``(vi, d)`` is the ``vi * len(dims) + dims.index(d)``-th.
+        """
+        monkeypatch.setattr(experiments, "_CPUS", workers)
+        runner = experiments._Runner(ExperimentConfig(4, d_grid=tuple(dims), alphas=(1.0,)), None)
+        monkeypatch.setattr(runner, "search", lambda series: search(series[1], series[3]))
+        return runner
+
     @needs_openblas
-    def test_exp4_d512_rows_same_at_one_and_two_threads(self, tmp_path):
-        one, _ = self.run(tmp_path, 4, 1, **EXP4_D512)
-        two, _ = self.run(tmp_path, 4, 2, **EXP4_D512)
+    def test_exp4_d512_rows_same_at_one_and_two_threads(self, tmp_path, monkeypatch):
+        one, _ = self.run(tmp_path, monkeypatch, 1, **EXP4_D512)
+        two, _ = self.run(tmp_path, monkeypatch, 2, **EXP4_D512)
         assert [r._replace(seconds=0) for r in one.rows] == [r._replace(seconds=0) for r in two.rows]
         assert one.medians == two.medians and one.summary == two.summary
 
     @needs_openblas
-    def test_simulate_estimate_reproduces_the_d512_rows_of_two_workers(self, tmp_path):
-        out, _ = self.run(tmp_path, 4, 2, **EXP4_D512)
+    def test_simulate_estimate_reproduces_the_d512_rows_of_two_workers(self, tmp_path, monkeypatch):
+        out, _ = self.run(tmp_path, monkeypatch, 2, **EXP4_D512)
         assert len(out.rows) > 2 and {row.d for row in out.rows} == {512}
         for row in out.rows:
             spec, arm = simulate_args(out.config, row)
             assert simulate_estimate(spec, row.n, row.seed, arm).rel_error == row.rel_error, row
 
-    def test_across_workers_yields_in_order_from_more_than_one_thread(self):
-        # more workers than cores, switching threads as often as the interpreter allows
-        runner = experiments._Runner(ExperimentConfig(5, threads=4), None)
+    def test_across_workers_yields_in_order_from_more_than_one_thread(self, monkeypatch):
+        # 200 searches on more workers than cores, switching threads as often
+        # as the interpreter allows, finish out of order
+        dims = range(16, 116)
         ran_in = {}
 
-        def square(i):
-            ran_in[i] = threading.get_ident()
-            time.sleep(0.001 * (i % 3))
-            return i * i
+        def search(vi, d):
+            ran_in[vi, d] = threading.get_ident()
+            time.sleep(0.001 * (d % 3))
+            return {}, d + 1000 * vi, False
 
+        runner = self.series_runner(monkeypatch, 4, dims, search)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert list(runner.across_workers(square, range(200))) == [i * i for i in range(200)]
+            runner.run_total_complexity()
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(ran_in) == list(range(200))
+        series = [(vi, d) for vi in (0, 1) for d in dims]
+        assert [rec["n_star"] for rec in runner.summary] == [d + 1000 * vi for vi, d in series]
+        assert sorted(ran_in) == series
         assert len(set(ran_in.values())) > 1
 
-    def test_across_workers_starts_nothing_after_a_failure(self):
-        runner = experiments._Runner(ExperimentConfig(5, threads=2), None)
+    def test_across_workers_starts_nothing_after_a_failure(self, monkeypatch):
+        # neither after a failed search, the third of 50, nor after a failure
+        # in the calling thread as it records the first
         started = []
 
-        def failing_at_two(i):
-            started.append(i)
-            if i == 2:
-                raise RuntimeError("item 2")
+        def failing_at_the_third(vi, d):
+            started.append((vi, d))
+            if (vi, d) == (0, 18):
+                raise RuntimeError("series 2")
             time.sleep(0.01)
-            return i
+            return {}, 1, False
 
-        with pytest.raises(RuntimeError, match="item 2"):
-            list(runner.across_workers(failing_at_two, range(50)))
+        runner = self.series_runner(monkeypatch, 2, range(16, 41), failing_at_the_third)
+        with pytest.raises(RuntimeError, match="series 2"):
+            runner.run_total_complexity()
+        assert len(started) < 10
+
+        def failing_note(msg):
+            raise RuntimeError("progress")
+
+        started.clear()
+        runner = self.series_runner(monkeypatch, 2, range(16, 41), failing_at_the_third)
+        runner.note = failing_note
+        with pytest.raises(RuntimeError, match="progress"):
+            runner.run_total_complexity()
         assert len(started) < 10
 
     def test_a_search_keeps_no_covariance(self, monkeypatch):
@@ -614,11 +631,24 @@ class TestWorkers:
         assert len(probes) > 1 and n_star in probes
         assert all(len(outcomes) == 3 for outcomes in probes.values())
 
+    @pytest.mark.parametrize("experiment", [1, 2, 3, 5])
+    def test_grid_experiment_runs_every_trial_in_the_calling_thread(self, tmp_path, monkeypatch, experiment):
+        ran_in = set()
+        draw = experiments._Trial.draw
+
+        def recording(trial, n, arms):
+            ran_in.add(threading.get_ident())
+            return draw(trial, n, arms)
+
+        monkeypatch.setattr(experiments._Trial, "draw", recording)
+        run_experiment(ExperimentConfig(experiment, out_dir=tmp_path, **SMALL_CONFIGS[experiment]))
+        assert ran_in == {threading.get_ident()}
+
     def test_concurrent_searches_record_in_series_order(self, tmp_path, monkeypatch):
         # searches finish in any order over three workers, yet rows, medians,
         # summary records and progress lines come out as with one worker
         fields = dict(seed=5, trials=2, d_grid=(16, 32), eps=0.3, n_cap=1 << 12)
-        one, one_notes = self.run(tmp_path, 4, 1, **fields)
+        one, one_notes = self.run(tmp_path, monkeypatch, 1, **fields)
         workers: dict[int, set[int]] = {}
         draw = experiments._Trial.draw
 
@@ -627,7 +657,7 @@ class TestWorkers:
             return draw(trial, n, arms)
 
         monkeypatch.setattr(experiments._Trial, "draw", recording)
-        three, three_notes = self.run(tmp_path, 4, 3, **fields)
+        three, three_notes = self.run(tmp_path, monkeypatch, 3, **fields)
         # a search runs every trial of every probe in one worker
         by_series: dict[tuple, set[int]] = {}
         for r in three.rows:

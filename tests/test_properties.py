@@ -239,14 +239,14 @@ _EXP_USABLE = {
     5: ({"--d-grid": ["8", "12,8"]}, {"--n-grid": ["6", "50"], "--deltas": ["0", "0.5"], "--alphas": ["0.5", "1"], "--m": ["1", "3"]}),
 }
 _EXP_UNUSABLE = [
-    ("--trials", "0"), ("--trials", "-1"), ("--threads", "0"),
+    ("--trials", "0"), ("--trials", "-1"),
     ("--d-grid", ""), ("--d-grid", "x"), ("--d-grid", "16,4"), ("--d-grid", "8,1"),
     ("--n-grid", ""), ("--n-grid", "0"), ("--n-grid", "12,6"), ("--n-cap", "0"), ("--n-cap", "-2"),
     ("--deltas", ""), ("--deltas", "-1"), ("--deltas", "nan"), ("--deltas", "inf"), ("--deltas", "0,2"),
     ("--alphas", ""), ("--alphas", "0.4"), ("--alphas", "1.5"),
     ("--d", "1"), ("--d", "-3"), ("--eps", "0.2"), ("--m", "0"), ("--m", "40"),
 ]
-_EXP_GLOBAL = ("--trials", "--threads")
+_EXP_GLOBAL = ("--trials",)
 
 _ESTIMATE_USABLE = {
     "--ruler": ["1.0", "0.5"],
@@ -280,7 +280,7 @@ def exp_argv(draw, out_dir):
     """``exp`` with usable small settings, some of them overridden with unusable ones."""
     exp_id = draw(st.integers(1, 5))
     required, optional = _EXP_USABLE[exp_id]
-    options = {"--trials": "1", **draw(_options({"--threads": ["1", "2"]}))}
+    options = {"--trials": "1"}
     options.update(draw(st.fixed_dictionaries({flag: st.sampled_from(values) for flag, values in required.items()})))
     options.update(draw(_options(optional)))
     options.update(draw(st.lists(st.sampled_from(_EXP_UNUSABLE), max_size=2)))

@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, unused imports and config knobs.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports and config knobs.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -79,6 +79,23 @@ def test_every_module_uses_what_it_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_import_is_the_package_the_standard_library_or_numpy():
+    # numpy is the one runtime dependency pyproject.toml declares; scipy may
+    # be installed beside it, but an install from the package metadata lacks it
+    allowed = set(sys.stdlib_module_names) | {"toepquant", "numpy"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "toepquant").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_every_config_field_is_a_command_line_option():
