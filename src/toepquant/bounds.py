@@ -50,14 +50,14 @@ def big_k(op_norm_t: float, delta: float) -> float:
 def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
     """Exponential rate governing operator-norm concentration.
 
-    ``eps^2 ||T||^2 / ((||T||^2 + delta^4) * phi(R))``: larger is faster.
+    ``eps^2 / (script_l(||T||, delta) * phi(R))``: larger is faster.
     """
     if not 0 < eps <= 1:
         raise InvalidArgumentError(f"eps must lie in (0, 1], got {eps}")
-    t2 = _norm_sq(op_norm_t)
+    lv = script_l(op_norm_t, delta)
     if not (math.isfinite(phi) and phi > 0):
         raise InvalidArgumentError(f"phi must be finite and positive, got {phi}")
-    return eps * eps * t2 / ((t2 + delta**4) * phi)
+    return eps * eps / (lv * phi)
 
 
 def script_l(op_norm_t: float, delta: float) -> float:
@@ -181,10 +181,11 @@ def evaluate_bounds(
     """Evaluate every bound for one configuration.
 
     The sample-complexity prediction uses the low-rank coefficient when a
-    rank ``k`` is given and the general one otherwise.
+    rank ``k`` is given and the general one otherwise.  A configuration
+    for which any of them is not a finite float is rejected.
     """
     try:
-        delta**4  # read by script_l and kappa; a float power raises on overflow
+        delta**4  # read by script_l and script_l_prime; a float power raises on overflow
     except OverflowError:
         raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
     ruler = ruler_alpha(d, alpha)
@@ -194,7 +195,7 @@ def evaluate_bounds(
     lpv = script_l_prime(op_norm_t, delta, k, d) if k is not None else None
     lam = k * k / d if k is not None else None
     skv = script_k(kv, ruler.size, d, p, n)
-    return BoundsReport(
+    report = BoundsReport(
         d=d,
         alpha=alpha,
         delta=delta,
@@ -216,3 +217,7 @@ def evaluate_bounds(
         zeta=threshold_zeta(kv, ruler.size, d, p, n, c),
         vsc_pred=vsc_predict(d, eps, prob_delta, alpha, lpv if lpv is not None else lv),
     )
+    unbounded = [name for name, v in vars(report).items() if isinstance(v, float) and not math.isfinite(v)]
+    if unbounded:
+        raise InvalidArgumentError(f"bounds not finite for this configuration: {', '.join(unbounded)}")
+    return report

@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, MisuseError, NumericError
+from .exceptions import InvalidArgumentError, NumericError
 from .sampling import SampleBatch
 from .toeplitz import SymToeplitz, fro_norm, max_norm, op_norm, toep
 
@@ -64,7 +64,7 @@ def ruler_estimate(batch: SampleBatch) -> SymToeplitz:
     moment matrix.
     """
     if batch.delta != 0:
-        raise MisuseError("ruler_estimate expects an unquantized batch (delta == 0)")
+        raise InvalidArgumentError("ruler_estimate expects an unquantized batch (delta == 0)")
     return toep(_pair_means(batch))
 
 
@@ -114,7 +114,7 @@ def relative_error(
         raise InvalidArgumentError(f"norm must be one of {sorted(norms)}, got {norm!r}")
     denom = kept_op_norm(t) if norm == "op" else fn(t)
     if denom == 0.0:
-        raise ZeroDivisionError("relative error undefined for a zero matrix")
+        raise NumericError("relative error undefined for a zero matrix")
     return fn(t_hat - t) / denom
 
 

@@ -1,45 +1,21 @@
-"""Exception types used across the package."""
+"""Exception types, one per CLI exit code: :class:`InvalidArgumentError` means 2, :class:`NumericError` 3."""
 
 
 class ToepquantError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidDimensionError(ToepquantError, ValueError):
-    """A matrix or generating vector has an unusable dimension."""
-
-
 class InvalidArgumentError(ToepquantError, ValueError):
-    """An argument is outside its documented range."""
-
-
-class IndexOutOfRangeError(ToepquantError, IndexError):
-    """An index or distance falls outside the ambient dimension."""
-
-
-class DomainError(ToepquantError, ValueError):
-    """A function was evaluated outside its domain."""
+    """An argument, dimension, index or input file is outside what the package accepts."""
 
 
 class NumericError(ToepquantError, ArithmeticError):
-    """Non-finite values or a failed numerical routine."""
+    """Non-finite values, a matrix too far from positive semidefinite, or a failed numerical routine."""
 
 
-class NotARulerError(ToepquantError, ValueError):
+class NotARulerError(InvalidArgumentError):
     """An index set does not realize every pairwise distance."""
 
     def __init__(self, message: str, missing: list[int] | None = None):
         super().__init__(message)
         self.missing = missing or []
-
-
-class NotPSDError(ToepquantError, ValueError):
-    """A covariance matrix is too far from positive semidefinite."""
-
-
-class MisuseError(ToepquantError, ValueError):
-    """An API was called with data it is not meant for."""
-
-
-class EmptyInputError(ToepquantError, ValueError):
-    """An input collection or file contains no usable data."""

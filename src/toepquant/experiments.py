@@ -64,7 +64,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import DomainError, InvalidArgumentError, MisuseError
+from .exceptions import InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -146,7 +146,7 @@ class Arm:
         zeta = None
         if self.threshold_auto:
             if truth is None:
-                raise MisuseError("the oracle threshold needs the true matrix")
+                raise InvalidArgumentError("the oracle threshold needs the true matrix")
             c, p = THRESHOLD_AUTO
             zeta = threshold_zeta(big_k(kept_op_norm(truth), batch.delta), self.ruler.size, truth.d, p, batch.n, c)
         elif self.threshold is not None:
@@ -334,9 +334,9 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
     """Least-squares line through ``(log10 n, log10 error)`` pairs."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
-        raise DomainError(f"need at least 3 points, got {len(pts)}")
+        raise InvalidArgumentError(f"need at least 3 points, got {len(pts)}")
     if any(x <= 0 or y <= 0 for x, y in pts):
-        raise DomainError("log-log fit requires strictly positive coordinates")
+        raise InvalidArgumentError("log-log fit requires strictly positive coordinates")
     lx = np.log10([x for x, _ in pts])
     ly = np.log10([y for _, y in pts])
     slope, intercept = np.polyfit(lx, ly, 1)

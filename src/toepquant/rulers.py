@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import IndexOutOfRangeError, InvalidArgumentError, NotARulerError
+from .exceptions import InvalidArgumentError, NotARulerError
 
 __all__ = [
     "Ruler",
@@ -51,9 +51,7 @@ class Ruler:
             raise InvalidArgumentError("a ruler needs at least one index")
         # at d < 1 every index lies outside [0, d)
         if idx.min() < 0 or idx.max() >= self.d:
-            raise IndexOutOfRangeError(
-                f"ruler indices must lie in [0, {self.d}), got [{idx.min()}, {idx.max()}]"
-            )
+            raise InvalidArgumentError(f"ruler indices must lie in [0, {self.d}), got [{idx.min()}, {idx.max()}]")
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 

@@ -137,7 +137,7 @@ def sample_gaussian(
     and law N(0, T_R) for the principal submatrix ``T_R`` on ``indices``
     (all d coordinates by default).  Applies ``t.psd_factor(indices)``,
     which is computed on the first draw of ``t`` on those indices (raising
-    :class:`NotPSDError` if ``T_R`` is not PSD) and reused after.  Passing
+    :class:`NumericError` if ``T_R`` is not PSD) and reused after.  Passing
     every index draws the same numbers as passing none.
     """
     if n < 1:

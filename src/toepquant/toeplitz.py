@@ -12,13 +12,7 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-from .exceptions import (
-    IndexOutOfRangeError,
-    InvalidArgumentError,
-    InvalidDimensionError,
-    NotPSDError,
-    NumericError,
-)
+from .exceptions import InvalidArgumentError, NumericError
 
 __all__ = [
     "SymToeplitz",
@@ -53,7 +47,7 @@ class SymToeplitz:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim != 1 or a.size < 1:
-            raise InvalidDimensionError("generating vector must be 1-D and non-empty")
+            raise InvalidArgumentError("generating vector must be 1-D and non-empty")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -88,7 +82,7 @@ class SymToeplitz:
         index set, from the symmetric eigendecomposition of ``T_R``.  Small
         negative eigenvalues are clipped, so exactly singular (low-rank)
         matrices are fine; eigenvalues below ``-PSD_REL_TOL * ||T_R||_2``
-        raise :class:`NotPSDError`, on every call.
+        raise :class:`NumericError`, on every call.
         """
         idx = np.arange(self.d) if indices is None else np.sort(np.asarray(indices, dtype=np.int64))
         return self.memo(("psd_factor", idx.tobytes()), lambda: _psd_factor(principal_submatrix(self, idx)))
@@ -98,9 +92,7 @@ def _psd_factor(dense: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(dense)
     scale = float(np.abs(w).max())
     if w.min() < -PSD_REL_TOL * scale:
-        raise NotPSDError(
-            f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}"
-        )
+        raise NumericError(f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}")
     factor = u * np.sqrt(np.clip(w, 0.0, None))
     factor.flags.writeable = False
     return factor
@@ -116,7 +108,7 @@ def _as_dense(m: SymToeplitz | np.ndarray) -> np.ndarray:
         return m.dense()
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
+        raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -150,11 +142,9 @@ def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
         m = _as_dense(m)
     d = m.d if isinstance(m, SymToeplitz) else m.shape[0]
     if idx.size == 0:
-        raise InvalidDimensionError("index set must be non-empty")
+        raise InvalidArgumentError("index set must be non-empty")
     if idx.min() < 0 or idx.max() >= d:
-        raise IndexOutOfRangeError(
-            f"indices must lie in [0, {d}), got range [{idx.min()}, {idx.max()}]"
-        )
+        raise InvalidArgumentError(f"indices must lie in [0, {d}), got range [{idx.min()}, {idx.max()}]")
     idx = np.sort(idx)
     if isinstance(m, SymToeplitz):
         return m.a[np.abs(idx[:, None] - idx[None, :])]
@@ -240,7 +230,7 @@ def sup_l(e: np.ndarray, grid: int) -> float:
     """
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.size < 1:
-        raise InvalidDimensionError("generating vector must be 1-D and non-empty")
+        raise InvalidArgumentError("generating vector must be 1-D and non-empty")
     d = e.size
     if grid < 8 * d * d:
         raise InvalidArgumentError(f"grid must be at least 8*d^2 = {8 * d * d}, got {grid}")

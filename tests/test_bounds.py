@@ -208,3 +208,13 @@ class TestEvaluateBounds:
         lowrank = evaluate_bounds(64, 0.5, 0.0, 0.1, 0.05, k=2)
         # lambda = 4/64 < 1 shrinks the predicted sample count
         assert lowrank.vsc_pred < general.vsc_pred
+
+    def test_kappa_survives_an_overflowing_product(self):
+        # (||T||^2 + delta^4) * phi overflows at ||T|| = 1e154, but script_l = 1
+        rep = evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, op_norm_t=1e154)
+        assert rep.kappa == 0.1 * 0.1 / rep.phi
+
+    def test_non_finite_constant_rejected(self):
+        # ||T||^2 = 1e-320 is a positive float, but 1 / 1e-320 is not
+        with pytest.raises(InvalidArgumentError, match="bounds not finite for this configuration: script_l, vsc_pred"):
+            evaluate_bounds(16, 0.5, 1.0, 0.1, 0.05, op_norm_t=1e-160)

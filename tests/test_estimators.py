@@ -22,7 +22,7 @@ from toepquant import (
     threshold_estimate,
     toep,
 )
-from toepquant.exceptions import InvalidArgumentError, MisuseError
+from toepquant.exceptions import InvalidArgumentError, NumericError
 
 
 def brute_force_estimate(rows, indices, d, delta, correction):
@@ -90,7 +90,7 @@ class TestRulerEstimate:
     def test_rejects_quantized_batch(self):
         ruler = full_ruler(2)
         batch = SampleBatch(np.full((2, 2), 0.5), ruler, 1.0)
-        with pytest.raises(MisuseError):
+        with pytest.raises(InvalidArgumentError, match=r"ruler_estimate expects an unquantized batch \(delta == 0\)"):
             ruler_estimate(batch)
 
     def test_monte_carlo_consistency(self):
@@ -282,7 +282,7 @@ class TestRelativeError:
         assert relative_error(t, shifted, "op") == pytest.approx(eps / op_norm(t))
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NumericError, match="relative error undefined for a zero matrix"):
             relative_error(toep([0.0, 0.0]), toep([1.0, 0.0]))
 
     def test_unknown_norm(self):

@@ -22,7 +22,7 @@ from toepquant import (
     run_experiment,
     simulate_estimate,
 )
-from toepquant.exceptions import DomainError, InvalidArgumentError, MisuseError
+from toepquant.exceptions import InvalidArgumentError
 from toepquant import experiments, sample_gaussian
 from toepquant._blas import openblas_threads
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
@@ -40,11 +40,11 @@ class TestFitLoglogSlope:
         assert fit["r2"] == 1.0
 
     def test_too_few_points(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidArgumentError, match="need at least 3 points, got 2"):
             fit_loglog_slope([(10, 1.0), (100, 0.5)])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidArgumentError, match="requires strictly positive coordinates"):
             fit_loglog_slope([(10, 1.0), (100, 0.0), (1000, 0.1)])
 
 
@@ -77,7 +77,7 @@ class TestSimulateEstimate:
 
     def test_threshold_auto_needs_the_truth(self):
         arm = plain_arm(8, threshold_auto=True)
-        with pytest.raises(MisuseError, match="needs the true matrix"):
+        with pytest.raises(InvalidArgumentError, match="the oracle threshold needs the true matrix"):
             arm.estimate(np.ones((5, 8)), np.random.default_rng(0))
 
     def test_recipe_needs_exactly_one_kind(self):

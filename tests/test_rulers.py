@@ -11,11 +11,7 @@ from toepquant import (
     phi_bound,
     ruler_alpha,
 )
-from toepquant.exceptions import (
-    IndexOutOfRangeError,
-    InvalidArgumentError,
-    NotARulerError,
-)
+from toepquant.exceptions import InvalidArgumentError, NotARulerError
 
 
 class TestFullRuler:
@@ -73,7 +69,7 @@ class TestIsRuler:
         assert ok and missing == []
 
     def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(InvalidArgumentError, match=r"ruler indices must lie in \[0, 4\), got \[0, 5\]"):
             is_ruler([0, 5], 4)
 
 

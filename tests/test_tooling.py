@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports and config knobs.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, config knobs and error types.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -16,11 +16,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from toepquant import cli, exceptions
 from toepquant.cli import build_parser
+from toepquant.exceptions import InvalidArgumentError, NumericError, ToepquantError
 from toepquant.experiments import _EXPERIMENTS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+ERROR_TYPES = [v for v in vars(exceptions).values() if isinstance(v, type) and issubclass(v, BaseException)]
 
 
 def load_tracing():
@@ -113,3 +118,24 @@ def test_exp_ids_are_the_experiment_table():
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     (exp_id,) = [a for a in subparsers.choices["exp"]._actions if a.dest == "experiment"]
     assert exp_id.choices == sorted(_EXPERIMENTS)
+
+
+def test_every_error_type_means_one_exit_code():
+    # each type but the base is an invalid argument (exit 2) or a numeric failure (exit 3), never both
+    for cls in ERROR_TYPES:
+        assert cls is ToepquantError or issubclass(cls, InvalidArgumentError) != issubclass(cls, NumericError), cls
+
+
+@pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_each_error_type(monkeypatch, capsys, cls):
+    def fail(*args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "ruler_alpha", fail)
+    code = cli.main(["ruler", "--d", "16", "--alpha", "0.5"])
+    out, err = capsys.readouterr()
+    if issubclass(cls, NumericError):
+        assert (code, err) == (3, "numeric failure: boom\n")
+    else:
+        assert (code, err) == (2, "invalid configuration: boom\n")
+    assert out == ""
