@@ -63,7 +63,6 @@ from .sampling import (
 from .toeplitz import (
     SymToeplitz,
     avg,
-    best_rank_k,
     fro_norm,
     max_norm,
     op_norm,

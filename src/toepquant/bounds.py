@@ -12,9 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .exceptions import InvalidArgumentError
 from .rulers import coverage_coefficient, ruler_alpha
-from .toeplitz import SymToeplitz, best_rank_k, fro_norm, op_norm, principal_submatrix
+from .toeplitz import SymToeplitz, op_norm, principal_submatrix
 
 __all__ = [
     "BoundsReport",
@@ -60,19 +62,29 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
     return eps * eps / (lv * phi)
 
 
+def _penalty(name: str, op_norm_t: float, delta: float, lam: float) -> float:
+    """The penalty ``name``: ``(lam ||T||^2 + delta^4) / ||T||^2``, rejected unless it is a finite float."""
+    try:
+        d4 = delta**4  # a float power raises on overflow
+    except OverflowError:
+        raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
+    t2 = _norm_sq(op_norm_t)
+    value = (lam * t2 + d4) / t2
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"bounds not finite for this configuration: {name}")
+    return value
+
+
 def script_l(op_norm_t: float, delta: float) -> float:
     """Quantization penalty on the sample-complexity coefficient, >= 1."""
-    t2 = _norm_sq(op_norm_t)
-    return (t2 + delta**4) / t2
+    return _penalty("script_l", op_norm_t, delta, 1.0)
 
 
 def script_l_prime(op_norm_t: float, delta: float, k: int, d: int) -> float:
     """Low-rank penalty: ``(lambda ||T||^2 + delta^4) / ||T||^2`` with ``lambda = k^2/d``."""
-    t2 = _norm_sq(op_norm_t)
     if not 1 <= k <= d:
         raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
-    lam = k * k / d
-    return (lam * t2 + delta**4) / t2
+    return _penalty("script_l_prime", op_norm_t, delta, k * k / d)
 
 
 def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_value: float) -> float:
@@ -125,7 +137,11 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     Returns ``||T_{R_alpha}||_2^2`` together with the bound
     ``(32 k^2 / d^(2-2a)) ||T||_2^2 + 8 lambda(k, T)`` where
     ``lambda(k, T) = min(||T - T_k||_2^2, (2 / d^(1-a)) ||T - T_k||_F^2)``
-    and ``T_k`` is the best rank-k approximation.
+    and ``T_k`` is the best rank-k approximation.  All three norms of
+    ``T`` are read from one spectrum: with ``w`` the moduli of its
+    eigenvalues in decreasing order, ``T_k`` keeps the first k, so
+    ``||T||_2 = w[0]``, ``||T - T_k||_2 = w[k]`` (0 at k = d) and
+    ``||T - T_k||_F^2`` is the sum of ``w[i]^2`` over i >= k.
     """
     d = t.d
     if not 1 <= k <= d:
@@ -133,9 +149,9 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     ruler = ruler_alpha(d, alpha)
     sub = principal_submatrix(t, ruler.indices)
     left = op_norm(sub) ** 2
-    resid = t.dense() - best_rank_k(t, k)
-    lam = min(op_norm(resid) ** 2, 2.0 / d ** (1.0 - alpha) * fro_norm(resid) ** 2)
-    bound = 32.0 * k * k / d ** (2.0 - 2.0 * alpha) * op_norm(t) ** 2 + 8.0 * lam
+    w = np.append(np.sort(np.abs(np.linalg.eigvalsh(t.dense())))[::-1], 0.0)
+    lam = min(float(w[k]) ** 2, 2.0 / d ** (1.0 - alpha) * float(w[k:] @ w[k:]))
+    bound = 32.0 * k * k / d ** (2.0 - 2.0 * alpha) * float(w[0]) ** 2 + 8.0 * lam
     return SubmatrixNormCheck(left, bound, lam)
 
 
@@ -184,10 +200,6 @@ def evaluate_bounds(
     rank ``k`` is given and the general one otherwise.  A configuration
     for which any of them is not a finite float is rejected.
     """
-    try:
-        delta**4  # read by script_l and script_l_prime; a float power raises on overflow
-    except OverflowError:
-        raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
     ruler = ruler_alpha(d, alpha)
     phi = coverage_coefficient(ruler)
     kv = big_k(op_norm_t, delta)

@@ -19,10 +19,8 @@ import csv
 import functools
 import io
 import os
-import re
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -80,7 +78,10 @@ def _ruler_from_spec(text: str, d: int) -> Ruler:
         if np.any(counts > 1):
             raise InvalidArgumentError(f"ruler indices must not repeat, got {values[counts > 1].tolist()} more than once")
         return Ruler(d, idx - 1)
-    alpha = float(text)
+    try:
+        alpha = float(text)
+    except ValueError:
+        raise InvalidArgumentError(f"--ruler takes an alpha or comma-separated 1-based indices, got {text!r}") from None
     return full_ruler(d) if d == 1 else ruler_alpha(d, alpha)
 
 
@@ -148,51 +149,40 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-# bytes of an input file read at once while its rows are found; blocks this
-# small stay in cache: 3.4 ms to count the commas of a 9.7 MB file, 7 ms
-# in blocks of 1 MiB (2-vCPU host)
+# bytes of an input file read at once while its commas are counted; blocks
+# this small stay in cache: 3.4 ms to count the commas of a 9.7 MB file,
+# 7 ms in blocks of 1 MiB (2-vCPU host)
 _CHUNK = 1 << 16
-# Lines, comments and rows are those of np.loadtxt(delimiter=","): a line
-# ends at LF, CR or CR LF, a "#" comments out the rest of its line, and a
-# line that is empty before its comment holds no row.
-_ROW = re.compile(rb"(?<![^\r\n])[^#\r\n]+")
-_COMMENT = re.compile(rb"#[^\r\n]*")
 
 
-def _whole_lines(fh: io.BufferedIOBase) -> Iterator[tuple[bytes, int]]:
-    """``fh`` from its position on, a chunk at a time, as (block, end): ``block[:end]`` is whole lines."""
-    tail = b""
-    while chunk := fh.read(_CHUNK):
-        block = tail + chunk
-        end = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
-        yield block, end
-        tail = block[end:]
-    yield tail, len(tail)
+def _fields(line: str) -> int:
+    """The number of fields in the row of ``line``, 0 if it holds none.
+
+    Lines and rows are those of ``np.loadtxt(delimiter=",")`` on a file
+    decoded with universal newlines: a "#" comments out the rest of its
+    line, and a line that is empty before its comment holds no row.
+    """
+    row = line.split("#", 1)[0].rstrip("\n")
+    return row.count(",") + 1 if row else 0
 
 
-def _first_row_width(fh: io.BufferedIOBase) -> int | None:
-    """The number of fields in the first sample row of ``fh``, or None if it has none."""
-    for block, end in _whole_lines(fh):
-        if row := _ROW.search(block, 0, end):
-            return row.group().count(b",") + 1
-    return None
-
-
-def _commas(fh: io.BufferedIOBase) -> int:
-    """The number of commas in ``fh`` outside comments: d - 1 for each row d fields wide."""
-    commas = 0
-    for block, end in _whole_lines(fh):
-        commas += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8, count=end) == ord(",")))
-        if block.find(b"#", 0, end) >= 0:
-            commas -= sum(comment.group().count(b",") for comment in _COMMENT.finditer(block, 0, end))
+def _commas(text: io.TextIOWrapper) -> int:
+    """The number of commas in ``text`` outside comments: d - 1 for each row d fields wide."""
+    text.seek(0)
+    commas, commented = 0, False
+    while chunk := text.buffer.read(_CHUNK):
+        commas += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord(",")))
+        commented = commented or b"#" in chunk
+    text.seek(0)
+    if commented:
+        commas -= sum(line.partition("#")[2].count(",") for line in text)
     return commas
 
 
 def _misfit_row(text: io.TextIOBase, d: int) -> str | None:
     """The first line of ``text`` whose row has other than ``d`` fields, with its field count; None if none has."""
     for number, line in enumerate(text, 1):
-        row = line.split("#", 1)[0].rstrip("\n")
-        if row and (fields := row.count(",") + 1) != d:
+        if (fields := _fields(line)) and fields != d:
             return f"line {number} has {fields} fields, the first row {d}"
     return None
 
@@ -200,32 +190,32 @@ def _misfit_row(text: io.TextIOBase, d: int) -> str | None:
 def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
     """The samples of ``path`` on the columns of the ruler ``ruler_text`` gives at their dimension, and that ruler.
 
-    The dimension d is the field count of the first sample row.  The file
-    is read as ``np.loadtxt(path, delimiter=",")`` reads it, compressed
-    files included, but only the ruler's columns are converted, so the
-    samples are (n, |R|); fields off the ruler may hold any text.  A row
-    of another width than the first is rejected with its line number.
-    The file is searched for that row only after a check failed, so an
-    accepted file pays nothing: ``np.loadtxt`` fails on such a row on the
-    full ruler, and on a narrower row on a sparse one (it lacks the last
-    column, which every ruler reads); on a sparse ruler a wider row makes
-    the count of commas differ from n(d - 1).
+    The file is read as ``np.loadtxt(path, delimiter=",")`` reads it,
+    compressed files included, and its rows are those :func:`_fields`
+    finds.  The dimension d is the field count of the first row.  Only
+    the ruler's columns are converted, so the samples are (n, |R|);
+    fields off the ruler may hold any text.  A row of another width than
+    the first is rejected with its line number.  The file is searched for
+    that row only after a check failed, so an accepted file pays nothing:
+    ``np.loadtxt`` fails on such a row on the full ruler, and on a
+    narrower row on a sparse one (it lacks the last column, which every
+    ruler reads); on a sparse ruler a wider row makes the count of commas
+    differ from n(d - 1).
     """
     if not path.exists():
         raise InvalidArgumentError(f"no such input file: {path}")
     with np.lib.npyio.DataSource().open(os.fspath(path), "rb") as fh:
         source = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe can be read only once
-        d = _first_row_width(source)
-        if d is None:
-            raise InvalidArgumentError(f"input file {path} contains no samples")
-        ruler = _ruler_from_spec(ruler_text, d)
-        sparse = ruler.size < d
-        if sparse:
-            source.seek(0)
-            commas = _commas(source)
-        source.seek(0)
         # decoded as np.loadtxt(path) decodes it: the default encoding, universal newlines
         with io.TextIOWrapper(source) as text:
+            d = next(filter(None, map(_fields, text)), None)
+            if d is None:
+                raise InvalidArgumentError(f"input file {path} contains no samples")
+            ruler = _ruler_from_spec(ruler_text, d)
+            sparse = ruler.size < d
+            if sparse:
+                commas = _commas(text)
+            text.seek(0)
             try:
                 samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=ruler.indices if sparse else None)
                 if sparse and commas != samples.shape[0] * (d - 1):

@@ -23,7 +23,6 @@ __all__ = [
     "fro_norm",
     "max_norm",
     "sup_l",
-    "best_rank_k",
 ]
 
 PSD_REL_TOL = 1e-8
@@ -242,19 +241,3 @@ def sup_l(e: np.ndarray, grid: int) -> float:
     peak = float(np.abs(e[1:]).max()) if d > 1 else 0.0
     slack = 4.0 * np.pi * d * d * peak / grid
     return float(np.abs(vals).max() + slack)
-
-
-def best_rank_k(t: SymToeplitz | np.ndarray, k: int) -> np.ndarray:
-    """Best rank-``k`` approximation in both Frobenius and operator norm.
-
-    Keeps the ``k`` eigencomponents of largest absolute eigenvalue.
-    """
-    dense = _as_dense(t)
-    d = dense.shape[0]
-    if not 1 <= k <= d:
-        raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
-    w, u = np.linalg.eigh(dense)
-    keep = np.argsort(np.abs(w))[::-1][:k]
-    return (u[:, keep] * w[keep]) @ u[:, keep].T
-
-

@@ -94,6 +94,22 @@ class TestCoefficients:
                 call()
 
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            # ||T||^2 = 1e-320 is a positive float, but delta^4 / 1e-320 is not
+            (lambda: script_l(1e-160, 1.0), "bounds not finite for this configuration: script_l"),
+            (lambda: script_l_prime(1e-160, 1.0, 1, 16), "bounds not finite for this configuration: script_l_prime"),
+            (lambda: kappa(0.1, 1e-160, 1.0, 6.3), "bounds not finite for this configuration: script_l"),
+            (lambda: script_l(1.0, 1e78), "delta^4 must be finite, got delta = 1e+78"),
+        ],
+        ids=["script_l", "script_l_prime", "kappa", "delta^4"],
+    )
+    def test_penalty_that_is_no_finite_float_rejected(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert str(info.value) == message
+
 class TestVscPredict:
     def test_full_ruler_formula(self):
         d, eps, prob = 64, 0.2, 0.05
@@ -186,6 +202,27 @@ class TestLambdaDiag:
         assert lambda_diag(t, 10, 0.5).submatrix_norm_sq == dense
 
 
+    @pytest.mark.parametrize("d", [2, 7, 16, 33])
+    def test_matches_an_explicit_truncation(self, d):
+        # T_k keeps the k eigenpairs of T of largest modulus; T may be indefinite
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            t = toep(rng.standard_normal(d) * rng.uniform(0.1, 10))
+            dense = t.dense()
+            w, u = np.linalg.eigh(dense)
+            order = np.argsort(np.abs(w))[::-1]
+            norm_sq = float(np.abs(w).max()) ** 2
+            for k in range(1, d + 1):
+                keep = order[:k]
+                resid = dense - (u[:, keep] * w[keep]) @ u[:, keep].T
+                for alpha in (0.5, 0.75, 1.0):
+                    lam = min(np.linalg.norm(resid, 2) ** 2, 2.0 / d ** (1.0 - alpha) * np.linalg.norm(resid) ** 2)
+                    scale = 32.0 * k * k / d ** (2.0 - 2.0 * alpha)
+                    check = lambda_diag(t, k, alpha)
+                    assert abs(check.lambda_value - lam) <= 1e-12 * norm_sq
+                    # the first term scales ||T||^2, and its rounding with it
+                    assert abs(check.bound_value - (scale * norm_sq + 8.0 * lam)) <= 1e-12 * (1.0 + scale) * norm_sq
+
 class TestEvaluateBounds:
     def test_report_fields(self):
         rep = evaluate_bounds(16, 0.5, 2.0, 0.1, 0.05, op_norm_t=3.0, k=4)
@@ -216,5 +253,5 @@ class TestEvaluateBounds:
 
     def test_non_finite_constant_rejected(self):
         # ||T||^2 = 1e-320 is a positive float, but 1 / 1e-320 is not
-        with pytest.raises(InvalidArgumentError, match="bounds not finite for this configuration: script_l, vsc_pred"):
+        with pytest.raises(InvalidArgumentError, match="^bounds not finite for this configuration: script_l$"):
             evaluate_bounds(16, 0.5, 1.0, 0.1, 0.05, op_norm_t=1e-160)

@@ -301,6 +301,16 @@ class TestEstimate:
         orders = [run_cli(capsys, "estimate", *argv, "--ruler", ruler) for ruler in ("4,2,1", "1,2,4")]
         assert orders[0][0] == 0 and orders[0] == orders[1]
 
+    @pytest.mark.parametrize("source", ["--input", "--simulate"])
+    def test_ruler_text_that_is_neither_an_alpha_nor_indices_rejected(self, capsys, tmp_path, source):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.random.default_rng(6).standard_normal((20, 4)), delimiter=",")
+        argv = ["--input", str(path)] if source == "--input" else ["--simulate", "--d", "4", "--k", "2"]
+        code, out, err = run_cli(capsys, "estimate", *argv, "--ruler", "abc")
+        assert code == 2
+        assert err == "invalid configuration: --ruler takes an alpha or comma-separated 1-based indices, got 'abc'\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -343,19 +343,26 @@ def test_cli_exits_only_with_a_contract_code(cli_files):
 
 
 @st.composite
-def decorated_csv(draw):
+def decorated_csv(draw, misfit=False):
     """A CSV of n rows of d numbers, decorated, and ``estimate`` options for it.
 
     Comment lines, inline comments holding commas and blank lines are
     mixed in, and lines end in LF, CR LF or CR.  The ruler is an alpha, or
-    1-based indices in any order covering every distance.
+    1-based indices in any order covering every distance.  With
+    ``misfit``, one row after the first is one field wider or narrower,
+    and the error that names its line ends the tuple.
     """
-    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 64))
-    rows = draw(arrays(np.float64, (n, d), elements=FINITE))
+    n, d = draw(st.integers(2 if misfit else 1, 12)), draw(st.integers(2 if misfit else 1, 64))
+    rows = draw(arrays(np.float64, (n, d), elements=FINITE)).tolist()
+    if misfit:
+        r = draw(st.integers(1, n - 1))
+        rows[r] = rows[r] + [0.5] if draw(st.booleans()) else rows[r][:-1]
     lines = []
     for row in rows:
         lines += draw(st.lists(st.sampled_from(["", "#", "# a note, with, commas"]), max_size=2))
-        lines.append(",".join(map(repr, row.tolist())) + draw(st.sampled_from(["", " # x,y", "#,"])))
+        if len(row) != d:
+            error = f"line {len(lines) + 1} has {len(row)} fields, the first row {d}"
+        lines.append(",".join(map(repr, row)) + draw(st.sampled_from(["", " # x,y", "#,"])))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + draw(st.sampled_from(["", eol]))
     if d > 1 and draw(st.booleans()):
@@ -366,7 +373,8 @@ def decorated_csv(draw):
         ruler = ",".join(str(i + 1) for i in draw(st.permutations(sorted(indices))))
     else:
         ruler = draw(st.sampled_from(["1.0", "0.75", "0.5"]))
-    return text, ruler, draw(st.sampled_from([0.0, 2.0])), draw(st.sampled_from([c.value for c in Correction]))
+    case = (text, ruler, draw(st.sampled_from([0.0, 2.0])), draw(st.sampled_from([c.value for c in Correction])))
+    return case + (error,) if misfit else case
 
 
 def _reference_estimate_stdout(path, ruler_text, delta, correction, seed):
@@ -399,5 +407,26 @@ def test_input_converts_only_the_ruler_and_prints_what_every_field_would(tmp_pat
             code = main(argv + ["--dither", "triangular", "--correction", correction])
         assert code == 0
         assert out.getvalue() == _reference_estimate_stdout(path, ruler, delta, correction, 3)
+
+    check()
+
+
+def test_input_with_a_row_of_another_width_names_its_line(tmp_path, monkeypatch):
+    path = tmp_path / "samples.csv"
+
+    @PROPERTY_SETTINGS
+    @given(decorated_csv(misfit=True), st.sampled_from([3, 64, cli._CHUNK]))
+    @example(("1,2,3\r\n# a, b\r\n\r\n4,5 #,\r\n6,7,8", "1.0", 0.0, "none", "line 4 has 2 fields, the first row 3"), 3)
+    @example(("1,2,3,4\r# c, d\r5,6,7,8,9 # x,y\r-1,0,0.5,2\r", "4,1,2", 2.0, "quarter", "line 3 has 5 fields, the first row 4"), 3)
+    def check(case, chunk):
+        text, ruler, delta, correction, error = case
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path.write_bytes(text.encode())
+        argv = ["estimate", "--input", str(path), "--ruler", ruler, "--delta", repr(delta), "--correction", correction]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == f"invalid configuration: could not parse samples from {path}: {error}\n"
 
     check()

@@ -4,7 +4,6 @@ import pytest
 from toepquant import (
     SymToeplitz,
     avg,
-    best_rank_k,
     fro_norm,
     max_norm,
     op_norm,
@@ -191,32 +190,3 @@ class TestCosinePolynomial:
     def test_sup_grid_too_small(self):
         with pytest.raises(InvalidArgumentError):
             sup_l(np.ones(4), 100)
-
-
-class TestBestRankK:
-    def test_full_rank_roundtrip(self):
-        rng = np.random.default_rng(31)
-        t = toep(rng.standard_normal(6))
-        np.testing.assert_allclose(best_rank_k(t, 6), t.dense(), atol=1e-10)
-
-    def test_identity_rank_one(self):
-        t = toep([1.0, 0.0, 0.0])
-        approx = best_rank_k(t, 1)
-        assert op_norm(t.dense() - approx) == pytest.approx(1.0, abs=1e-12)
-
-    def test_exact_rank_recovery(self):
-        rng = np.random.default_rng(37)
-        t = toeplitz_from_modes(rng.uniform(0, 1, 3), np.abs(rng.standard_normal(3)), 12)
-        resid = t.dense() - best_rank_k(t, 6)
-        assert fro_norm(resid) <= 1e-8 * fro_norm(t)
-
-    def test_bad_k(self):
-        with pytest.raises(InvalidArgumentError):
-            best_rank_k(toep([1.0, 0.0]), 3)
-
-    def test_minimizes_over_smaller_rank(self):
-        # truncation error decreases as k grows
-        rng = np.random.default_rng(41)
-        t = toep(rng.standard_normal(8))
-        errs = [fro_norm(t.dense() - best_rank_k(t, k)) for k in range(1, 9)]
-        assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))

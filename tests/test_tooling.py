@@ -86,6 +86,21 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def test_every_import_marked_noqa_is_a_binding_the_tracer_wraps():
+    wrapped = {binding for layer in load_tracing().LAYERS.values() for binding in layer[0]}
+    marked = []
+    for path in sorted((ROOT / "src" / "toepquant").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                marked += [(f"toepquant.{path.stem}", alias.asname or alias.name) for alias in node.names]
+    assert marked
+    assert [binding for binding in marked if binding not in wrapped] == []
+
+
 def test_every_import_is_the_package_the_standard_library_or_numpy():
     # numpy is the one runtime dependency pyproject.toml declares; scipy may
     # be installed beside it, but an install from the package metadata lacks it
