@@ -59,7 +59,10 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
     lv = script_l(op_norm_t, delta)
     if not (math.isfinite(phi) and phi > 0):
         raise InvalidArgumentError(f"phi must be finite and positive, got {phi}")
-    return eps * eps / (lv * phi)
+    value = eps * eps / (lv * phi)
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidArgumentError("bounds not finite for this configuration: kappa")
+    return value
 
 
 def _penalty(name: str, op_norm_t: float, delta: float, lam: float) -> float:
@@ -98,7 +101,13 @@ def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_va
     if d < 2:
         raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
     growth = max(d ** (2.0 - 2.0 * alpha), d ** (1.0 - alpha) * math.log(d))
-    return script_l_value * math.log(d / (eps * delta_prob)) * growth / (eps * eps)
+    try:
+        value = script_l_value * math.log(d / (eps * delta_prob)) * growth / (eps * eps)
+    except ZeroDivisionError:  # eps * delta_prob or eps^2 underflowed to zero
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidArgumentError("bounds not finite for this configuration: vsc_pred")
+    return value
 
 
 def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) -> float:
@@ -200,6 +209,8 @@ def evaluate_bounds(
     rank ``k`` is given and the general one otherwise.  A configuration
     for which any of them is not a finite float is rejected.
     """
+    if d < 2:
+        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
     ruler = ruler_alpha(d, alpha)
     phi = coverage_coefficient(ruler)
     kv = big_k(op_norm_t, delta)

@@ -32,7 +32,7 @@ from .estimators import quantized_estimate, ruler_estimate  # noqa: F401  (uncal
 from .exceptions import InvalidArgumentError, NumericError, ToepquantError
 from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
-from .rulers import Ruler, coverage_coefficient, full_ruler, phi_bound, ruler_alpha
+from .rulers import Ruler, coverage_coefficient, phi_bound, ruler_alpha
 from .sampling import GenSpec
 from .sampling import observe  # noqa: F401  (uncalled; perfbench/tracing.py wraps it)
 
@@ -62,14 +62,21 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("TOEPQUANT_SEED")
-    return int(env) if env else 0
+    """``--seed``, else ``TOEPQUANT_SEED``, else 0; rejected by the name it came from unless a non-negative integer."""
+    name, value = "--seed", args.seed
+    if value is None:
+        name, value = "TOEPQUANT_SEED", os.environ.get("TOEPQUANT_SEED") or "0"
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise InvalidArgumentError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _ruler_from_spec(text: str, d: int) -> Ruler:
-    """An alpha ("0.5"), the full ruler at d = 1, or 1-based indices ("1,2,5,8,10") range-checked as given."""
+    """An alpha ("0.5") or 1-based indices ("1,2,5,8,10") range-checked as given."""
     if "," in text:
         idx = np.asarray(_parse_ints(text), dtype=np.int64)
         if idx.size and (idx.min() < 1 or idx.max() > d):
@@ -82,7 +89,7 @@ def _ruler_from_spec(text: str, d: int) -> Ruler:
         alpha = float(text)
     except ValueError:
         raise InvalidArgumentError(f"--ruler takes an alpha or comma-separated 1-based indices, got {text!r}") from None
-    return full_ruler(d) if d == 1 else ruler_alpha(d, alpha)
+    return ruler_alpha(d, alpha)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -195,12 +202,11 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
     finds.  The dimension d is the field count of the first row.  Only
     the ruler's columns are converted, so the samples are (n, |R|);
     fields off the ruler may hold any text.  A row of another width than
-    the first is rejected with its line number.  The file is searched for
-    that row only after a check failed, so an accepted file pays nothing:
-    ``np.loadtxt`` fails on such a row on the full ruler, and on a
-    narrower row on a sparse one (it lacks the last column, which every
-    ruler reads); on a sparse ruler a wider row makes the count of commas
-    differ from n(d - 1).
+    the first is rejected with its line number.  Every ruler takes one
+    path, and the file is searched for that row only after a check
+    failed, so an accepted file pays nothing: ``np.loadtxt`` fails on a
+    narrower row (it lacks the last column, which every ruler reads), and
+    a wider row makes the count of commas differ from n(d - 1).
     """
     if not path.exists():
         raise InvalidArgumentError(f"no such input file: {path}")
@@ -212,13 +218,11 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
             if d is None:
                 raise InvalidArgumentError(f"input file {path} contains no samples")
             ruler = _ruler_from_spec(ruler_text, d)
-            sparse = ruler.size < d
-            if sparse:
-                commas = _commas(text)
+            commas = _commas(text)
             text.seek(0)
             try:
-                samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=ruler.indices if sparse else None)
-                if sparse and commas != samples.shape[0] * (d - 1):
+                samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=ruler.indices)
+                if commas != samples.shape[0] * (d - 1):
                     raise ValueError(f"a row has more than the {d} fields of the first")
             except ValueError as exc:
                 text.seek(0)

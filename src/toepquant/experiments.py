@@ -231,6 +231,8 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     ``(seed, n)``.  OpenBLAS runs on one thread, as in every trial of an
     experiment.
     """
+    if n < 1:
+        raise InvalidArgumentError(f"sample count must be positive, got {n}")
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
     trial = _Trial(seed, spec)
@@ -301,7 +303,11 @@ class ExperimentConfig:
                 )
         for name, (least, inclusive) in _LEAST.items():
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and (value >= least if inclusive else value > least)):
+            if value is None:
+                continue
+            # an int is finite however large, though math.isfinite overflows on one past 1e308
+            finite = isinstance(value, int) or math.isfinite(value)
+            if not (finite and (value >= least if inclusive else value > least)):
                 relation = ">=" if inclusive else ">"
                 raise InvalidArgumentError(f"{name} must be finite and {relation} {least}, got {value}")
         if self.n_grid is not None and any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
@@ -551,7 +557,7 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # scalar field -> the least value it takes and whether that value itself is
 # allowed; a NaN or infinite value never is
 _LEAST = {
-    "trials": (1, True), "n_cap": (1, True),
+    "seed": (0, True), "trials": (1, True), "n_cap": (1, True),
     "eps": (0, False),
 }
 
@@ -725,8 +731,6 @@ def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
 
 def _write_dicts(path: Path, records: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
-        if not records:
-            return
         writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
         writer.writeheader()
         writer.writerows(records)

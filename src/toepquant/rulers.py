@@ -98,30 +98,31 @@ def full_ruler(d: int) -> Ruler:
 def ruler_alpha(d: int, alpha: float) -> Ruler:
     """Two-block ruler: a dense prefix plus an arithmetic tail from the top.
 
-    With ``r1 = round(d^alpha)`` and ``step = round(d^(1-alpha))``, take the
-    block ``{0, ..., r1-1}`` plus the tail ``{d-1 - i*step}`` for
-    ``i = 0..r1-1`` (clipped at zero).  Rounding can leave a distance
-    uncovered for some (d, alpha); in that case the smallest index covering
-    the largest missing distance is added greedily until the set is a ruler.
+    With ``r1 = round(d^alpha)`` and ``s = round(d^(1-alpha))``, take the
+    block ``{0, ..., r1-1}`` plus the non-negative elements of the tail
+    ``t_i = d-1 - i*s`` for ``i = 0..r1-1``.  At ``d = 1`` that is ``{0}``,
+    the full ruler.
+
+    The set is always a ruler.  Since ``alpha >= 1/2``, ``s <= r1``.  The
+    tail element ``t_i`` minus the block covers ``[t_i - r1 + 1, t_i]``;
+    because ``s <= r1`` consecutive intervals touch, and the block covers
+    ``[0, r1 - 1]``.  So it is enough that ``d <= r1(s + 2) - s`` when no
+    tail element is negative.  If one is, the last non-negative ``t_i`` is
+    below ``s <= r1``, so the intervals already reach 0.  Rounding gives
+    ``d < (r1 + 1/2)(s + 1/2)``, which implies the bound with slack
+    ``>= 1.25`` when ``s < r1``; when ``s = r1`` it gives ``d <= r1^2 + r1``,
+    since ``d`` is an integer.  Float error in ``d**alpha`` is far below
+    that slack.  :class:`Ruler` would still raise :class:`NotARulerError`
+    if a distance were missed.
     """
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
+    if d < 1:
+        raise InvalidArgumentError(f"dimension must be positive, got {d}")
     if not 0.5 <= alpha <= 1.0:
         raise InvalidArgumentError(f"alpha must lie in [1/2, 1], got {alpha}")
-    r1 = max(1, _round_half_up(d**alpha))
-    step = max(1, _round_half_up(d ** (1.0 - alpha)))
-    chosen = set(range(min(r1, d)))
-    for i in range(r1):
-        j = d - 1 - i * step
-        if j >= 0:
-            chosen.add(j)
-
-    while True:
-        try:
-            return Ruler(d, np.fromiter(chosen, dtype=np.int64))
-        except NotARulerError as exc:
-            s = exc.missing[-1]
-        chosen.add(min(j for j in range(d) if j not in chosen and ((j - s) in chosen or (j + s) in chosen)))
+    r1 = _round_half_up(d**alpha)
+    s = _round_half_up(d ** (1.0 - alpha))
+    tail = [j for j in range(d - 1, d - 1 - r1 * s, -s) if j >= 0]
+    return Ruler(d, np.array(list(range(r1)) + tail, dtype=np.int64))
 
 
 def coverage_coefficient(ruler: Ruler) -> float:

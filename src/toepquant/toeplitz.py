@@ -181,8 +181,6 @@ def op_norm(m: SymToeplitz | np.ndarray) -> float:
     dense = _as_dense(m)
     if not np.all(np.isfinite(dense)):
         raise NumericError("matrix contains non-finite entries")
-    if dense.shape[0] == 1:
-        return float(abs(dense[0, 0]))
     return float(np.abs(np.linalg.eigvalsh(dense)).max())
 
 

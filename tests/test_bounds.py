@@ -102,8 +102,19 @@ class TestCoefficients:
             (lambda: script_l_prime(1e-160, 1.0, 1, 16), "bounds not finite for this configuration: script_l_prime"),
             (lambda: kappa(0.1, 1e-160, 1.0, 6.3), "bounds not finite for this configuration: script_l"),
             (lambda: script_l(1.0, 1e78), "delta^4 must be finite, got delta = 1e+78"),
+            # script_l = 1.4641e308 is finite, but script_l * phi is not: kappa was 0.0
+            (lambda: kappa(0.1, 1.0, 1.1e77, 6.3), "bounds not finite for this configuration: kappa"),
+            # eps^2 underflows to zero: kappa was 0.0
+            (lambda: kappa(1e-200, 1.0, 0.0, 1.0), "bounds not finite for this configuration: kappa"),
+            # eps^2 underflows to zero: a ZeroDivisionError
+            (lambda: vsc_predict(16, 1e-200, 0.05, 0.5, 1.0), "bounds not finite for this configuration: vsc_pred"),
+            # eps * delta_prob underflows to zero: a ZeroDivisionError
+            (lambda: vsc_predict(16, 1e-170, 1e-170, 0.5, 1.0), "bounds not finite for this configuration: vsc_pred"),
         ],
-        ids=["script_l", "script_l_prime", "kappa", "delta^4"],
+        ids=[
+            "script_l", "script_l_prime", "kappa", "delta^4",
+            "kappa-product-overflows", "kappa-eps-underflows", "vsc-eps-underflows", "vsc-eps-delta-underflows",
+        ],
     )
     def test_penalty_that_is_no_finite_float_rejected(self, call, message):
         with pytest.raises(InvalidArgumentError) as info:
@@ -187,6 +198,10 @@ class TestLambdaDiag:
                 check = lambda_diag(t, min(16, 2 * kf), alpha)
                 assert check.submatrix_norm_sq <= check.bound_value
 
+    def test_dimension_one(self):
+        # ruler_alpha(1, alpha) is {0}; T - T_1 vanishes, so lambda is zero
+        assert tuple(lambda_diag(toep(np.array([2.0])), 1, 0.5)) == (4.0, 128.0, 0.0)
+
     def test_submatrix_norm_matches_direct(self):
         rng = np.random.default_rng(4)
         t = gen_toeplitz_vandermonde(16, 3, rng)
@@ -250,6 +265,12 @@ class TestEvaluateBounds:
         # (||T||^2 + delta^4) * phi overflows at ||T|| = 1e154, but script_l = 1
         rep = evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, op_norm_t=1e154)
         assert rep.kappa == 0.1 * 0.1 / rep.phi
+
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_dimension_below_two_rejected_first(self, d):
+        # ruler_alpha takes d = 1, and phi would be the empty sum 0.0; an alpha out of range is not reported first
+        with pytest.raises(InvalidArgumentError, match=f"^dimension must be at least 2, got {d}$"):
+            evaluate_bounds(d, 7.0, 0.0, 0.1, 0.05)
 
     def test_non_finite_constant_rejected(self):
         # ||T||^2 = 1e-320 is a positive float, but 1 / 1e-320 is not

@@ -78,6 +78,39 @@ class TestGen:
         assert "invalid" in err.lower()
 
 
+class TestSeed:
+    @pytest.mark.parametrize(
+        "command",
+        [["gen", "--d", "4", "--k", "1"], ["estimate", "--simulate"], ["estimate", "--input", "samples.csv"], ["exp", "--id", "3"]],
+        ids=lambda c: " ".join(c[:2]),
+    )
+    def test_negative_seed_rejected_by_name_before_any_work(self, capsys, tmp_path, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "samples.csv").write_text("\n".join(_sample_lines()) + "\n")
+        monkeypatch.setattr(cli, "_load_samples", no_work)
+        monkeypatch.setattr(cli, "draw_truth", no_work)
+        monkeypatch.setattr(experiments, "sample_gaussian", no_work)
+        code, out, err = run_cli(capsys, "--seed", "-1", *command)
+        assert (code, out, err) == (2, "", "invalid configuration: --seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("value", ["-5", "abc", "1.5"])
+    def test_unusable_environment_seed_rejected_by_name(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TOEPQUANT_SEED", value)
+        code, out, err = run_cli(capsys, "gen", "--d", "4", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == f"invalid configuration: TOEPQUANT_SEED must be a non-negative integer, got {value!r}\n"
+
+    def test_seed_past_64_bits_accepted(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "--seed", str(2**64 + 5), "gen", "--d", "4", "--k", "1")
+        assert code == 0 and len(parse_csv(out)) == 5
+        monkeypatch.setenv("TOEPQUANT_SEED", str(2**64 + 5))
+        assert run_cli(capsys, "gen", "--d", "4", "--k", "1")[1] == out
+
+
 class TestRuler:
     def test_reference_ruler(self, capsys):
         code, out, _ = run_cli(capsys, "ruler", "--d", "16", "--alpha", "0.5")
@@ -91,6 +124,11 @@ class TestRuler:
     def test_bad_alpha_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "ruler", "--d", "16", "--alpha", "0.3")
         assert code == 2
+
+    def test_dimension_one_rejected(self, capsys):
+        # ruler_alpha builds {0} at d = 1, but its phi bound has no value there
+        code, out, err = run_cli(capsys, "ruler", "--d", "1", "--alpha", "0.5")
+        assert (code, out, err) == (2, "", "invalid configuration: dimension must be at least 2, got 1\n")
 
 
 class TestEstimate:
@@ -248,6 +286,21 @@ class TestEstimate:
             code, out, err = run_cli(capsys, "estimate", *source, "--ruler", "0.5")
             assert code == 0, err
             assert [key for key, _ in parse_csv(out)[1:] if key.startswith("a[")] == ["a[0]"]
+
+    @pytest.mark.parametrize("ruler", ["7", "nan", "0.3"])
+    @pytest.mark.parametrize("source", ["--input", "--simulate"])
+    def test_one_dimension_checks_its_alpha(self, capsys, tmp_path, source, ruler):
+        path = tmp_path / "one.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((20, 1)), delimiter=",")
+        argv = ["--input", str(path)] if source == "--input" else ["--simulate", "--d", "1", "--k", "1"]
+        code, out, err = run_cli(capsys, "estimate", *argv, "--ruler", ruler)
+        assert (code, out) == (2, "")
+        assert err == f"invalid configuration: alpha must lie in [1/2, 1], got {float(ruler)}\n"
+
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_sample_count_below_one_rejected(self, capsys, n):
+        code, out, err = run_cli(capsys, "estimate", "--simulate", "--n", n)
+        assert (code, out, err) == (2, "", f"invalid configuration: sample count must be positive, got {n}\n")
 
     @pytest.mark.parametrize(
         "ruler", ["1.0", "0.5", "0.75", "0.3", "1.5", "x", "", "1,2", "1,", "1,99", "0,1", "1,2,5,8,10"]
@@ -485,6 +538,29 @@ class TestBounds:
         assert code == 2
         assert err.startswith("invalid configuration") and err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "option, names",
+        [
+            # eps^2, or eps * prob_delta, underflows to zero: kappa was 0.0, vsc_pred a division by zero (exit 3)
+            (["--eps", "1e-200"], "kappa"),
+            (["--eps", "1e-170", "--prob-delta", "1e-170"], "kappa"),
+            # script_l is finite, script_l * phi is not: kappa was 0.0 and only vsc_pred was named
+            (["--delta", "1.1e77"], "kappa"),
+            # the report's own scan of every constant
+            (["--p", "1e308"], "script_k, zeta"),
+            (["--eps", "0.5", "--prob-delta", "1e-320"], "vsc_pred"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_constant_that_is_no_positive_finite_float_named(self, capsys, option, names):
+        code, out, err = run_cli(capsys, "bounds", "--d", "16", *option)
+        assert (code, out) == (2, "")
+        assert err == f"invalid configuration: bounds not finite for this configuration: {names}\n"
+
+    def test_dimension_one_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--d", "1", "--alpha", "7")
+        assert (code, out, err) == (2, "", "invalid configuration: dimension must be at least 2, got 1\n")
 
     def test_delta_whose_fourth_power_overflows(self, capsys):
         # delta^4 enters script_l and kappa: past about 1.16e77 it is no float

@@ -61,6 +61,12 @@ class TestSimulateEstimate:
         assert a.rel_error == b.rel_error
         np.testing.assert_array_equal(a.estimate.a, b.estimate.a)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_sample_count_below_one_rejected_before_the_draw(self, monkeypatch, n):
+        monkeypatch.setattr(experiments, "draw_truth", lambda *args: pytest.fail("the covariance was drawn"))
+        with pytest.raises(InvalidArgumentError, match=f"^sample count must be positive, got {n}$"):
+            simulate_estimate(GenSpec(16, k=4), n, 7, plain_arm(16, 0.5, 0.0, Dither.NONE, Correction.NONE))
+
     def test_matrix_pinned_by_seed_across_n(self):
         a = simulate_estimate(GenSpec(8, k=2), 50, 3, plain_arm(8))
         b = simulate_estimate(GenSpec(8, k=2), 200, 3, plain_arm(8))
@@ -145,11 +151,16 @@ class TestConfig:
             (4, "eps", float("inf")),
             (4, "eps", -1.0),
             (4, "n_cap", 0),
+            (1, "seed", -1),
         ],
     )
     def test_unusable_scalar_rejected(self, experiment, field, value):
         with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
             ExperimentConfig(experiment, **{field: value})
+
+    @pytest.mark.parametrize("seed", [2**64, 10**400])
+    def test_seed_past_64_bits_accepted(self, seed):
+        assert ExperimentConfig(1, seed=seed).seed == seed
 
     def test_experiment_range(self):
         with pytest.raises(InvalidArgumentError):

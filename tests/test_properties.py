@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -99,6 +100,18 @@ def test_toeplitz_op_norm_split_matches_the_dense_spectrum(a):
     t = toep(a)
     want = np.abs(np.linalg.eigvalsh(t.dense())).max()
     assert abs(op_norm(t) - want) <= 1e-13 * want
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 1024), st.floats(0.5, 1.0))
+@example(10, 0.75)  # the tail reaches -1
+@example(1, 0.5)
+@example(2, 0.5)
+def test_ruler_alpha_is_the_block_and_the_non_negative_tail(d, alpha):
+    r1 = math.floor(d**alpha + 0.5)
+    s = math.floor(d ** (1.0 - alpha) + 0.5)
+    tail = {d - 1 - i * s for i in range(r1)}
+    assert ruler_alpha(d, alpha).indices.tolist() == sorted(set(range(r1)) | {j for j in tail if j >= 0})
 
 
 def gathered_blocks(a):

@@ -42,9 +42,40 @@ class TestRulerAlpha:
         assert ruler_alpha(16, 1.0).indices.tolist() == list(range(16))
 
     def test_alpha_out_of_range(self):
-        for alpha in (0.3, 1.2):
-            with pytest.raises(InvalidArgumentError):
-                ruler_alpha(16, alpha)
+        for d in (1, 16):  # d = 1 checks its alpha too
+            for alpha in (0.3, 1.2, math.nan):
+                with pytest.raises(InvalidArgumentError, match=r"^alpha must lie in \[1/2, 1\], got "):
+                    ruler_alpha(d, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_d1_is_the_full_ruler(self, alpha):
+        assert ruler_alpha(1, alpha).indices.tolist() == [0]
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(InvalidArgumentError, match=f"^dimension must be positive, got {d}$"):
+            ruler_alpha(d, 0.5)
+
+    def test_two_block_bound_holds_wherever_rounding_can_land(self):
+        # ruler_alpha's proof needs d <= r1 (s + 2) - s for every pair
+        # (r1, s) = (round(d^a), round(d^(1-a))) with a in [1/2, 1].  The pair
+        # only changes where d^a or d^(1-a) crosses a half-integer, so every
+        # pair is met just below or just above one of those alphas.  They are
+        # enumerated through x = d^a, which increases with a over [sqrt d, d]:
+        # d^a crosses k + 1/2 at x = k + 1/2, and d^(1-a) = d / x crosses
+        # j + 1/2 at x = d / (j + 1/2).  No two crossings are closer than
+        # 1 / (4 sqrt d) (4d is even, (2k + 1)(2j + 1) odd), so x (1 -+ 1e-9)
+        # lies between a crossing and its neighbours.
+        for d in range(2, 10_001):
+            root = math.sqrt(d)
+            half = np.arange(1, d) + 0.5
+            crossings = np.concatenate((half[half >= root], d / half[half <= root]))
+            x = np.concatenate((crossings * (1 - 1e-9), crossings * (1 + 1e-9), (root, d)))
+            x = x[(x >= root) & (x <= d)]
+            r1 = np.floor(x + 0.5)
+            s = np.floor(d / x + 0.5)
+            assert np.all(s <= r1), d
+            assert np.all(d <= r1 * (s + 2) - s), d
 
     def test_always_valid_and_small(self):
         for d in (16, 32, 64, 128, 256):
