@@ -14,10 +14,14 @@ A simulated trial owns two streams:
 Keeping ``n`` inside the observation key makes batches at different sample
 counts independent while letting one trial seed pin down the matrix.
 
-``STREAM_VERSION`` names how the observation stream is spent.  Version 2
+``STREAM_VERSION`` names how the observation stream is spent.  Version 3
 draws the samples of each ruler separately, on that ruler's columns only,
-each from the start of the ``(seed, 1, n)`` stream; version 1 drew all d
-coordinates once per ``(seed, n)``.  Full-ruler draws are the same in both.
+each from the start of the ``(seed, 1, n)`` stream, as one (n, w) block of
+standard normals through the ruler's PSD factor of width ``w``: 2k for a
+mixture of k cosine modes when ``2k <= |R|`` (the exact modal factor),
+|R| otherwise (the ``eigh`` factor).  Version 2 drew every ruler through
+the ``eigh`` factor, so the draws that still take it are the same in both;
+version 1 drew all d coordinates once per ``(seed, n)``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 __all__ = ["STREAM_VERSION", "derive_seed", "generator_rng", "observation_rng"]
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def derive_seed(*key: int) -> int:

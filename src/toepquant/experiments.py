@@ -68,7 +68,7 @@ from .exceptions import InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
-from .toeplitz import SymToeplitz, toep
+from .toeplitz import SymToeplitz
 from .toeplitz import op_norm  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
 
 __all__ = [
@@ -161,7 +161,9 @@ class Arm:
 def draw_truth(spec: GenSpec, seed: int) -> SymToeplitz:
     """The covariance of trial ``seed``, drawn from its generator stream.
 
-    With ``spec.normalize`` it is rescaled to unit diagonal.
+    With ``spec.normalize`` it is rescaled to unit diagonal: ``a / a[0]``,
+    so the diagonal is exactly 1.0, and a mixture's powers are divided by
+    ``a[0]`` too, so it keeps its exact factor.
     """
     g = generator_rng(seed)
     if spec.k is not None:
@@ -169,7 +171,9 @@ def draw_truth(spec: GenSpec, seed: int) -> SymToeplitz:
     else:
         truth = gen_banded(spec.d, spec.m, g)
     if spec.normalize:
-        truth = toep(truth.a / truth.a[0])
+        scale = truth.a[0]
+        modes = None if truth.modes is None else (truth.modes[0], truth.modes[1] / scale)
+        truth = SymToeplitz(truth.a / scale, modes)
     return truth
 
 

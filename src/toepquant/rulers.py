@@ -117,12 +117,17 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
     """
     if d < 1:
         raise InvalidArgumentError(f"dimension must be positive, got {d}")
-    if not 0.5 <= alpha <= 1.0:
-        raise InvalidArgumentError(f"alpha must lie in [1/2, 1], got {alpha}")
+    _check_alpha(alpha)
     r1 = _round_half_up(d**alpha)
     s = _round_half_up(d ** (1.0 - alpha))
     tail = [j for j in range(d - 1, d - 1 - r1 * s, -s) if j >= 0]
     return Ruler(d, np.array(list(range(r1)) + tail, dtype=np.int64))
+
+
+def _check_alpha(alpha: float) -> None:
+    # a NaN fails the comparison too
+    if not 0.5 <= alpha <= 1.0:
+        raise InvalidArgumentError(f"alpha must lie in [1/2, 1], got {alpha}")
 
 
 def coverage_coefficient(ruler: Ruler) -> float:
@@ -139,7 +144,9 @@ def phi_bound(d: int, alpha: float) -> float:
 
     Evaluates ``d^(2-2a) + d^(1-a) * ln d`` with the hidden constant of the
     second term fixed to one; a heuristic envelope, not a certified bound.
+    ``alpha`` must lie in [1/2, 1], as for :func:`ruler_alpha`.
     """
     if d < 2:
         raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
+    _check_alpha(alpha)
     return float(d ** (2.0 - 2.0 * alpha) + d ** (1.0 - alpha) * math.log(d))

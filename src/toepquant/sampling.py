@@ -46,6 +46,8 @@ class GenSpec:
     normalize: bool = False
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise InvalidArgumentError(f"dimension must be positive, got {self.d}")
         if (self.k is None) == (self.m is None):
             raise InvalidArgumentError("specify exactly one of k (mixture) or m (banded)")
         if self.k is not None and not 1 <= self.k <= self.d:
@@ -88,14 +90,17 @@ def toeplitz_from_modes(freqs: np.ndarray, powers: np.ndarray, d: int) -> SymToe
     """Cosine mixture ``a_s = sum_m p_m cos(2 pi s f_m)``.
 
     Equals the real part of ``F diag(p) F*`` for the Fourier matrix with
-    columns ``exp(2i pi j f_m)``.
+    columns ``exp(2i pi j f_m)``.  When no power is negative the matrix
+    carries ``(freqs, powers)`` as its ``modes``, from which
+    :meth:`SymToeplitz.psd_factor` reads an exact factor.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     powers = np.asarray(powers, dtype=np.float64)
     if freqs.shape != powers.shape or freqs.ndim != 1:
         raise InvalidArgumentError("freqs and powers must be 1-D of equal length")
     s = np.arange(d)
-    return toep((powers[None, :] * np.cos(2.0 * np.pi * np.outer(s, freqs))).sum(axis=1))
+    a = (powers[None, :] * np.cos(2.0 * np.pi * np.outer(s, freqs))).sum(axis=1)
+    return SymToeplitz(a, (freqs, powers) if np.all(powers >= 0.0) else None)
 
 
 def gen_toeplitz_vandermonde(d: int, k: int, rng: np.random.Generator) -> SymToeplitz:
@@ -135,15 +140,18 @@ def sample_gaussian(
 
     The rows have shape (n, |indices|), columns in ascending index order,
     and law N(0, T_R) for the principal submatrix ``T_R`` on ``indices``
-    (all d coordinates by default).  Applies ``t.psd_factor(indices)``,
+    (all d coordinates by default).  Applies ``F = t.psd_factor(indices)``,
     which is computed on the first draw of ``t`` on those indices (raising
-    :class:`NumericError` if ``T_R`` is not PSD) and reused after.  Passing
-    every index draws the same numbers as passing none.
+    :class:`NumericError` if ``T_R`` is not PSD) and reused after: one
+    (n, w) block of standard normals times ``F^T``, for the factor's width
+    ``w``, which is 2k for a mixture of k modes with ``2k <= |R|`` and
+    |R| otherwise.  Passing every index draws the same numbers as passing
+    none.
     """
     if n < 1:
         raise InvalidArgumentError(f"sample count must be positive, got {n}")
     factor = t.psd_factor(indices)
-    return rng.standard_normal((n, factor.shape[0])) @ factor.T
+    return rng.standard_normal((n, factor.shape[1])) @ factor.T
 
 
 def observe(

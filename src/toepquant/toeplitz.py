@@ -38,9 +38,17 @@ class SymToeplitz:
     principal submatrix and the operator norm, are computed on first use and
     kept (see :meth:`memo`), so every draw and every error norm of one
     matrix shares them.
+
+    ``modes``, when given, is the ``(freqs, powers)`` of a cosine mixture
+    ``a_s = sum_m p_m cos(2 pi s f_m)`` with every ``p_m >= 0`` that ``a``
+    was computed from (see :func:`~toepquant.sampling.toeplitz_from_modes`);
+    :meth:`psd_factor` reads an exact factor from it.  It is not part of
+    the matrix's value: comparison and ``repr`` leave it out, and a matrix
+    built from ``a`` alone, as a difference or an estimate is, carries none.
     """
 
     a: np.ndarray
+    modes: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -50,6 +58,14 @@ class SymToeplitz:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
+        if self.modes is not None:
+            freqs, powers = (np.array(v, dtype=np.float64) for v in self.modes)
+            if freqs.ndim != 1 or freqs.shape != powers.shape:
+                raise InvalidArgumentError("modes must be 1-D freqs and powers of equal length")
+            if not np.all(powers >= 0.0):
+                raise InvalidArgumentError("the powers of modes must be non-negative")
+            freqs.flags.writeable = powers.flags.writeable = False
+            object.__setattr__(self, "modes", (freqs, powers))
 
     @property
     def d(self) -> int:
@@ -78,13 +94,35 @@ class SymToeplitz:
         """``F`` with ``F F^T = T_R``, the principal submatrix on ``indices`` (all of them by default).
 
         Rows follow ascending index order.  Computed once per matrix and
-        index set, from the symmetric eigendecomposition of ``T_R``.  Small
-        negative eigenvalues are clipped, so exactly singular (low-rank)
-        matrices are fine; eigenvalues below ``-PSD_REL_TOL * ||T_R||_2``
-        raise :class:`NumericError`, on every call.
+        index set, the one place that picks how:
+
+        * a matrix with ``k`` :attr:`modes` and ``2k <= |R|`` gets the exact
+          |R| x 2k modal factor ``[sqrt(p) cos(2 pi r f), sqrt(p) sin(2 pi r f)]``
+          over the indices ``r``, since ``cos(x)cos(y) + sin(x)sin(y) = cos(x - y)``.
+          It matches ``T_R`` to rounding and clips nothing;
+        * any other matrix (no modes, or ``2k > |R|``, where the modal factor
+          would be wider than it is tall) gets the square |R| x |R| factor of
+          the symmetric eigendecomposition of ``T_R``.  Small negative
+          eigenvalues are clipped, so exactly singular (low-rank) matrices
+          are fine; eigenvalues below ``-PSD_REL_TOL * ||T_R||_2`` raise
+          :class:`NumericError`, on every call.
         """
-        idx = np.arange(self.d) if indices is None else np.sort(np.asarray(indices, dtype=np.int64))
-        return self.memo(("psd_factor", idx.tobytes()), lambda: _psd_factor(principal_submatrix(self, idx)))
+        idx = np.arange(self.d) if indices is None else _sorted_indices(indices, self.d)
+
+        def compute() -> np.ndarray:
+            if self.modes is not None and 2 * self.modes[0].size <= idx.size:
+                return _modal_factor(*self.modes, idx)
+            return _psd_factor(principal_submatrix(self, idx))
+
+        return self.memo(("psd_factor", idx.tobytes()), compute)
+
+
+def _modal_factor(freqs: np.ndarray, powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    phase = 2.0 * np.pi * np.outer(idx, freqs)
+    root = np.sqrt(powers)
+    factor = np.hstack((root * np.cos(phase), root * np.sin(phase)))
+    factor.flags.writeable = False
+    return factor
 
 
 def _psd_factor(dense: np.ndarray) -> np.ndarray:
@@ -136,18 +174,21 @@ def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
     A :class:`SymToeplitz` is read as ``a[|R_i - R_j|]``, never expanded to
     d x d.
     """
-    idx = np.asarray(indices, dtype=np.int64)
     if not isinstance(m, SymToeplitz):
         m = _as_dense(m)
-    d = m.d if isinstance(m, SymToeplitz) else m.shape[0]
-    if idx.size == 0:
-        raise InvalidArgumentError("index set must be non-empty")
-    if idx.min() < 0 or idx.max() >= d:
-        raise InvalidArgumentError(f"indices must lie in [0, {d}), got range [{idx.min()}, {idx.max()}]")
-    idx = np.sort(idx)
+    idx = _sorted_indices(indices, m.d if isinstance(m, SymToeplitz) else m.shape[0])
     if isinstance(m, SymToeplitz):
         return m.a[np.abs(idx[:, None] - idx[None, :])]
     return m[np.ix_(idx, idx)]
+
+
+def _sorted_indices(indices, d: int) -> np.ndarray:
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    if idx.size == 0:
+        raise InvalidArgumentError("index set must be non-empty")
+    if idx[0] < 0 or idx[-1] >= d:
+        raise InvalidArgumentError(f"indices must lie in [0, {d}), got range [{idx[0]}, {idx[-1]}]")
+    return idx
 
 
 def op_norm(m: SymToeplitz | np.ndarray) -> float:

@@ -77,6 +77,11 @@ class TestGen:
         assert code == 2
         assert "invalid" in err.lower()
 
+    def test_zero_dimension_names_the_dimension(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--d", "0", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err == "invalid configuration: dimension must be positive, got 0\n"
+
 
 class TestSeed:
     @pytest.mark.parametrize(
@@ -180,7 +185,7 @@ class TestEstimate:
         got = np.array([float(rec[f"a[{s}]"]) for s in range(4)])
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
         assert list(rec)[-2:] == ["seed", "stream_version"]
-        assert rec["stream_version"] == "2"
+        assert rec["stream_version"] == "3"
 
     def test_missing_input_exit_code(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "estimate", "--input", str(tmp_path / "none.csv"))

@@ -23,7 +23,7 @@ from toepquant import (
     simulate_estimate,
 )
 from toepquant.exceptions import InvalidArgumentError
-from toepquant import experiments, sample_gaussian
+from toepquant import experiments, sample_gaussian, toeplitz
 from toepquant._blas import openblas_threads
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
 
@@ -323,38 +323,56 @@ class TestRunExperiment:
 
     @staticmethod
     def exp4_factorizations(tmp_path, monkeypatch, **overrides):
-        """An experiment 4 run and the shape of every ``eigh`` it called."""
+        """An experiment 4 run and the kind and shape of every truth factor it built."""
         factorizations = []
-        eigh = np.linalg.eigh
+        eigh, modal = np.linalg.eigh, toeplitz._modal_factor
 
-        def counting(m):
-            factorizations.append(m.shape)
+        def counting_eigh(m):
+            factorizations.append(("eigh", m.shape))
             return eigh(m)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        def counting_modal(*args):
+            out = modal(*args)
+            factorizations.append(("modal", out.shape))
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(toeplitz, "_modal_factor", counting_modal)
         cfg = ExperimentConfig(4, seed=2, out_dir=tmp_path, trials=3, **overrides)
         return cfg, run_experiment(cfg), factorizations
 
     def test_exp4_factors_each_truth_once(self, tmp_path, monkeypatch):
         # the search probes many n on each trial's one covariance; only the
-        # first draw of a trial may factor it
+        # first draw of a trial may factor it, and on the full ruler the
+        # d // 2 modes of a full-rank truth give its exact d x d factor, no eigh
         _, out, factorizations = self.exp4_factorizations(
             tmp_path, monkeypatch, d_grid=(16,), alphas=(1.0,), eps=0.2, variants=("fullrank",)
         )
         probes = len(out.medians)
         assert probes > 3
         assert len(out.rows) == probes * 3
-        assert factorizations == [(16, 16)] * 3
+        assert factorizations == [("modal", (16, 16))] * 3
 
     def test_exp4_factors_each_truth_once_on_its_sparse_ruler(self, tmp_path, monkeypatch):
-        # a sparse-ruler search factors only the |R| x |R| principal submatrix
+        # a sparse ruler with |R| >= 10 takes the |R| x 10 modal factor of a rank10 truth
         cfg, out, factorizations = self.exp4_factorizations(
             tmp_path, monkeypatch, d_grid=(64,), alphas=(0.5,), eps=0.3, variants=("rank10",)
         )
         size = cfg.ruler(64, 0.5).size
-        assert size < 64
+        assert 10 <= size < 64
         assert len(out.medians) > 3
-        assert factorizations == [(size, size)] * 3
+        assert factorizations == [("modal", (size, 10))] * 3
+
+    def test_exp4_full_rank_truth_factored_by_eigh_once_on_its_sparse_ruler(self, tmp_path, monkeypatch):
+        # 2k = d > |R|: the modal factor would be wider than it is tall, so a
+        # sparse-ruler search factors the |R| x |R| principal submatrix, once a trial
+        cfg, out, factorizations = self.exp4_factorizations(
+            tmp_path, monkeypatch, d_grid=(16,), alphas=(0.5,), eps=0.3, variants=("fullrank",)
+        )
+        size = cfg.ruler(16, 0.5).size
+        assert size < 16
+        assert len(out.medians) > 3
+        assert factorizations == [("eigh", (size, size))] * 3
 
     def test_each_ruler_built_once_per_run(self, tmp_path, monkeypatch):
         built = []
@@ -487,7 +505,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(4, seed=1, out_dir=tmp_path, trials=3, d_grid=(16,), eps=0.35, n_cap=24)
         out = run_experiment(cfg)
         found = {(rec["tag"], rec["alpha"]): (rec["n_star"], rec["capped"]) for rec in out.summary}
-        assert found[("fullrank", 1.0)] == (19, 0)
+        assert found[("rank10", 0.5)] == (23, 0)
         assert all(n_star <= 24 for n_star, _ in found.values())
         assert 24 in {rec["n"] for rec in out.medians}
 

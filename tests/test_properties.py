@@ -1,4 +1,4 @@
-"""Property tests: the pair-mean estimator, the operator norm, rulers, the quantizer, the dither, the CLI exit codes and input files."""
+"""Property tests: the pair-mean estimator, the operator norm, the PSD factor, rulers, the quantizer, the dither, the CLI exit codes and input files."""
 
 import csv
 import io
@@ -16,6 +16,7 @@ from toepquant import (
     Arm,
     Correction,
     Dither,
+    GenSpec,
     QuantizerConfig,
     Ruler,
     SampleBatch,
@@ -23,12 +24,15 @@ from toepquant import (
     draw_dither,
     full_ruler,
     observe,
+    principal_submatrix,
     quantize_vector,
     quantized_estimate,
     ruler_alpha,
     ruler_estimate,
 )
+from toepquant._blas import single_blas_thread
 from toepquant._seeding import observation_rng
+from toepquant.experiments import draw_truth
 from toepquant import cli
 from toepquant.cli import _ruler_from_spec, main
 from toepquant.exceptions import InvalidArgumentError
@@ -112,6 +116,36 @@ def test_ruler_alpha_is_the_block_and_the_non_negative_tail(d, alpha):
     s = math.floor(d ** (1.0 - alpha) + 0.5)
     tail = {d - 1 - i * s for i in range(r1)}
     assert ruler_alpha(d, alpha).indices.tolist() == sorted(set(range(r1)) | {j for j in tail if j >= 0})
+
+
+@st.composite
+def truth_and_ruler(draw):
+    """A trial's covariance, a cosine mixture or banded recipe at ``d <= 300``, and a ruler for it."""
+    d = draw(st.integers(1, 300))
+    if d > 1 and draw(st.booleans()):
+        spec = GenSpec(d, m=draw(st.integers(1, d - 1)), normalize=draw(st.booleans()))
+    else:
+        spec = GenSpec(d, k=draw(st.integers(1, d)), normalize=draw(st.booleans()))
+    alpha = draw(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]))
+    return draw_truth(spec, draw(st.integers(0, 2**32 - 1))), spec, ruler_alpha(d, alpha)
+
+
+@PROPERTY_SETTINGS
+@given(truth_and_ruler())
+@example((draw_truth(GenSpec(16, k=8, normalize=True), 1), GenSpec(16, k=8, normalize=True), full_ruler(16)))
+def test_psd_factor_is_modal_when_2k_fits_the_ruler_and_eigh_otherwise(case):
+    truth, spec, ruler = case
+    want = principal_submatrix(truth, ruler.indices)
+    with single_blas_thread():
+        factor = truth.psd_factor(ruler.indices)
+        # the same generating vector with no modes: the eigh factor
+        plain = toep(truth.a).psd_factor(ruler.indices)
+    if spec.k is not None and 2 * spec.k <= ruler.size:
+        assert factor.shape == (ruler.size, 2 * spec.k)
+        assert np.abs(factor @ factor.T - want).max() <= 1e-12 * np.abs(want).max()
+    else:
+        assert factor.shape == (ruler.size, ruler.size)
+        assert factor.tobytes() == plain.tobytes()
 
 
 def gathered_blocks(a):

@@ -167,6 +167,12 @@ class TestPhiBound:
     def test_alpha_half_d16(self):
         assert phi_bound(16, 0.5) == pytest.approx(16 + 4 * math.log(16))
 
+    @pytest.mark.parametrize("alpha", [5.0, float("nan"), -1e10, 0.49])
+    def test_alpha_outside_half_to_one_rejected(self, alpha):
+        # unchecked, these would give 4.2e-05, nan and a bare OverflowError
+        with pytest.raises(InvalidArgumentError, match=r"^alpha must lie in \[1/2, 1\], got "):
+            phi_bound(16, alpha)
+
     def test_envelopes_constructed_rulers(self):
         for d in (16, 64, 256):
             for alpha in (0.5, 0.75):

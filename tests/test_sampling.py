@@ -7,6 +7,7 @@ from toepquant import (
     QuantizerConfig,
     Ruler,
     SampleBatch,
+    SymToeplitz,
     avg,
     full_ruler,
     gen_banded,
@@ -83,6 +84,23 @@ class TestModeGenerator:
         with pytest.raises(InvalidArgumentError):
             gen_toeplitz_vandermonde(4, 5, rng)
 
+    def test_carries_its_modes_outside_its_value(self):
+        t = toeplitz_from_modes([0.1, 0.37], [1.0, 0.5], 8)
+        np.testing.assert_array_equal(t.modes[0], [0.1, 0.37])
+        np.testing.assert_array_equal(t.modes[1], [1.0, 0.5])
+        plain = toep(t.a)
+        assert plain.modes is None and (t - plain).modes is None
+        assert repr(t) == repr(plain)
+
+    def test_a_negative_power_carries_no_modes(self):
+        # no real factor of width 2k exists, so the factor comes from eigh, which rejects it
+        t = toeplitz_from_modes([0.1, 0.3], [1.0, -0.5], 4)
+        assert t.modes is None
+        with pytest.raises(NumericError):
+            t.psd_factor()
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            SymToeplitz(t.a, ([0.1, 0.3], [1.0, -0.5]))
+
 
 class TestBandedGenerator:
     def test_bandwidth_one_is_diagonal(self):
@@ -131,6 +149,20 @@ class TestSampleGaussian:
         a_emp = avg(x.T @ x / n).a
         # Var(x_j x_k) = T_jj T_kk + T_jk^2 <= 8; no pooling credit taken
         assert np.abs(a_emp - t.a).max() <= 5 * np.sqrt(8 / n)
+
+    def test_mixture_draws_through_its_modal_factor(self):
+        # two modes on six coordinates: a 6 x 4 factor, so each row spends four normals, not six
+        t = toeplitz_from_modes([0.25, 0.1], [1.0, 0.5], 6)
+        rng, ref = np.random.default_rng(27), np.random.default_rng(27)
+        x = sample_gaussian(t, 50, rng)
+        factor = t.psd_factor()
+        assert factor.shape == (6, 4)
+        assert np.abs(factor @ factor.T - t.dense()).max() <= 1e-15 * t.a[0]
+        assert x.tobytes() == (ref.standard_normal((50, 4)) @ factor.T).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # on three of them 2k = 4 > 3: the square eigh factor
+        assert sample_gaussian(t, 50, rng, np.array([0, 2, 5])).shape == (50, 3)
+        assert t.psd_factor(np.array([0, 2, 5])).shape == (3, 3)
 
     def test_low_rank_exact_singular(self):
         rng = np.random.default_rng(24)
@@ -265,6 +297,15 @@ class TestGenSpec:
         np.testing.assert_array_equal(banded.a, gen_banded(8, 3, generator_rng(32)).a)
         assert banded.a[3:].sum() == 0.0
 
+    def test_normalized_mixture_keeps_a_unit_diagonal_and_its_modes(self):
+        raw = draw_truth(GenSpec(12, k=3), 33)
+        unit = draw_truth(GenSpec(12, k=3, normalize=True), 33)
+        assert unit.a.tobytes() == (raw.a / raw.a[0]).tobytes() and unit.a[0] == 1.0
+        np.testing.assert_array_equal(unit.modes[1], raw.modes[1] / raw.a[0])
+        factor = unit.psd_factor()
+        assert factor.shape == (12, 6)
+        assert np.abs(factor @ factor.T - unit.dense()).max() <= 1e-14
+
     def test_requires_exactly_one_kind(self):
         with pytest.raises(InvalidArgumentError):
             GenSpec(8)
@@ -272,6 +313,8 @@ class TestGenSpec:
             GenSpec(8, k=2, m=3)
 
     def test_range_checks(self):
+        with pytest.raises(InvalidArgumentError, match="^dimension must be positive, got 0$"):
+            GenSpec(0, k=1)
         with pytest.raises(InvalidArgumentError):
             GenSpec(8, k=9)
         with pytest.raises(InvalidArgumentError):

@@ -108,6 +108,9 @@ class TestPrincipalSubmatrix:
             principal_submatrix(np.eye(3), [0, 3])
         with pytest.raises(InvalidArgumentError, match=r"indices must lie in \[0, 3\), got range \[0, 3\]"):
             principal_submatrix(toep([1.0, 0.5, 0.0]), [0, 3])
+        # the modal factor reads no entry of T_R, so it checks the indices itself
+        with pytest.raises(InvalidArgumentError, match=r"indices must lie in \[0, 3\), got range \[0, 3\]"):
+            toeplitz_from_modes([0.1], [1.0], 3).psd_factor(np.array([0, 1, 3]))
 
     def test_toeplitz_read_without_the_dense_matrix(self, monkeypatch):
         t = toeplitz_from_modes([0.1, 0.37], [1.0, 0.5], 64)

@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, config knobs and error types.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, config knobs, error types and the README's stream version.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -12,13 +12,14 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from toepquant import cli, exceptions
+from toepquant import STREAM_VERSION, cli, exceptions
 from toepquant.cli import build_parser
 from toepquant.exceptions import InvalidArgumentError, NumericError, ToepquantError
 from toepquant.experiments import _EXPERIMENTS, ExperimentConfig
@@ -154,3 +155,9 @@ def test_main_exits_with_the_code_of_each_error_type(monkeypatch, capsys, cls):
     else:
         assert (code, err) == (2, "invalid configuration: boom\n")
     assert out == ""
+
+
+def test_readme_names_the_current_stream_version():
+    # the randomness contract marks exactly one version "(current)"
+    current = re.findall(r"\*\*Version (\d+)\*\* \(current\)", (ROOT / "README.md").read_text())
+    assert current == [str(STREAM_VERSION)]
