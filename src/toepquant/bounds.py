@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, NumericError
 from .rulers import coverage_coefficient, ruler_alpha
-from .toeplitz import SymToeplitz, op_norm, principal_submatrix
+from .toeplitz import SymToeplitz, principal_submatrix
 
 __all__ = [
     "BoundsReport",
@@ -150,14 +150,16 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     ``T`` are read from one spectrum: with ``w`` the moduli of its
     eigenvalues in decreasing order, ``T_k`` keeps the first k, so
     ``||T||_2 = w[0]``, ``||T - T_k||_2 = w[k]`` (0 at k = d) and
-    ``||T - T_k||_F^2`` is the sum of ``w[i]^2`` over i >= k.
+    ``||T - T_k||_F^2`` is the sum of ``w[i]^2`` over i >= k.  A ``T``
+    with a non-finite entry raises :class:`NumericError`.
     """
     d = t.d
     if not 1 <= k <= d:
         raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
-    ruler = ruler_alpha(d, alpha)
-    sub = principal_submatrix(t, ruler.indices)
-    left = op_norm(sub) ** 2
+    if not np.all(np.isfinite(t.a)):
+        raise NumericError("matrix contains non-finite entries")
+    sub = principal_submatrix(t, ruler_alpha(d, alpha).indices)
+    left = float(np.abs(np.linalg.eigvalsh(sub)).max()) ** 2
     w = np.append(np.sort(np.abs(np.linalg.eigvalsh(t.dense())))[::-1], 0.0)
     lam = min(float(w[k]) ** 2, 2.0 / d ** (1.0 - alpha) * float(w[k:] @ w[k:]))
     bound = 32.0 * k * k / d ** (2.0 - 2.0 * alpha) * float(w[0]) ** 2 + 8.0 * lam

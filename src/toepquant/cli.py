@@ -372,7 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
-    except (ToepquantError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    # OverflowError: an integer option too large to be a float, such as --d 10**400
+    except (ToepquantError, ValueError, OSError, OverflowError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return INVALID_CONFIG
     except MemoryError as exc:  # a dimension too large for this machine, such as --d 100000

@@ -200,9 +200,9 @@ class _Trial:
         # An arm's seconds are its own time plus an equal share of its ruler's
         # draw of samples and dither planes, the seed's covariance included on
         # its first draw.  So the arms of a trial sum to the trial's wall time.
-        by_ruler: dict[bytes, list[int]] = {}
+        by_ruler: dict[Ruler, list[int]] = {}
         for i, arm in enumerate(arms):
-            by_ruler.setdefault(arm.ruler.indices.tobytes(), []).append(i)
+            by_ruler.setdefault(arm.ruler, []).append(i)
         out: list[_Outcome] = [None] * len(arms)
         for group in by_ruler.values():
             start = time.perf_counter()

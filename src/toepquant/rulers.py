@@ -31,13 +31,13 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ruler:
     """A validated ruler with a precomputed ordered-pair index.
 
     ``pair_counts[s]`` is the number of ordered pairs ``(j, k)`` in
     ``R x R`` with ``|j - k| == s``; it is ``|R|`` at ``s = 0`` and even
-    for ``s >= 1``.
+    for ``s >= 1``.  Rulers with equal ``d`` and ``indices`` are equal.
     """
 
     d: int
@@ -66,6 +66,12 @@ class Ruler:
         dist.flags.writeable = False
         object.__setattr__(self, "pair_counts", counts)
         object.__setattr__(self, "_dist", dist)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Ruler) and self.d == other.d and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.indices.tobytes()))
 
     @property
     def size(self) -> int:

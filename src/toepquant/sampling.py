@@ -51,7 +51,8 @@ class GenSpec:
         if (self.k is None) == (self.m is None):
             raise InvalidArgumentError("specify exactly one of k (mixture) or m (banded)")
         if self.k is not None and not 1 <= self.k <= self.d:
-            raise InvalidArgumentError(f"k must lie in [1, {self.d}], got {self.k}")
+            # k may be a recipe's default that was never given, so both are named
+            raise InvalidArgumentError(f"a mixture of k modes needs 1 <= k <= d, got k = {self.k} and d = {self.d}")
         if self.m is not None and not 1 <= self.m < self.d:
             raise InvalidArgumentError(f"m must lie in [1, {self.d}), got {self.m}")
 

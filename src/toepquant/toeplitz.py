@@ -1,8 +1,9 @@
 """Symmetric Toeplitz matrices: construction, norms, and spectral helpers.
 
 A symmetric Toeplitz matrix is represented by its generating vector
-``a``: the entry at ``(j, k)`` is ``a[|j - k|]``.  Dense symmetric
-matrices are plain ``numpy`` arrays.
+``a``: the entry at ``(j, k)`` is ``a[|j - k|]``.  The matrix functions
+here take a :class:`SymToeplitz`; :func:`avg` makes one from a square array,
+and :func:`sup_l` bounds the norm of one from its generating vector.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ PSD_REL_TOL = 1e-8
 _V = TypeVar("_V")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymToeplitz:
     """A d-by-d symmetric Toeplitz matrix stored as its generating vector.
 
@@ -42,9 +43,9 @@ class SymToeplitz:
     ``modes``, when given, is the ``(freqs, powers)`` of a cosine mixture
     ``a_s = sum_m p_m cos(2 pi s f_m)`` with every ``p_m >= 0`` that ``a``
     was computed from (see :func:`~toepquant.sampling.toeplitz_from_modes`);
-    :meth:`psd_factor` reads an exact factor from it.  It is not part of
-    the matrix's value: comparison and ``repr`` leave it out, and a matrix
-    built from ``a`` alone, as a difference or an estimate is, carries none.
+    :meth:`psd_factor` reads an exact factor from it.  It is not part of the
+    matrix's value, ``a`` alone, so ``==``, ``hash`` and ``repr`` leave it out;
+    a matrix built from ``a``, as a difference or an estimate is, carries none.
     """
 
     a: np.ndarray
@@ -66,6 +67,13 @@ class SymToeplitz:
                 raise InvalidArgumentError("the powers of modes must be non-negative")
             freqs.flags.writeable = powers.flags.writeable = False
             object.__setattr__(self, "modes", (freqs, powers))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SymToeplitz) and np.array_equal(self.a, other.a)
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.a + 0.0).tobytes())
 
     @property
     def d(self) -> int:
@@ -140,22 +148,15 @@ def toep(a: np.ndarray) -> SymToeplitz:
     return SymToeplitz(np.asarray(a, dtype=np.float64))
 
 
-def _as_dense(m: SymToeplitz | np.ndarray) -> np.ndarray:
-    if isinstance(m, SymToeplitz):
-        return m.dense()
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def avg(m: SymToeplitz | np.ndarray) -> SymToeplitz:
+def avg(m: np.ndarray) -> SymToeplitz:
     """Average the diagonals of a square matrix into a Toeplitz matrix.
 
     Both the upper and the lower diagonal at each offset are pooled, so the
-    result is a fixed point on inputs that are already symmetric Toeplitz.
+    dense form of a symmetric Toeplitz matrix comes back as that matrix.
     """
-    dense = _as_dense(m)
+    dense = np.asarray(m, dtype=np.float64)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+        raise InvalidArgumentError(f"expected a square matrix, got shape {dense.shape}")
     d = dense.shape[0]
     out = np.empty(d)
     for s in range(d):
@@ -168,18 +169,13 @@ def avg(m: SymToeplitz | np.ndarray) -> SymToeplitz:
     return SymToeplitz(out)
 
 
-def principal_submatrix(m: SymToeplitz | np.ndarray, indices) -> np.ndarray:
-    """Extract the principal submatrix on ``indices`` (ascending order).
+def principal_submatrix(t: SymToeplitz, indices) -> np.ndarray:
+    """The principal submatrix of ``t`` on ``indices`` (ascending order), as a dense array.
 
-    A :class:`SymToeplitz` is read as ``a[|R_i - R_j|]``, never expanded to
-    d x d.
+    It is read as ``a[|R_i - R_j|]``; ``t`` is never expanded to d x d.
     """
-    if not isinstance(m, SymToeplitz):
-        m = _as_dense(m)
-    idx = _sorted_indices(indices, m.d if isinstance(m, SymToeplitz) else m.shape[0])
-    if isinstance(m, SymToeplitz):
-        return m.a[np.abs(idx[:, None] - idx[None, :])]
-    return m[np.ix_(idx, idx)]
+    idx = _sorted_indices(indices, t.d)
+    return t.a[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _sorted_indices(indices, d: int) -> np.ndarray:
@@ -191,17 +187,14 @@ def _sorted_indices(indices, d: int) -> np.ndarray:
     return idx
 
 
-def op_norm(m: SymToeplitz | np.ndarray) -> float:
-    """Operator (spectral) norm of a symmetric matrix; the input must be finite.
+def op_norm(t: SymToeplitz) -> float:
+    """Operator (spectral) norm of a symmetric Toeplitz matrix; its entries must be finite.
 
-    A dense array takes one symmetric eigenvalue decomposition of its own.
-
-    A :class:`SymToeplitz` is never expanded to d x d.  It is
-    centrosymmetric (``J T J = T`` with ``J`` the exchange matrix), so its
-    spectrum is the union of the spectra of two symmetric blocks of half
-    the order (Cantoni & Butler, Linear Algebra Appl. 1976).  With
-    ``h = d // 2``, ``A[i, j] = a[|i - j|]`` and ``H[i, j] = a[d - 1 - i - j]``
-    for ``i, j < h``:
+    ``t`` is never expanded to d x d.  It is centrosymmetric (``J T J = T``
+    with ``J`` the exchange matrix), so its spectrum is the union of the
+    spectra of two symmetric blocks of half the order (Cantoni & Butler,
+    Linear Algebra Appl. 1976).  With ``h = d // 2``, ``A[i, j] = a[|i - j|]``
+    and ``H[i, j] = a[d - 1 - i - j]`` for ``i, j < h``:
 
     * even ``d``: the blocks are ``A + H`` and ``A - H``;
     * odd ``d``: the symmetric block is ``A + H`` bordered by a last row and
@@ -214,15 +207,10 @@ def op_norm(m: SymToeplitz | np.ndarray) -> float:
     stack, about a quarter of the flops of the d x d call.  At ``d = 1`` the
     blocks are ``[[a[0]]]`` and ``[[0]]``.
     """
-    if isinstance(m, SymToeplitz):
-        a = m.a
-        if not np.all(np.isfinite(a)):
-            raise NumericError("matrix contains non-finite entries")
-        return float(np.abs(np.linalg.eigvalsh(_centrosymmetric_blocks(a))).max())
-    dense = _as_dense(m)
-    if not np.all(np.isfinite(dense)):
+    a = t.a
+    if not np.all(np.isfinite(a)):
         raise NumericError("matrix contains non-finite entries")
-    return float(np.abs(np.linalg.eigvalsh(dense)).max())
+    return float(np.abs(np.linalg.eigvalsh(_centrosymmetric_blocks(a))).max())
 
 
 def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
@@ -247,14 +235,14 @@ def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def fro_norm(m: SymToeplitz | np.ndarray) -> float:
+def fro_norm(t: SymToeplitz) -> float:
     """Frobenius norm."""
-    return float(np.linalg.norm(_as_dense(m)))
+    return float(np.linalg.norm(t.dense()))
 
 
-def max_norm(m: SymToeplitz | np.ndarray) -> float:
-    """Entrywise maximum absolute value."""
-    return float(np.abs(_as_dense(m)).max())
+def max_norm(t: SymToeplitz) -> float:
+    """Entrywise maximum absolute value: every entry is one of ``a``."""
+    return float(np.abs(t.a).max())
 
 
 def sup_l(e: np.ndarray, grid: int) -> float:

@@ -9,8 +9,6 @@ from toepquant import (
     gen_toeplitz_vandermonde,
     kappa,
     lambda_diag,
-    op_norm,
-    principal_submatrix,
     ruler_alpha,
     script_k,
     script_l,
@@ -20,7 +18,7 @@ from toepquant import (
     toeplitz_from_modes,
     vsc_predict,
 )
-from toepquant.exceptions import InvalidArgumentError
+from toepquant.exceptions import InvalidArgumentError, NumericError
 
 
 class TestBigK:
@@ -148,6 +146,9 @@ class TestVscPredict:
     def test_domain(self):
         with pytest.raises(InvalidArgumentError):
             vsc_predict(16, 1.0, 0.05, 0.5, 1.0)
+        for d in (1, 0):
+            with pytest.raises(InvalidArgumentError, match=f"dimension must be at least 2, got {d}"):
+                vsc_predict(d, 0.1, 0.05, 0.5, 1.0)
 
 
 class TestThresholdZeta:
@@ -171,6 +172,9 @@ class TestThresholdZeta:
             threshold_zeta(1.0, 7, 16, 2.0, 0)
         with pytest.raises(InvalidArgumentError):
             threshold_zeta(1.0, 7, 16, 2.0, 100, 0.0)
+        for ruler_size, d in ((0, 16), (7, 0.5), (-1, 16)):
+            with pytest.raises(InvalidArgumentError, match="ruler_size and d must be positive"):
+                script_k(1.0, ruler_size, d, 2.0, 100)
 
 
 class TestLambdaDiag:
@@ -206,16 +210,30 @@ class TestLambdaDiag:
         rng = np.random.default_rng(4)
         t = gen_toeplitz_vandermonde(16, 3, rng)
         check = lambda_diag(t, 6, 0.5)
-        direct = op_norm(principal_submatrix(t, ruler_alpha(16, 0.5).indices)) ** 2
+        idx = ruler_alpha(16, 0.5).indices
+        direct = float(np.abs(np.linalg.eigvalsh(t.dense()[np.ix_(idx, idx)])).max()) ** 2
         assert check.submatrix_norm_sq == pytest.approx(direct)
 
     def test_submatrix_read_from_the_generating_vector_is_exact(self):
         # the submatrix of T_R is read as a[|R_i - R_j|]: the same floats as the dense matrix's
         t = gen_toeplitz_vandermonde(64, 5, np.random.default_rng(5))
         idx = ruler_alpha(64, 0.5).indices
-        dense = op_norm(t.dense()[np.ix_(idx, idx)]) ** 2
+        dense = float(np.abs(np.linalg.eigvalsh(t.dense()[np.ix_(idx, idx)])).max()) ** 2
         assert lambda_diag(t, 10, 0.5).submatrix_norm_sq == dense
 
+    @pytest.mark.parametrize("k", [0, -1, 17])
+    def test_rank_outside_the_dimension_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match=rf"k must lie in \[1, 16\], got {k}"):
+            lambda_diag(toep(np.eye(1, 16)[0]), k, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("s", [0, 5, 15])
+    def test_non_finite_matrix_is_a_numeric_error(self, bad, s):
+        # checked before either eigenvalue call, which would fail to converge instead
+        a = np.ones(16)
+        a[s] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            lambda_diag(toep(a), 4, 0.5)
 
     @pytest.mark.parametrize("d", [2, 7, 16, 33])
     def test_matches_an_explicit_truncation(self, d):

@@ -169,6 +169,27 @@ class TestEstimate:
             np.array([float(rec[f"a[{s}]"]) for s in range(8)]), sim.estimate.a
         )
 
+    @pytest.mark.parametrize("post", [["--threshold-auto"], ["--threshold", "0.1"]], ids=lambda p: p[0])
+    def test_threshold_row_is_the_simulation_zeta(self, capsys, post):
+        code, out, _ = run_cli(
+            capsys, "--seed", "5", "estimate", "--simulate", "--d", "16", "--n", "100", "--m", "3",
+            "--ruler", "0.5", "--delta", "1.0", "--correction", "quarter", *post,
+        )
+        assert code == 0
+        rec = dict(parse_csv(out)[1:])
+        arm = Arm(
+            "", 0.5, ruler_alpha(16, 0.5), QuantizerConfig(1.0, Dither.TRIANGULAR), Correction.TRIANGULAR_QUARTER,
+            threshold=0.1 if post[0] == "--threshold" else None, threshold_auto=post[0] == "--threshold-auto",
+        )
+        sim = simulate_estimate(GenSpec(16, m=3), 100, 5, arm)
+        zeta = float(rec["zeta"])
+        assert zeta == sim.zeta
+        coefficients = np.array([float(rec[f"a[{s}]"]) for s in range(16)])
+        np.testing.assert_array_equal(coefficients, sim.estimate.a)
+        # the threshold zeroes every coefficient below it
+        assert np.all(coefficients[np.abs(coefficients) < zeta] == 0.0)
+        assert np.any(coefficients == 0.0)
+
     def test_input_file(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 4))
@@ -708,6 +729,48 @@ class TestExp:
         with pytest.raises(SystemExit) as exc:
             main(["exp", "--id", "9"])
         assert exc.value.code == 2
+
+
+# an integer that parses but is too large to be a float
+HUGE = str(10**400)
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--d", HUGE],
+            ["bounds", "--d", "16", "--n", HUGE],
+            ["ruler", "--d", HUGE, "--alpha", "0.5"],
+            ["estimate", "--simulate", "--d", HUGE],
+            ["exp", "--id", "1", "--d", HUGE],
+            ["exp", "--id", "5", "--d-grid", HUGE],
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_integer_too_large_for_a_float_is_invalid_configuration(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "invalid configuration: int too large to convert to float\n"
+        assert out == "" and not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "argv, k",
+        [
+            (["estimate", "--simulate", "--d", "1"], 8),
+            (["exp", "--id", "1", "--d", "1"], 8),
+            (["exp", "--id", "4", "--d-grid", "1"], 5),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_default_mode_count_above_the_dimension_names_both(self, capsys, tmp_path, monkeypatch, argv, k):
+        # k is the recipe's default here, not a value the user gave
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"invalid configuration: a mixture of k modes needs 1 <= k <= d, got k = {k} and d = 1\n"
+        assert out == ""
 
 
 class TestThreads:

@@ -95,6 +95,14 @@ class TestSimulateEstimate:
         with pytest.raises(InvalidArgumentError, match="ruler is for dimension 16, the recipe's is 8"):
             simulate_estimate(GenSpec(8, k=2), 10, 0, plain_arm(16))
 
+    def test_arms_compare_and_hash_by_value(self):
+        # a ruler rebuilt from the same indices is the same ruler
+        a, b = plain_arm(16, 0.5, 2.0), plain_arm(16, 0.5, 2.0)
+        assert a.ruler is not b.ruler
+        assert a == b and hash(a) == hash(b)
+        assert a != plain_arm(16, 1.0, 2.0) and a != plain_arm(16, 0.5, 1.0)
+        assert {a: "sparse"}[b] == "sparse"
+
     @pytest.mark.parametrize(
         "post",
         [dict(threshold=0.9, threshold_auto=True), dict(threshold=0.1, band_est=2), dict(threshold_auto=True, band_est=2)],
@@ -165,6 +173,11 @@ class TestConfig:
     def test_experiment_range(self):
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(6)
+
+    def test_unknown_variant_rejected(self):
+        want = r"variants must be a non-empty subset of \('fullrank', 'rank10'\), got \('x',\)"
+        with pytest.raises(InvalidArgumentError, match=want):
+            ExperimentConfig(4, variants=("x",))
 
     def test_defaults_match_documented_setups(self):
         cfg1 = ExperimentConfig(1)

@@ -275,6 +275,10 @@ def test_dither_from_planes_is_the_reference_draw(delta, dither, shape, seed):
 # bound a run's cost (its grids and the search cap) are always given, and
 # only small values are drawn for them, so no drawn run is a real experiment.
 # An option is ``(flag, value)``; a value of None is a bare flag.
+# HUGE, an integer too large to be a float, is an unusable value of every
+# integer option but --trials and --n-cap: those two size the work, and
+# ``exp --id 3 --trials HUGE`` would build its list of trials for ever.
+HUGE = str(10**400)
 _EXP_USABLE = {
     1: ({"--n-grid": ["6", "6,12"]}, {"--d": ["8", "12"], "--deltas": ["0", "1.5", "0,2"], "--alphas": ["0.5", "1", "0.5,1"]}),
     2: ({"--n-grid": ["6,12,24"]}, {"--d": ["8", "12"], "--deltas": ["0", "1.5", "0,2"], "--alphas": ["0.5", "1", "0.5,1"]}),
@@ -292,6 +296,7 @@ _EXP_UNUSABLE = [
     ("--deltas", ""), ("--deltas", "-1"), ("--deltas", "nan"), ("--deltas", "inf"), ("--deltas", "0,2"),
     ("--alphas", ""), ("--alphas", "0.4"), ("--alphas", "1.5"),
     ("--d", "1"), ("--d", "-3"), ("--eps", "0.2"), ("--m", "0"), ("--m", "40"),
+    ("--d", HUGE), ("--d-grid", HUGE), ("--d-grid", f"8,{HUGE}"), ("--n-grid", HUGE), ("--m", HUGE),
 ]
 _EXP_GLOBAL = ("--trials",)
 
@@ -310,6 +315,20 @@ _ESTIMATE_UNUSABLE = [
     ("--ruler", "0.3"), ("--ruler", "x"), ("--ruler", "1,99"), ("--ruler", "0,1"), ("--ruler", "1,2"),
     ("--delta", "-1"), ("--delta", "nan"), ("--threshold", "-1"), ("--bandwidth", "0"), ("--bandwidth", "99"),
     ("--threshold-auto", None),
+    ("--d", HUGE), ("--n", HUGE), ("--k", HUGE), ("--m", HUGE), ("--bandwidth", HUGE),
+]
+_GEN_UNUSABLE = [
+    ("--d", "0"), ("--d", HUGE), ("--k", "0"), ("--k", "9"), ("--k", HUGE), ("--m", "0"), ("--m", "4"), ("--m", HUGE),
+]
+_RULER_UNUSABLE = [("--d", "0"), ("--d", "-1"), ("--d", HUGE), ("--alpha", "0.3"), ("--alpha", "nan")]
+_BOUNDS_USABLE = {
+    "--alpha": ["0.5", "0.5,1"], "--delta": ["0", "0,2"], "--eps": ["0.1", "0.5"], "--op-norm": ["1", "3"],
+    "--k": ["1", "3"], "--p": ["2"], "--n": ["10", "1000"], "--c": ["0.5"],
+}
+_BOUNDS_UNUSABLE = [
+    ("--d", "1"), ("--d", HUGE), ("--k", "0"), ("--k", "99"), ("--k", HUGE), ("--n", "0"), ("--n", HUGE),
+    ("--alpha", "0.3"), ("--alpha", ""), ("--delta", "-1"), ("--delta", "1e100"), ("--eps", "0"),
+    ("--prob-delta", "1"), ("--op-norm", "0"), ("--p", "0.5"), ("--c", "0"),
 ]
 
 
@@ -356,6 +375,24 @@ def estimate_argv(draw, inputs):
     return ["estimate", *_flags(options)]
 
 
+@st.composite
+def small_argv(draw):
+    """``gen``, ``ruler`` or ``bounds`` with usable settings, some of them overridden with unusable ones."""
+    command = draw(st.sampled_from(["gen", "ruler", "bounds"]))
+    options = {"--d": draw(st.sampled_from(["4", "8", "16"]))}
+    if command == "gen":
+        options.update(draw(st.sampled_from([{"--k": "1"}, {"--k": "2"}, {"--m": "1"}, {"--m": "3"}])))
+        unusable = _GEN_UNUSABLE
+    elif command == "ruler":
+        options["--alpha"] = draw(st.sampled_from(["0.5", "0.75", "1"]))
+        unusable = _RULER_UNUSABLE
+    else:
+        options.update(draw(_options(_BOUNDS_USABLE)))
+        unusable = _BOUNDS_UNUSABLE
+    options.update(draw(st.lists(st.sampled_from(unusable), max_size=2)))
+    return [command, *_flags(options)]
+
+
 def _exit_code(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
@@ -381,8 +418,8 @@ def cli_files(tmp_path_factory):
 def test_cli_exits_only_with_a_contract_code(cli_files):
     out_dir, inputs = cli_files
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(exp_argv(out_dir), estimate_argv(inputs)))
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(exp_argv(out_dir), estimate_argv(inputs), small_argv()))
     def check(argv):
         assert _exit_code(argv) in (0, 2, 3), argv
 

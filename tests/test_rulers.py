@@ -29,6 +29,39 @@ class TestFullRuler:
     def test_d16(self):
         assert (full_ruler(16).indices + 1).tolist() == list(range(1, 17))
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(InvalidArgumentError, match=f"dimension must be positive, got {d}"):
+            full_ruler(d)
+
+    def test_empty_index_set_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="a ruler needs at least one index"):
+            Ruler(4, [])
+
+
+class TestEquality:
+    def test_equal_values(self):
+        assert full_ruler(3) == full_ruler(3)
+        assert hash(full_ruler(3)) == hash(full_ruler(3))
+        # the indices are taken sorted and without repeats
+        assert Ruler(4, [3, 0, 1, 1, 2]) == full_ruler(4)
+        assert ruler_alpha(4, 1.0) == full_ruler(4)
+
+    def test_unequal_values_of_one_length(self):
+        assert Ruler(10, [0, 1, 4, 7, 9]) != Ruler(10, [0, 1, 2, 6, 9])
+        assert Ruler(5, [0, 1, 2, 4]) != Ruler(5, [0, 2, 3, 4])
+
+    def test_unequal_lengths(self):
+        assert full_ruler(3) != full_ruler(4)
+        assert ruler_alpha(16, 0.5) != full_ruler(16)
+        assert full_ruler(3) != [0, 1, 2]
+
+    def test_dict_key(self):
+        table = {full_ruler(3): "full", ruler_alpha(16, 0.5): "sparse"}
+        assert table[full_ruler(3)] == "full"
+        assert table[Ruler(16, ruler_alpha(16, 0.5).indices[::-1])] == "sparse"
+        assert len({full_ruler(5), full_ruler(5), ruler_alpha(5, 0.5)}) == 2
+
 
 class TestRulerAlpha:
     def test_half_d16_matches_reference(self):
@@ -98,6 +131,9 @@ class TestIsRuler:
     def test_singleton(self):
         ok, missing = is_ruler([0], 1)
         assert ok and missing == []
+
+    def test_empty(self):
+        assert is_ruler([], 3) == (False, [0, 1, 2])
 
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError, match=r"ruler indices must lie in \[0, 4\), got \[0, 5\]"):

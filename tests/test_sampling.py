@@ -92,6 +92,10 @@ class TestModeGenerator:
         assert plain.modes is None and (t - plain).modes is None
         assert repr(t) == repr(plain)
 
+    def test_freqs_and_powers_of_unequal_length_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="freqs and powers must be 1-D of equal length"):
+            toeplitz_from_modes([0.1, 0.2], [1.0], 4)
+
     def test_a_negative_power_carries_no_modes(self):
         # no real factor of width 2k exists, so the factor comes from eigh, which rejects it
         t = toeplitz_from_modes([0.1, 0.3], [1.0, -0.5], 4)
@@ -275,6 +279,16 @@ class TestObserve:
         assert not batch.rows.flags.writeable
         assert x.flags.writeable
 
+    def test_batch_of_another_width_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"rows must be \(n, \|R\|\) = \(n, 3\), got \(4, 2\)"):
+            SampleBatch(np.zeros((4, 2)), full_ruler(3), 0.0)
+        with pytest.raises(InvalidArgumentError, match=r"got \(3,\)"):
+            SampleBatch(np.zeros(3), full_ruler(3), 0.0)
+
+    def test_batch_without_rows_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="a batch needs at least one sample"):
+            SampleBatch(np.zeros((0, 3)), full_ruler(3), 0.0)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(30)
         with pytest.raises(InvalidArgumentError):
@@ -315,7 +329,9 @@ class TestGenSpec:
     def test_range_checks(self):
         with pytest.raises(InvalidArgumentError, match="^dimension must be positive, got 0$"):
             GenSpec(0, k=1)
-        with pytest.raises(InvalidArgumentError):
-            GenSpec(8, k=9)
+        for k in (9, 0):
+            want = f"^a mixture of k modes needs 1 <= k <= d, got k = {k} and d = 8$"
+            with pytest.raises(InvalidArgumentError, match=want):
+                GenSpec(8, k=k)
         with pytest.raises(InvalidArgumentError):
             GenSpec(8, m=8)

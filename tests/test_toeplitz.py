@@ -55,6 +55,10 @@ class TestToep:
         with pytest.raises(InvalidArgumentError, match="generating vector must be 1-D and non-empty"):
             toep([])
 
+    def test_modes_of_unequal_length_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="modes must be 1-D freqs and powers of equal length"):
+            SymToeplitz(np.ones(4), (np.array([0.1, 0.2]), np.array([1.0])))
+
     def test_entry_and_symmetry(self):
         rng = np.random.default_rng(3)
         t = toep(rng.standard_normal(6))
@@ -63,6 +67,31 @@ class TestToep:
             for k in range(6):
                 assert dense[j, k] == t.a[abs(j - k)]
         np.testing.assert_array_equal(dense, dense.T)
+
+
+class TestEquality:
+    def test_equal_generating_vectors(self):
+        assert toep([1.0, 2.0]) == toep([1.0, 2.0])
+        assert hash(toep([1.0, 2.0])) == hash(toep([1.0, 2.0]))
+        # -0.0 == 0.0, so their hashes agree too
+        assert toep([1.0, -0.0]) == toep([1.0, 0.0])
+        assert hash(toep([1.0, -0.0])) == hash(toep([1.0, 0.0]))
+
+    def test_modes_are_not_part_of_the_value(self):
+        t = toeplitz_from_modes([0.1, 0.3], [1.0, 0.5], 6)
+        assert t.modes is not None
+        assert t == toep(t.a) and hash(t) == hash(toep(t.a))
+
+    def test_unequal_values(self):
+        assert toep([1.0, 2.0]) != toep([1.0, 2.5])
+        assert toep([1.0, 2.0]) != toep([1.0, 2.0, 0.0])
+        assert toep([1.0]) != [1.0]
+
+    def test_dict_key(self):
+        table = {toep([1.0, 2.0]): "a", toep([1.0, 2.0, 0.0]): "b"}
+        assert table[toep([1.0, 2.0])] == "a"
+        assert table[toep([1.0, 2.0, 0.0])] == "b"
+        assert len({toep([3.0]), toep([3.0])}) == 1
 
 
 class TestAvg:
@@ -75,7 +104,6 @@ class TestAvg:
             a = rng.standard_normal(rng.integers(1, 9))
             t = toep(a)
             assert np.array_equal(avg(t.dense()).a, t.a)
-            assert np.array_equal(avg(t).a, t.a)
 
     def test_rank_one_example(self):
         x = np.array([1.0, 2.0])
@@ -89,7 +117,7 @@ class TestAvg:
 class TestPrincipalSubmatrix:
     def test_identity(self):
         np.testing.assert_array_equal(
-            principal_submatrix(np.eye(4), [0, 2]), np.eye(2)
+            principal_submatrix(toep(np.eye(1, 4)[0]), [0, 2]), np.eye(2)
         )
 
     def test_toeplitz_corners(self):
@@ -98,24 +126,24 @@ class TestPrincipalSubmatrix:
         )
 
     def test_full_ruler_is_whole_matrix(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((4, 4))
-        m = m + m.T
-        np.testing.assert_array_equal(principal_submatrix(m, full_ruler(4).indices), m)
+        t = toep(np.random.default_rng(5).standard_normal(4))
+        np.testing.assert_array_equal(principal_submatrix(t, full_ruler(4).indices), t.dense())
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidArgumentError, match=r"indices must lie in \[0, 3\), got range \[0, 3\]"):
-            principal_submatrix(np.eye(3), [0, 3])
         with pytest.raises(InvalidArgumentError, match=r"indices must lie in \[0, 3\), got range \[0, 3\]"):
             principal_submatrix(toep([1.0, 0.5, 0.0]), [0, 3])
         # the modal factor reads no entry of T_R, so it checks the indices itself
         with pytest.raises(InvalidArgumentError, match=r"indices must lie in \[0, 3\), got range \[0, 3\]"):
             toeplitz_from_modes([0.1], [1.0], 3).psd_factor(np.array([0, 1, 3]))
 
+    def test_empty_index_set(self):
+        with pytest.raises(InvalidArgumentError, match="index set must be non-empty"):
+            principal_submatrix(toep([1.0, 0.5]), [])
+
     def test_toeplitz_read_without_the_dense_matrix(self, monkeypatch):
         t = toeplitz_from_modes([0.1, 0.37], [1.0, 0.5], 64)
         ruler = ruler_alpha(64, 0.5)
-        want = principal_submatrix(t.dense(), ruler.indices)
+        want = t.dense()[np.ix_(ruler.indices, ruler.indices)]
         monkeypatch.setattr(SymToeplitz, "dense", lambda self: pytest.fail("built the d x d matrix"))
         got = principal_submatrix(t, ruler.indices)
         assert got.tobytes() == want.tobytes()
@@ -125,18 +153,15 @@ class TestPrincipalSubmatrix:
 
 class TestNorms:
     def test_op_norm_identity(self):
-        assert op_norm(np.eye(7)) == pytest.approx(1.0)
+        assert op_norm(toep(np.eye(1, 7)[0])) == pytest.approx(1.0)
 
     def test_op_norm_tridiagonal(self):
         # eigenvalues of Toep(2,1,0) are 2 + 2 cos(k pi / 4), k = 1..3
         assert op_norm(toep([2, 1, 0])) == pytest.approx(2 + np.sqrt(2), abs=1e-12)
 
     def test_op_norm_signed(self):
-        assert op_norm(np.diag([-3.0, 1.0])) == pytest.approx(3.0)
-
-    def test_op_norm_non_finite(self):
-        with pytest.raises(NumericError):
-            op_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # eigenvalues -1 - 2 and -1 + 2: the norm is the modulus of the negative one
+        assert op_norm(toep([-1.0, 2.0])) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("d", [1, 4, 5])
@@ -150,20 +175,18 @@ class TestNorms:
     def test_op_norm_matches_char_poly(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
-            d = int(rng.integers(1, 4))
-            m = rng.standard_normal((d, d))
-            m = (m + m.T) / 2
-            want = np.abs(char_poly_eigvals(m)).max()
-            assert op_norm(m) == pytest.approx(want, abs=1e-9)
+            t = toep(rng.standard_normal(int(rng.integers(1, 4))))
+            want = np.abs(char_poly_eigvals(t.dense())).max()
+            assert op_norm(t) == pytest.approx(want, abs=1e-9)
 
     def test_fro_and_max(self):
-        assert fro_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
-        assert max_norm(np.eye(2)) == 1.0
-        m = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        assert fro_norm(toep([1.0, 0.0])) == pytest.approx(np.sqrt(2))
+        assert max_norm(toep([1.0, 0.0])) == 1.0
+        m = toep([1.0, -2.0])
         assert fro_norm(m) == pytest.approx(np.sqrt(10))
         assert max_norm(m) == 2.0
-        assert fro_norm(np.zeros((3, 3))) == 0.0
-        assert max_norm(np.zeros((3, 3))) == 0.0
+        assert fro_norm(toep(np.zeros(3))) == 0.0
+        assert max_norm(toep(np.zeros(3))) == 0.0
 
     def test_fro_norm_squared_is_entry_sum(self):
         rng = np.random.default_rng(23)
@@ -171,6 +194,7 @@ class TestNorms:
             t = toep(rng.standard_normal(8))
             dense = t.dense()
             assert fro_norm(t) ** 2 == pytest.approx((dense**2).sum(), rel=1e-12)
+            assert max_norm(t) == np.abs(dense).max()
 
 
 class TestCosinePolynomial:
