@@ -32,21 +32,23 @@ __all__ = [
 ]
 
 
-def _norm_sq(op_norm_t: float) -> float:
-    """``||T||_2^2`` of a finite positive operator norm; it must neither overflow nor underflow to zero."""
-    if not (math.isfinite(op_norm_t) and op_norm_t > 0):
-        raise InvalidArgumentError(f"op_norm_t must be finite and positive, got {op_norm_t}")
-    t2 = op_norm_t * op_norm_t
-    if not (math.isfinite(t2) and t2 > 0):
-        raise InvalidArgumentError(f"||T||^2 must be finite and positive, got op_norm_t = {op_norm_t}")
-    return t2
+def _finite(name: str, value: float) -> float:
+    """``value``, rejected unless it is a finite float; ``name`` is its field in :class:`BoundsReport`."""
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"bounds not finite for this configuration: {name}")
+    return value
+
+
+def _check_scales(op_norm_t: float, delta: float) -> None:
+    """Reject an operator norm or quantization level that is not finite and >= 0."""
+    if not (math.isfinite(op_norm_t) and math.isfinite(delta) and op_norm_t >= 0 and delta >= 0):
+        raise InvalidArgumentError(f"op_norm_t and delta must be finite and >= 0, got {op_norm_t} and {delta}")
 
 
 def big_k(op_norm_t: float, delta: float) -> float:
     """Sub-exponential scale of a quantized pair product: ``2(||T||_2 + 2 delta^2)``."""
-    if not (math.isfinite(op_norm_t) and math.isfinite(delta) and op_norm_t >= 0 and delta >= 0):
-        raise InvalidArgumentError(f"op_norm_t and delta must be finite and >= 0, got {op_norm_t} and {delta}")
-    return 2.0 * (op_norm_t + 2.0 * delta * delta)
+    _check_scales(op_norm_t, delta)
+    return _finite("big_k", 2.0 * (op_norm_t + 2.0 * delta * delta))
 
 
 def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
@@ -67,15 +69,17 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
 
 def _penalty(name: str, op_norm_t: float, delta: float, lam: float) -> float:
     """The penalty ``name``: ``(lam ||T||^2 + delta^4) / ||T||^2``, rejected unless it is a finite float."""
+    _check_scales(op_norm_t, delta)
     try:
         d4 = delta**4  # a float power raises on overflow
     except OverflowError:
         raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
-    t2 = _norm_sq(op_norm_t)
-    value = (lam * t2 + d4) / t2
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"bounds not finite for this configuration: {name}")
-    return value
+    if op_norm_t == 0:
+        raise InvalidArgumentError(f"op_norm_t must be finite and positive, got {op_norm_t}")
+    t2 = op_norm_t * op_norm_t
+    if not (math.isfinite(t2) and t2 > 0):
+        raise InvalidArgumentError(f"||T||^2 must be finite and positive, got op_norm_t = {op_norm_t}")
+    return _finite(name, (lam * t2 + d4) / t2)
 
 
 def script_l(op_norm_t: float, delta: float) -> float:
@@ -105,9 +109,7 @@ def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_va
         value = script_l_value * math.log(d / (eps * delta_prob)) * growth / (eps * eps)
     except ZeroDivisionError:  # eps * delta_prob or eps^2 underflowed to zero
         value = math.inf
-    if not math.isfinite(value):
-        raise InvalidArgumentError("bounds not finite for this configuration: vsc_pred")
-    return value
+    return _finite("vsc_pred", value)
 
 
 def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) -> float:
@@ -118,7 +120,7 @@ def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) ->
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if ruler_size < 1 or d < 1:
         raise InvalidArgumentError("ruler_size and d must be positive")
-    return big_k_value * math.sqrt((math.log(ruler_size) + 4.0 * p * math.log(d)) / n)
+    return _finite("script_k", big_k_value * math.sqrt((math.log(ruler_size) + 4.0 * p * math.log(d)) / n))
 
 
 def threshold_zeta(
@@ -131,7 +133,7 @@ def threshold_zeta(
     """
     if not (math.isfinite(c) and c > 0):
         raise InvalidArgumentError(f"C must be finite and positive, got {c}")
-    return c * script_k(big_k_value, ruler_size, d, p, n)
+    return _finite("zeta", c * script_k(big_k_value, ruler_size, d, p, n))
 
 
 class SubmatrixNormCheck(NamedTuple):
@@ -215,12 +217,13 @@ def evaluate_bounds(
         raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
     ruler = ruler_alpha(d, alpha)
     phi = coverage_coefficient(ruler)
-    kv = big_k(op_norm_t, delta)
+    # script_l first: a norm or level whose square overflows is named before K is
     lv = script_l(op_norm_t, delta)
+    kv = big_k(op_norm_t, delta)
     lpv = script_l_prime(op_norm_t, delta, k, d) if k is not None else None
     lam = k * k / d if k is not None else None
     skv = script_k(kv, ruler.size, d, p, n)
-    report = BoundsReport(
+    return BoundsReport(
         d=d,
         alpha=alpha,
         delta=delta,
@@ -242,7 +245,3 @@ def evaluate_bounds(
         zeta=threshold_zeta(kv, ruler.size, d, p, n, c),
         vsc_pred=vsc_predict(d, eps, prob_delta, alpha, lpv if lpv is not None else lv),
     )
-    unbounded = [name for name, v in vars(report).items() if isinstance(v, float) and not math.isfinite(v)]
-    if unbounded:
-        raise InvalidArgumentError(f"bounds not finite for this configuration: {', '.join(unbounded)}")
-    return report

@@ -21,6 +21,7 @@ import io
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -119,13 +120,27 @@ _SIMULATION_DEFAULTS = {
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+
+    def arm_at(d: int) -> Arm:
+        """The command line's estimator at dimension ``d``; building it checks its settings."""
+        return Arm(
+            "", None, _ruler_from_spec(args.ruler, d), QuantizerConfig(args.delta, Dither(args.dither)),
+            Correction(args.correction), args.threshold, args.threshold_auto, args.bandwidth,
+        )
+
     if args.simulate:
         opt = {
             name: default if getattr(args, name) is None else getattr(args, name)
             for name, default in _SIMULATION_DEFAULTS.items()
         }
         spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"], normalize=opt["normalize"])
-        ruler = _ruler_from_spec(args.ruler, spec.d)
+        sim = simulate_estimate(spec, opt["n"], seed, arm_at(spec.d))
+        est = sim.estimate
+        extra = [["rel_error_op", repr(sim.rel_error)]] + [
+            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("fro", "max")
+        ]
+        if sim.zeta is not None:
+            extra.append(["zeta", repr(float(sim.zeta))])
     else:
         if args.threshold_auto:
             raise InvalidArgumentError(
@@ -134,20 +149,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         given = ["--" + name for name in _SIMULATION_DEFAULTS if getattr(args, name) is not None]
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
-        samples, ruler = _load_samples(Path(args.input), args.ruler)
-    arm = Arm(
-        "", None, ruler, QuantizerConfig(args.delta, Dither(args.dither)),
-        Correction(args.correction), args.threshold, args.threshold_auto, args.bandwidth,
-    )
-    if args.simulate:
-        sim = simulate_estimate(spec, opt["n"], seed, arm)
-        est = sim.estimate
-        extra = [["rel_error_op", repr(sim.rel_error)]] + [
-            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("fro", "max")
-        ]
-        if sim.zeta is not None:
-            extra.append(["zeta", repr(float(sim.zeta))])
-    else:
+        samples, arm = _load_samples(Path(args.input), arm_at)
         est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
         extra = []
 
@@ -194,13 +196,15 @@ def _misfit_row(text: io.TextIOBase, d: int) -> str | None:
     return None
 
 
-def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
-    """The samples of ``path`` on the columns of the ruler ``ruler_text`` gives at their dimension, and that ruler.
+def _load_samples(path: Path, arm_at: Callable[[int], Arm]) -> tuple[np.ndarray, Arm]:
+    """The samples of ``path`` on the columns of the arm ``arm_at`` gives at their dimension, and that arm.
 
     The file is read as ``np.loadtxt(path, delimiter=",")`` reads it,
     compressed files included, and its rows are those :func:`_fields`
-    finds.  The dimension d is the field count of the first row.  Only
-    the ruler's columns are converted, so the samples are (n, |R|);
+    finds.  The dimension d is the field count of the first row; the arm
+    is built as soon as d is known, so it rejects its settings before the
+    file is parsed.  Only the arm's ruler's columns are converted, so the
+    samples are (n, |R|);
     fields off the ruler may hold any text.  A row of another width than
     the first is rejected with its line number.  Every ruler takes one
     path, and the file is searched for that row only after a check
@@ -217,40 +221,32 @@ def _load_samples(path: Path, ruler_text: str) -> tuple[np.ndarray, Ruler]:
             d = next(filter(None, map(_fields, text)), None)
             if d is None:
                 raise InvalidArgumentError(f"input file {path} contains no samples")
-            ruler = _ruler_from_spec(ruler_text, d)
+            arm = arm_at(d)
             commas = _commas(text)
             text.seek(0)
             try:
-                samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=ruler.indices)
+                samples = np.loadtxt(text, delimiter=",", ndmin=2, usecols=arm.ruler.indices)
                 if commas != samples.shape[0] * (d - 1):
                     raise ValueError(f"a row has more than the {d} fields of the first")
             except ValueError as exc:
                 text.seek(0)
                 raise InvalidArgumentError(f"could not parse samples from {path}: {_misfit_row(text, d) or exc}") from exc
-    return samples, ruler
+    return samples, arm
+
+
+# the parsed arguments that are not evaluate_bounds parameters
+_NOT_BOUNDS = ("command", "func", "seed", "out_dir", "trials")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    alphas, deltas = _parse_floats(args.alpha), _parse_floats(args.delta)
-    if not alphas or not deltas:
+    if not args.alpha or not args.delta:
         raise InvalidArgumentError(f"--alpha and --delta each take a value, got {args.alpha!r} and {args.delta!r}")
+    given = {name: value for name, value in vars(args).items() if name not in _NOT_BOUNDS}
     rows: list[list] = []
     header: list[str] | None = None
-    for alpha in alphas:
-        for delta in deltas:
-            report = evaluate_bounds(
-                d=args.d,
-                alpha=alpha,
-                delta=delta,
-                eps=args.eps,
-                prob_delta=args.prob_delta,
-                op_norm_t=args.op_norm,
-                k=args.k,
-                p=args.p,
-                n=args.n,
-                c=args.c,
-            )
-            record = vars(report).copy()
+    for alpha in args.alpha:
+        for delta in args.delta:
+            record = vars(evaluate_bounds(**given | {"alpha": alpha, "delta": delta}))
             if header is None:
                 header = list(record.keys())
             rows.append([("" if record[k] is None else repr(record[k]) if isinstance(record[k], float) else str(record[k])) for k in header])
@@ -333,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate theoretical constants as CSV")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alpha", default="0.5", help="comma-separated ruler parameters")
-    p.add_argument("--delta", default="0.0", help="comma-separated quantization levels")
+    # every option parses into the evaluate_bounds parameter named by its dest
+    p.add_argument("--alpha", type=_parse_floats, default=(0.5,), help="comma-separated ruler parameters")
+    p.add_argument("--delta", type=_parse_floats, default=(0.0,), help="comma-separated quantization levels")
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--prob-delta", type=float, default=0.05)
-    p.add_argument("--op-norm", type=float, default=1.0, help="operator norm of the target matrix")
+    p.add_argument("--op-norm", dest="op_norm_t", type=float, default=1.0, help="operator norm of the target matrix")
     p.add_argument("--k", type=int, default=None, help="rank for the low-rank coefficient")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--n", type=int, default=1000)

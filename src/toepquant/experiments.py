@@ -130,6 +130,11 @@ class Arm:
     def __post_init__(self) -> None:
         if sum((self.threshold is not None, bool(self.threshold_auto), self.band_est is not None)) > 1:
             raise InvalidArgumentError("an arm takes at most one of threshold, threshold_auto and band_est")
+        # the messages of threshold_estimate and banded_estimate, which would reject them only after the work
+        if self.threshold is not None and not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise InvalidArgumentError(f"zeta must be finite and >= 0, got {float(self.threshold)}")
+        if self.band_est is not None and not 1 <= self.band_est <= self.ruler.d:
+            raise InvalidArgumentError(f"bandwidth must lie in [1, {self.ruler.d}], got {self.band_est}")
 
     def estimate(
         self, samples: np.ndarray, rng: np.random.Generator | np.ndarray, truth: SymToeplitz | None = None
@@ -322,13 +327,18 @@ class ExperimentConfig:
                 raise InvalidArgumentError(f"{name} must not repeat a value, got {tuple(values)}")
         if self.variants is not None and not set(self.variants) <= set(_VARIANTS):
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
-        # build every recipe and ruler of the run, so a dimension that cannot
-        # take them fails here rather than after the dimensions before it ran
+        # build every recipe, ruler and quantizer of the run, so a value that
+        # cannot take them fails here rather than after the trials before it ran
         dims = self.d_grid if self.d_grid is not None else (self.d,)
         for d in dims:
             for variant in self.variants or (None,):
                 self.spec(d, variant)
         self._rulers = {(d, alpha): ruler_alpha(d, alpha) for d in dims for alpha in self.alphas}
+        for delta in self.deltas:
+            QuantizerConfig(delta)
+        # every n draws an (n, |R|) float64 block, at most (n, d)
+        if self.n_grid is not None and max(self.n_grid) * max(dims) > np.iinfo(np.intp).max // 8:
+            raise InvalidArgumentError(f"n grid value too large for an (n, {max(dims)}) sample block, got {self.n_grid}")
         self.out_dir = Path(self.out_dir)
 
     def ruler(self, d: int, alpha: float) -> Ruler:
@@ -681,33 +691,26 @@ def run_experiment(
 ) -> ExperimentOutput:
     """Run one experiment, write its CSVs and plot script, return everything.
 
+    ``out_dir`` and a temporary directory inside it are made before the
+    first trial, so an unusable ``out_dir`` fails before any work.  The
+    files are written to the temporary directory and moved into place
+    only once all of them are complete, so a run that fails writes none.
+
     Output is deterministic for a fixed config seed except for the
     wall-time ``seconds`` column of the trial CSV.  OpenBLAS runs on one
     thread throughout, so the output is the same at any number of CPUs.
     """
-    with single_blas_thread():
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".partial-", dir=cfg.out_dir) as staging, single_blas_thread():
         runner = _Runner(cfg, progress)
         _EXPERIMENTS[cfg.experiment].run(runner)
 
         runner.rows.sort(key=ResultRow.key)
         out = ExperimentOutput(cfg, runner.rows, runner.medians, runner.summary)
-        out.paths = _write_outputs(out)
+        for path in _write_files(out, Path(staging)):
+            os.replace(path, cfg.out_dir / path.name)
+            out.paths.append(cfg.out_dir / path.name)
     return out
-
-
-def _write_outputs(out: ExperimentOutput) -> list[Path]:
-    """Write every output file of a run, or none of them.
-
-    The files are written to a temporary directory inside ``out_dir`` and
-    moved into place only once all of them are complete.
-    """
-    out_dir = out.config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".partial-", dir=out_dir) as staging:
-        staged = _write_files(out, Path(staging))
-        for path in staged:
-            os.replace(path, out_dir / path.name)
-    return [out_dir / path.name for path in staged]
 
 
 def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:

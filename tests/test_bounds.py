@@ -119,6 +119,22 @@ class TestCoefficients:
             call()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # finite inputs whose constant overflows: each was returned as inf
+            (lambda: big_k(1e308, 0.0), "big_k"),
+            (lambda: big_k(1.0, 1e154), "big_k"),
+            (lambda: script_k(1.0, 7, 16, 1e308, 1000), "script_k"),
+            (lambda: threshold_zeta(2e100, 7, 16, 2.0, 1000, 1e300), "zeta"),
+        ],
+        ids=["big_k-norm", "big_k-delta", "script_k", "zeta"],
+    )
+    def test_constant_that_overflows_rejected_where_computed(self, call, name):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert str(info.value) == f"bounds not finite for this configuration: {name}"
+
 class TestVscPredict:
     def test_full_ruler_formula(self):
         d, eps, prob = 64, 0.2, 0.05

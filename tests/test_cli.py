@@ -272,6 +272,32 @@ class TestEstimate:
         assert "invalid configuration" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--input", "samples.csv", "--delta", "-1"], "delta must be finite and >= 0, got -1.0"),
+            (["--input", "samples.csv", "--threshold", "-1"], "zeta must be finite and >= 0, got -1.0"),
+            (["--input", "samples.csv", "--threshold", "nan"], "zeta must be finite and >= 0, got nan"),
+            (["--input", "samples.csv", "--bandwidth", "0"], "bandwidth must lie in [1, 16], got 0"),
+            (["--input", "samples.csv", "--bandwidth", "999"], "bandwidth must lie in [1, 16], got 999"),
+            (["--simulate", "--threshold", "-1"], "zeta must be finite and >= 0, got -1.0"),
+            (["--simulate", "--bandwidth", "17"], "bandwidth must lie in [1, 16], got 17"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_unusable_setting_rejected_before_reading_or_drawing(self, capsys, tmp_path, monkeypatch, argv, message):
+        calls = []
+
+        def counted(fn):
+            return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "samples.csv").write_text("\n".join(_sample_lines()) + "\n")
+        monkeypatch.setattr(cli.np, "loadtxt", counted(np.loadtxt))
+        monkeypatch.setattr(experiments, "sample_gaussian", counted(experiments.sample_gaussian))
+        code, out, err = run_cli(capsys, "estimate", *argv)
+        assert (code, out, err, calls) == (2, "", f"invalid configuration: {message}\n", [])
+
     def test_delta_whose_noise_power_overflows_rejected_before_the_trial(self, capsys, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran")
@@ -573,8 +599,8 @@ class TestBounds:
             (["--eps", "1e-170", "--prob-delta", "1e-170"], "kappa"),
             # script_l is finite, script_l * phi is not: kappa was 0.0 and only vsc_pred was named
             (["--delta", "1.1e77"], "kappa"),
-            # the report's own scan of every constant
-            (["--p", "1e308"], "script_k, zeta"),
+            # 4 p log d overflows: script_k is checked where it is computed, before zeta is
+            (["--p", "1e308"], "script_k"),
             (["--eps", "0.5", "--prob-delta", "1e-320"], "vsc_pred"),
         ],
         ids=lambda v: v if isinstance(v, str) else " ".join(v),
@@ -583,6 +609,29 @@ class TestBounds:
         code, out, err = run_cli(capsys, "bounds", "--d", "16", *option)
         assert (code, out) == (2, "")
         assert err == f"invalid configuration: bounds not finite for this configuration: {names}\n"
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            # K overflows too, but the square that overflows is named first
+            (["--op-norm", "1e308"], "||T||^2 must be finite and positive, got op_norm_t = 1e+308"),
+            (["--delta", "1e154"], "delta^4 must be finite, got delta = 1e+154"),
+            (["--delta", "nan"], "op_norm_t and delta must be finite and >= 0, got 1.0 and nan"),
+            (["--op-norm=-1"], "op_norm_t and delta must be finite and >= 0, got -1.0 and 0.0"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else " ".join(v),
+    )
+    def test_unusable_scale_named_before_k(self, capsys, option, message):
+        code, out, err = run_cli(capsys, "bounds", "--d", "16", *option)
+        assert (code, out, err) == (2, "", f"invalid configuration: {message}\n")
+
+    @pytest.mark.parametrize("option", ["--alpha", "--delta"])
+    def test_unparsable_list_is_a_usage_error(self, capsys, option):
+        # as for exp's grids: argparse parses the list
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--d", "16", option, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument {option}: expected comma-separated numbers, got 'x'\n")
 
     def test_dimension_one_rejected(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--d", "1", "--alpha", "7")
@@ -662,6 +711,8 @@ class TestExp:
             ["exp", "--id", "2", "--alphas", "0.5,1,0.5"],
             # a quantization level whose noise power delta^2 / 4 overflows
             ["--trials", "1", "exp", "--id", "3", "--deltas", "0,1e200"],
+            # an n for which numpy cannot size the sample block
+            ["--trials", "2", "exp", "--id", "1", "--n-grid", "6,10000000000000000000"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -675,6 +726,16 @@ class TestExp:
         assert code == 2
         assert "invalid configuration" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_unusable_out_dir_rejected_before_any_trial(self, capsys, tmp_path, monkeypatch, below):
+        draws = []
+        monkeypatch.setattr(experiments, "sample_gaussian", lambda *args: draws.append(args))
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "--out", str(path / below), "exp", "--id", "3", "--quiet")
+        assert (code, out, draws) == (2, "", [])
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--out", "out"]], ids=lambda o: o[0])
     @pytest.mark.parametrize(

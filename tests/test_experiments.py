@@ -166,6 +166,13 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
             ExperimentConfig(experiment, **{field: value})
 
+    @pytest.mark.parametrize("n", [2**62, 10**400], ids=["2**62", "10**400"])
+    def test_n_too_large_for_a_sample_block_rejected(self, n):
+        # numpy sizes blocks of at most 2**63 - 1 bytes: an (n, 16) float64 block fits at n = 2**55, not at 2**62
+        with pytest.raises(InvalidArgumentError, match=r"^n grid value too large for an \(n, 16\) sample block"):
+            ExperimentConfig(1, n_grid=(6, n))
+        assert ExperimentConfig(1, n_grid=(6, 2**55)).n_grid == (6, 2**55)
+
     @pytest.mark.parametrize("seed", [2**64, 10**400])
     def test_seed_past_64_bits_accepted(self, seed):
         assert ExperimentConfig(1, seed=seed).seed == seed

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from toepquant import STREAM_VERSION, cli, exceptions
+from toepquant.bounds import evaluate_bounds
 from toepquant.cli import build_parser
 from toepquant.exceptions import InvalidArgumentError, NumericError, ToepquantError
 from toepquant.experiments import _EXPERIMENTS, ExperimentConfig
@@ -127,6 +129,16 @@ def test_every_config_field_is_a_command_line_option():
     dests = {a.dest for a in parser._actions + subparsers.choices["exp"]._actions if a.option_strings}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert fields - dests == {"variants"}
+
+
+def test_every_bounds_option_is_an_evaluate_bounds_parameter():
+    # cmd_bounds passes every parsed option not in _NOT_BOUNDS to evaluate_bounds,
+    # so an option that is no parameter would be a TypeError, a traceback with exit 1
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = parser._actions + subparsers.choices["bounds"]._actions
+    dests = {a.dest for a in actions if a.option_strings and a.dest not in ("help", "version")}
+    assert dests - set(cli._NOT_BOUNDS) == set(inspect.signature(evaluate_bounds).parameters)
 
 
 def test_exp_ids_are_the_experiment_table():
