@@ -6,10 +6,10 @@ Subcommands: ``gen`` (emit a random generating vector), ``ruler``
 ``bounds`` (theoretical constants as CSV), and ``exp`` (run experiments
 1-5 and write their CSV/plot outputs).
 
-The master seed comes from ``--seed``, falling back to the
-``TOEPQUANT_SEED`` environment variable, then to 0.  Exit codes:
-0 success, 2 invalid configuration or arguments (``InvalidArgumentError``),
-3 numeric failure (``NumericError``).
+The master seed comes from ``--seed``, falling back to the ``TOEPQUANT_SEED``
+environment variable, then to 0; ``main`` checks it before any subcommand runs.
+Exit codes: 0 success, 2 invalid configuration or arguments
+(``InvalidArgumentError``), 3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def _ruler_from_spec(text: str, d: int) -> Ruler:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    t = draw_truth(GenSpec(args.d, k=args.k, m=args.m), _resolve_seed(args))
+    t = draw_truth(GenSpec(args.d, k=args.k, m=args.m), args.seed)
     _csv_out([[s, repr(float(v))] for s, v in enumerate(t.a)], ["s", "a"])
     return 0
 
@@ -119,8 +119,6 @@ _SIMULATION_DEFAULTS = {
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-
     def arm_at(d: int) -> Arm:
         """The command line's estimator at dimension ``d``; building it checks its settings."""
         return Arm(
@@ -134,7 +132,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             for name, default in _SIMULATION_DEFAULTS.items()
         }
         spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"], normalize=opt["normalize"])
-        sim = simulate_estimate(spec, opt["n"], seed, arm_at(spec.d))
+        sim = simulate_estimate(spec, opt["n"], args.seed, arm_at(spec.d))
         est = sim.estimate
         extra = [["rel_error_op", repr(sim.rel_error)]] + [
             [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("fro", "max")
@@ -150,11 +148,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples, arm = _load_samples(Path(args.input), arm_at)
-        est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
+        est, _ = arm.estimate(samples, observation_rng(args.seed, samples.shape[0]))
         extra = []
 
     coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
-    _csv_out(coefficients + extra + [["seed", str(seed)], ["stream_version", str(STREAM_VERSION)]], ["key", "value"])
+    _csv_out(coefficients + extra + [["seed", str(args.seed)], ["stream_version", str(STREAM_VERSION)]], ["key", "value"])
     return 0
 
 
@@ -255,7 +253,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 # the parsed arguments that are not ExperimentConfig fields
-_NOT_CONFIG = ("command", "func", "quiet", "seed")
+_NOT_CONFIG = ("command", "func", "quiet")
 
 # global options that only ``exp`` reads, by flag and parsed name
 _EXP_ONLY = {"--trials": "trials", "--out": "out_dir"}
@@ -263,7 +261,7 @@ _EXP_ONLY = {"--trials": "trials", "--out": "out_dir"}
 
 def cmd_exp(args: argparse.Namespace) -> int:
     given = {name: value for name, value in vars(args).items() if value is not None and name not in _NOT_CONFIG}
-    cfg = ExperimentConfig(seed=_resolve_seed(args), **given)
+    cfg = ExperimentConfig(**given)
     progress = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
     out = run_experiment(cfg, progress=progress)
     for path in out.paths:
@@ -362,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.seed = _resolve_seed(args)
         given = [flag for flag, name in _EXP_ONLY.items() if getattr(args, name) is not None]
         if given and args.command != "exp":
             raise InvalidArgumentError(f"options only exp reads given to {args.command}: {', '.join(given)}")

@@ -13,7 +13,9 @@ shape: a uniform dither reads one plane, a triangular dither two.  A plane
 ``u`` becomes ``-delta/2 + delta * u``, exactly as numpy forms
 ``Generator.uniform(-delta/2, delta/2)`` from the same uniforms, so planes
 drawn once can dither several quantizers of one input bit for bit as if
-each had drawn its own.
+each had drawn its own.  A triangular dither is built in its one output
+array: the second plane is added one row block at a time, read from the
+shared planes or drawn from the generator, which changes no drawn value.
 """
 
 from __future__ import annotations
@@ -95,38 +97,53 @@ def _grid_round(values: np.ndarray, delta: float) -> np.ndarray:
     return values
 
 
+# entries of a triangular dither's second plane added at a time, in whole
+# rows: 16 Ki doubles (128 KiB) stay in cache, and the dither holds one
+# full-size array plus this block rather than two full-size planes
+_BLOCK = 1 << 14
+
+
 def draw_dither(cfg: QuantizerConfig, size, rng: np.random.Generator | np.ndarray) -> np.ndarray:
     """Draw i.i.d. dither of the configured kind, as a fresh array the caller may overwrite.
 
     ``rng`` is a generator, from which the ``cfg.planes`` U[0, 1) planes
-    are drawn one after the other and scaled in place, or planes already
-    drawn, of shape (k, *size) with k >= ``cfg.planes``, which are only
-    read, so several quantizers can share them.  The dither is bit for bit
-    ``rng.uniform(-delta/2, delta/2, size)`` (the sum of two such draws
-    for triangular), and a generator ends in the state those draws leave
-    it in.
+    are drawn one after the other, or planes already drawn, of shape
+    (k, *size) with k >= ``cfg.planes``, which are only read, so several
+    quantizers can share them.  The first plane is scaled in place into
+    the output; a triangular dither's second plane is scaled and added one
+    row block at a time, so no second full-size array is made.  The dither
+    is bit for bit ``rng.uniform(-delta/2, delta/2, size)`` (the sum of two
+    such draws for triangular), and a generator ends in the state those
+    draws leave it in: PCG64 spends one output per double, so a plane
+    drawn block by block holds the same numbers in the same order.
     """
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     k = cfg.planes
     if k == 0:
         return np.zeros(shape)
-    if isinstance(rng, np.ndarray) and (rng.shape[1:] != shape or rng.shape[0] < k):
+    planes = isinstance(rng, np.ndarray)
+    if planes and (rng.shape[1:] != shape or rng.shape[0] < k):
         raise InvalidArgumentError(f"dither of shape {shape} needs {k} planes of that shape, got {rng.shape}")
     half = cfg.delta / 2.0
+    width = half - -half  # numpy's uniform(low, high) is low + (high - low) * u
 
-    def plane(i: int) -> np.ndarray:
-        # numpy's uniform(low, high) is low + (high - low) * u
-        if isinstance(rng, np.ndarray):
-            u = rng[i] * (half - -half)
+    def scaled(i: int, lo: int, out: np.ndarray) -> np.ndarray:
+        """``out`` set to rows ``lo:`` of plane ``i`` scaled to ``-half + width * u``."""
+        if planes:
+            np.multiply(np.atleast_1d(rng[i])[lo : lo + len(out)], width, out=out)
         else:
-            u = rng.random(shape)
-            u *= half - -half
-        u += -half
-        return u
+            rng.random(out=out)
+            out *= width
+        out += -half
+        return out
 
-    tau = plane(0)
+    tau = np.empty(shape)
+    rows = scaled(0, 0, np.atleast_1d(tau))
     if k == 2:
-        tau += plane(1)
+        step = max(1, _BLOCK // max(1, math.prod(rows.shape[1:])))
+        scratch = np.empty((min(step, len(rows)), *rows.shape[1:]))
+        for lo in range(0, len(rows), step):
+            rows[lo : lo + step] += scaled(1, lo, scratch[: len(rows) - lo])
     return tau
 
 

@@ -83,12 +83,19 @@ class TestGen:
         assert err == "invalid configuration: dimension must be positive, got 0\n"
 
 
+# one command line of every subcommand, each of which checks the seed
+_EVERY_SUBCOMMAND = [
+    ["gen", "--d", "4", "--k", "1"],
+    ["estimate", "--simulate"],
+    ["estimate", "--input", "samples.csv"],
+    ["exp", "--id", "3"],
+    ["ruler", "--d", "16", "--alpha", "0.5"],
+    ["bounds", "--d", "16"],
+]
+
+
 class TestSeed:
-    @pytest.mark.parametrize(
-        "command",
-        [["gen", "--d", "4", "--k", "1"], ["estimate", "--simulate"], ["estimate", "--input", "samples.csv"], ["exp", "--id", "3"]],
-        ids=lambda c: " ".join(c[:2]),
-    )
+    @pytest.mark.parametrize("command", _EVERY_SUBCOMMAND, ids=lambda c: " ".join(c[:2]))
     def test_negative_seed_rejected_by_name_before_any_work(self, capsys, tmp_path, monkeypatch, command):
         def no_work(*args, **kwargs):
             raise AssertionError("work ran")
@@ -108,6 +115,15 @@ class TestSeed:
         code, out, err = run_cli(capsys, "gen", "--d", "4", "--k", "1")
         assert (code, out) == (2, "")
         assert err == f"invalid configuration: TOEPQUANT_SEED must be a non-negative integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", _EVERY_SUBCOMMAND, ids=lambda c: " ".join(c[:2]))
+    def test_unusable_environment_seed_rejected_by_every_subcommand(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "samples.csv").write_text("\n".join(_sample_lines()) + "\n")
+        monkeypatch.setenv("TOEPQUANT_SEED", "abc")
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out, err) == (2, "", "invalid configuration: TOEPQUANT_SEED must be a non-negative integer, got 'abc'\n")
+        assert not (tmp_path / "results").exists()
 
     def test_seed_past_64_bits_accepted(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "--seed", str(2**64 + 5), "gen", "--d", "4", "--k", "1")

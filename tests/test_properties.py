@@ -36,6 +36,7 @@ from toepquant.experiments import draw_truth
 from toepquant import cli
 from toepquant.cli import _ruler_from_spec, main
 from toepquant.exceptions import InvalidArgumentError
+from toepquant.quantization import _BLOCK
 from toepquant.toeplitz import _centrosymmetric_blocks, op_norm, toep
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -231,6 +232,13 @@ def reference_dither(cfg, size, rng):
 @example(1e150, Dither.TRIANGULAR, (2, 2), 2)
 @example(1e-310, Dither.TRIANGULAR, (3, 2), 3)
 @example(1e-308, Dither.UNIFORM, (4,), 4)
+# shapes that span several row blocks of a triangular dither's second plane
+@example(2.0, Dither.TRIANGULAR, (3 * _BLOCK + 1, 1), 5)
+@example(0.5, Dither.TRIANGULAR, (3 * (_BLOCK // 7) + 1, 7), 6)
+@example(3.0, Dither.TRIANGULAR, (3 * (_BLOCK // 600) + 1, 600), 7)
+@example(1.0, Dither.UNIFORM, (3 * (_BLOCK // 600) + 1, 600), 8)
+@example(0.25, Dither.TRIANGULAR, (2 * _BLOCK + 3,), 9)
+@example(4.0, Dither.UNIFORM, (2 * _BLOCK + 3,), 10)
 def test_dither_from_planes_is_the_reference_draw(delta, dither, shape, seed):
     cfg = QuantizerConfig(delta, dither)
     reference = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from toepquant import (
     quantize_vector,
 )
 from toepquant.exceptions import InvalidArgumentError, NumericError
+from toepquant.quantization import _BLOCK
 
 
 class TestQuantizeScalar:
@@ -92,6 +95,22 @@ class TestDrawDither:
     def test_planes_of_another_shape_rejected(self, shape):
         with pytest.raises(InvalidArgumentError, match="planes"):
             draw_dither(QuantizerConfig(2.0, Dither.TRIANGULAR), (4, 5), np.zeros(shape))
+
+    @pytest.mark.parametrize("source", ["generator", "planes"])
+    def test_triangular_holds_one_full_size_array(self, source):
+        # the second plane is added one row block at a time, so the traced peak
+        # is the output plus one block, not two full-size planes
+        n, r = 20000, 7
+        rng = np.random.default_rng(4)
+        if source == "planes":
+            rng = rng.random((2, n, r))
+        tracemalloc.start()
+        try:
+            tau = draw_dither(QuantizerConfig(2.0, Dither.TRIANGULAR), (n, r), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= tau.nbytes + 8 * _BLOCK + 64 * 1024
 
 
 class TestQuantizeVector:
