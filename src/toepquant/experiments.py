@@ -14,17 +14,23 @@ Five experiments are provided, each described by its ``_EXPERIMENTS`` entry:
 A covariance is described by its ``GenSpec`` recipe, an estimator by its
 :class:`Arm` (ruler, quantizer, correction and post-processing).  Every
 trial runs one pipeline: the covariance is drawn once per trial seed, the
-samples once per ``(seed, n, ruler)`` on that ruler's columns only, and
-every arm of the experiment is evaluated on its ruler's draw.  Each
-ruler's draw starts from the observation stream of ``(seed, n)``.  Right
-after it, the U[0, 1) planes of the dither are drawn from that stream once
-for all the ruler's arms: as many as the most any arm reads (none when no
-arm dithers, one for uniform, two for triangular dither).  Each arm scales
-them to its own quantization level, which is bit for bit the dither a lone
-arm draws from the stream right after the samples.  So every result row
-equals one ``simulate_estimate(spec, n, seed, arm)`` call with the row's
-recipe, ``(seed, n)`` and arm, and is reproducible in isolation.  An arm's
-``seconds`` is its own time plus an equal share of its ruler's draw of
+samples once per ``(seed, n, ruler)`` on that ruler's columns only, each
+distinct quantizer of a ruler's arms observes that draw once, and every
+arm runs its own correction, post-processing and score on its
+quantizer's observation.  Each ruler's draw starts from the observation
+stream of ``(seed, n)``, and every quantizer's dither is the one a lone
+arm draws from that stream right after the samples.  Where more than one
+quantizer of a ruler dithers, they get it in one of two ways, by the size
+of the U[0, 1) planes they would share (see ``_SHARED_PLANES``): small
+planes are drawn from the stream once, as many as the most any quantizer
+reads (one for uniform, two for triangular dither), and each quantizer
+scales them to its own level; above the bound the stream's state right
+after the samples is kept, and each quantizer draws its own dither from
+that state.  Both are bit for bit a lone arm's dither.  So every result
+row equals one ``simulate_estimate(spec, n, seed, arm)`` call with the
+row's recipe, ``(seed, n)`` and arm, and is reproducible in isolation.
+An arm's ``seconds`` is its own time plus an equal share of its
+quantizer's observation and an equal share of its ruler's draw of
 samples and planes.
 
 Experiments 1, 2, 3 and 5 run their trials in the calling thread.
@@ -67,7 +73,7 @@ from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/traci
 from .exceptions import InvalidArgumentError
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
-from .sampling import GenSpec, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
+from .sampling import GenSpec, SampleBatch, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
 from .toeplitz import SymToeplitz
 from .toeplitz import op_norm  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
 
@@ -87,6 +93,17 @@ __all__ = [
 
 # (c, p) of the calibrated threshold c * K * sqrt((log|R| + 4p log d) / n)
 THRESHOLD_AUTO = (0.07, 2.0)
+
+# doubles of U[0, 1) planes (k planes of the (n, |R|) samples) that the
+# dithering quantizers of one ruler's draw may share: 1 Mi, 8 MiB.  Above
+# it each quantizer draws its own dither from the stream's state after the
+# samples, so no planes are held beside the samples and the rows.  Measured
+# in process on one BLAS thread of a 2-vCPU host: experiment 1's n = 100000
+# planes (1.4 M doubles) regenerate in the time they are scaled, 3 plane
+# draws against 2 draws plus 3 scale passes (45-46 ms a draw either way),
+# while experiment 3 (10 dithering quantizers per ruler, planes far below
+# the bound) ran 30-40 % slower when every quantizer regenerated its planes.
+_SHARED_PLANES = 1 << 20
 
 # estimator tags of experiment 1: (delta scale, dither, correction)
 _EXP1_TAGS: dict[str, tuple[float, Dither, Correction]] = {
@@ -146,7 +163,10 @@ class Arm:
         :func:`~toepquant.quantization.draw_dither`).  At ``delta == 0``
         with no correction the estimate is the plain ruler estimator's.
         """
-        batch = observe(samples, self.ruler, self.quantizer, rng)
+        return self.estimate_batch(observe(samples, self.ruler, self.quantizer, rng), truth)
+
+    def estimate_batch(self, batch: SampleBatch, truth: SymToeplitz | None = None) -> tuple[SymToeplitz, float | None]:
+        """Estimate and post-process ``batch``, observed by ``quantizer``; return the estimate and its threshold."""
         est = quantized_estimate(batch, self.correction)
         zeta = None
         if self.threshold_auto:
@@ -201,34 +221,47 @@ class _Trial:
     truth: SymToeplitz | None = None
 
     def draw(self, n: int, arms: Sequence[Arm]) -> list[_Outcome]:
-        """One sample draw of ``n`` per ruler, then the outcome of every arm on its ruler's draw."""
-        # An arm's seconds are its own time plus an equal share of its ruler's
-        # draw of samples and dither planes, the seed's covariance included on
-        # its first draw.  So the arms of a trial sum to the trial's wall time.
-        by_ruler: dict[Ruler, list[int]] = {}
+        """One sample draw of ``n`` per ruler, one observation of it per quantizer, then every arm's outcome."""
+        # An arm's seconds are its own time plus an equal share of its
+        # quantizer's observation and an equal share of its ruler's draw of
+        # samples and dither planes, the seed's covariance included on its
+        # first draw.  So the arms of a trial sum to the trial's wall time.
+        by_ruler: dict[Ruler, dict[QuantizerConfig, list[int]]] = {}
         for i, arm in enumerate(arms):
-            by_ruler.setdefault(arm.ruler, []).append(i)
+            by_ruler.setdefault(arm.ruler, {}).setdefault(arm.quantizer, []).append(i)
         out: list[_Outcome] = [None] * len(arms)
-        for group in by_ruler.values():
+        for ruler, by_quantizer in by_ruler.items():
             start = time.perf_counter()
             if self.truth is None:
                 self.truth = draw_truth(self.spec, self.seed)
             # every ruler's draw starts from the same stream, so each row
             # depends only on its own ruler
             rng = observation_rng(self.seed, n)
-            samples = sample_gaussian(self.truth, n, rng, arms[group[0]].ruler.indices)
-            # the next uniforms of the stream are the dither planes: several
-            # arms share one draw of them, a lone arm draws its own
-            dither = rng
-            planes = max(arms[i].quantizer.planes for i in group)
-            if planes and len(group) > 1:
-                dither = rng.random((planes, *samples.shape))
-            share = (time.perf_counter() - start) / len(group)
-            for i in group:
+            samples = sample_gaussian(self.truth, n, rng, ruler.indices)
+            # every dither is the next uniforms of the stream: a lone
+            # dithering quantizer draws them, several share one draw of
+            # small planes or each draw from the state kept here
+            dither, state = rng, None
+            planes = [q.planes for q in by_quantizer if q.planes]
+            if len(planes) > 1:
+                if max(planes) * samples.size <= _SHARED_PLANES:
+                    dither = rng.random((max(planes), *samples.shape))
+                else:
+                    state = rng.bit_generator.state
+            share = (time.perf_counter() - start) / sum(map(len, by_quantizer.values()))
+            for quantizer, group in by_quantizer.items():
                 start = time.perf_counter()
-                est, zeta = arms[i].estimate(samples, dither, self.truth)
-                err = relative_error(self.truth, est, "op")
-                out[i] = _Outcome(est, zeta, err, time.perf_counter() - start + share, self.seed)
+                if state is not None and quantizer.planes:
+                    rng.bit_generator.state = state
+                batch = observe(samples, ruler, quantizer, dither)
+                observed = (time.perf_counter() - start) / len(group) + share
+                for i in group:
+                    start = time.perf_counter()
+                    est, zeta = arms[i].estimate_batch(batch, self.truth)
+                    err = relative_error(self.truth, est, "op")
+                    out[i] = _Outcome(est, zeta, err, time.perf_counter() - start + observed, self.seed)
+                # the next observation would otherwise run beside this one's rows
+                del batch
         return out
 
 

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,7 +24,7 @@ from toepquant import (
     simulate_estimate,
 )
 from toepquant.exceptions import InvalidArgumentError
-from toepquant import experiments, sample_gaussian, toeplitz
+from toepquant import experiments, observe, sample_gaussian, toeplitz
 from toepquant._blas import openblas_threads
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
 
@@ -278,16 +279,21 @@ class TestRunExperiment:
                     assert ra[field] == rb[field]
 
     @pytest.mark.parametrize("experiment", [1, 2, 3, 4, 5])
-    def test_rows_reproducible_in_isolation(self, tmp_path, experiment):
-        # every arm of a trial shares one truth and one sample draw, yet each
-        # row must equal a lone simulate_estimate call, bit for bit
-        cfg = ExperimentConfig(experiment, seed=9, out_dir=tmp_path, **SMALL_CONFIGS[experiment])
-        out = run_experiment(cfg)
-        assert out.rows
-        for row in out.rows:
-            spec, arm = simulate_args(cfg, row)
-            sim = simulate_estimate(spec, row.n, row.seed, arm)
-            assert sim.rel_error == row.rel_error, row
+    def test_rows_reproducible_in_isolation(self, tmp_path, monkeypatch, experiment):
+        # every arm of a trial shares one truth, one sample draw and its
+        # quantizer's observation, yet each row must equal a lone
+        # simulate_estimate call, bit for bit, whether the dithering
+        # quantizers of a draw share its planes (a huge bound) or each draws
+        # its own from the kept state (bound 0): experiment 1 takes both
+        for bound in (0, 1 << 62):
+            monkeypatch.setattr(experiments, "_SHARED_PLANES", bound)
+            cfg = ExperimentConfig(experiment, seed=9, out_dir=tmp_path / str(bound), **SMALL_CONFIGS[experiment])
+            out = run_experiment(cfg)
+            assert out.rows
+            for row in out.rows:
+                spec, arm = simulate_args(cfg, row)
+                sim = simulate_estimate(spec, row.n, row.seed, arm)
+                assert sim.rel_error == row.rel_error, (bound, row)
 
     def test_one_sample_draw_per_n_trial_and_ruler(self, tmp_path, monkeypatch):
         # every arm on a ruler shares that ruler's draw, made on its columns only
@@ -309,9 +315,12 @@ class TestRunExperiment:
         assert sorted(calls) == sorted([(n, size) for n in (50, 100) for size in (sparse, 16)] * 2)
 
     def test_one_plane_draw_per_n_trial_and_dithering_ruler(self, tmp_path, monkeypatch):
-        # the arms of a ruler share one draw of dither planes, as many as the
-        # most any arm reads (two: triangular), a ruler whose arms are all
-        # undithered draws none, and a lone arm draws its planes one at a time
+        # the dithering quantizers of a ruler (triangular and uniform) share
+        # one draw of dither planes, as many as the most any reads (two:
+        # triangular), when the planes are within the bound; above it each
+        # draws its own planes from the stream one at a time and no planes
+        # array is drawn.  A ruler whose quantizers are all undithered draws
+        # none, and a lone quantizer draws its planes one at a time
         draws = []
 
         class Counting(np.random.Generator):
@@ -340,6 +349,57 @@ class TestRunExperiment:
 
         experiments.simulate_estimate(GenSpec(16, k=2), 50, 0, plain_arm(16, 0.5, 2.0))
         assert draws == [(50, sparse), (50, sparse)]
+
+        # a bound between the planes of n = 50 and n = 100 on the full ruler:
+        # above it the triangular quantizer draws two (n, |R|) planes (one
+        # row block each at this size) and the uniform one a third
+        draws.clear()
+        monkeypatch.setattr(experiments, "_SHARED_PLANES", 2 * 50 * 16)
+        run_experiment(ExperimentConfig(1, out_dir=tmp_path / "bounded", **common))
+        shared = [(2, 50, 16)] + [(2, n, sparse) for n in (50, 100)]
+        assert sorted(draws) == sorted(shared * 2 + [(100, 16)] * 3 * 2)
+
+    @pytest.mark.parametrize(
+        "experiment, overrides, per_draw",
+        [
+            # five arms on four quantizers: hatT and dotT share theirs
+            (1, dict(trials=2, n_grid=(50, 100), alphas=(0.5, 1.0)), 4),
+            # three arms, thresholded and banded, on one quantizer
+            (5, SMALL_CONFIGS[5], 1),
+        ],
+    )
+    def test_one_observation_per_quantizer_of_a_draw(self, tmp_path, monkeypatch, experiment, overrides, per_draw):
+        calls = []
+
+        def counting(samples, ruler, cfg, rng):
+            calls.append((len(samples), ruler, cfg))
+            return observe(samples, ruler, cfg, rng)
+
+        monkeypatch.setattr(experiments, "observe", counting)
+        cfg = ExperimentConfig(experiment, seed=0, out_dir=tmp_path, **overrides)
+        out = run_experiment(cfg)
+        draws = {(r.d, r.n, r.trial, r.alpha) for r in out.rows}
+        assert len(calls) == per_draw * len(draws)
+        assert len(set(calls)) == per_draw * len({(n, ruler) for n, ruler, _ in calls})
+
+    def test_a_large_draw_holds_the_samples_and_one_observation(self):
+        # experiment 1's arms at n = 100000 on the sparse ruler (|R| = 7):
+        # their planes are above the bound, so the draw holds no planes,
+        # and each quantizer's rows are released before the next observes
+        cfg = ExperimentConfig(1)
+        arms = experiments._estimator_arms(cfg, 16)
+        trial = experiments._Trial(5, cfg.spec(16))
+        trial.draw(100, arms)  # the covariance and its factor, kept on the trial
+        n, size = 100000, cfg.ruler(16, 0.5).size
+        assert size == 7 and 2 * n * size > experiments._SHARED_PLANES
+        tracemalloc.start()
+        try:
+            trial.draw(n, arms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = n * size * 8  # one (n, |R|) float64 array
+        assert peak <= 2 * block + (1 << 20), peak / 2**20
 
     @staticmethod
     def exp4_factorizations(tmp_path, monkeypatch, **overrides):
