@@ -62,7 +62,6 @@ from .sampling import (
 )
 from .toeplitz import (
     SymToeplitz,
-    avg,
     fro_norm,
     max_norm,
     op_norm,

@@ -34,8 +34,7 @@ from .exceptions import InvalidArgumentError, NumericError, ToepquantError
 from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, phi_bound, ruler_alpha
-from .sampling import GenSpec
-from .sampling import observe  # noqa: F401  (uncalled; perfbench/tracing.py wraps it)
+from .sampling import GenSpec, observe
 
 INVALID_CONFIG = 2
 NUMERIC_FAILURE = 3
@@ -148,7 +147,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if given:
             raise InvalidArgumentError(f"{', '.join(given)} only apply to --simulate, not --input")
         samples, arm = _load_samples(Path(args.input), arm_at)
-        est, _ = arm.estimate(samples, observation_rng(args.seed, samples.shape[0]))
+        batch = observe(samples, arm.ruler, arm.quantizer, observation_rng(args.seed, samples.shape[0]))
+        est, _ = arm.estimate_batch(batch)
         extra = []
 
     coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]

@@ -131,7 +131,7 @@ class Arm:
 
     ``tag`` and ``alpha`` only label result rows.  ``threshold_auto``
     thresholds at the ``THRESHOLD_AUTO`` level, which reads the true
-    operator norm, so :meth:`estimate` then needs ``truth``.  At most one
+    operator norm, so :meth:`estimate_batch` then needs ``truth``.  At most one
     post-processing is set: ``threshold``, ``threshold_auto`` or ``band_est``.
     """
 
@@ -152,18 +152,6 @@ class Arm:
             raise InvalidArgumentError(f"zeta must be finite and >= 0, got {float(self.threshold)}")
         if self.band_est is not None and not 1 <= self.band_est <= self.ruler.d:
             raise InvalidArgumentError(f"bandwidth must lie in [1, {self.ruler.d}], got {self.band_est}")
-
-    def estimate(
-        self, samples: np.ndarray, rng: np.random.Generator | np.ndarray, truth: SymToeplitz | None = None
-    ) -> tuple[SymToeplitz, float | None]:
-        """Observe, estimate and post-process ``samples``; return the estimate and its threshold.
-
-        ``rng`` gives the dither: a generator, which is consumed, or the
-        U[0, 1) planes drawn from one, which are only read (see
-        :func:`~toepquant.quantization.draw_dither`).  At ``delta == 0``
-        with no correction the estimate is the plain ruler estimator's.
-        """
-        return self.estimate_batch(observe(samples, self.ruler, self.quantizer, rng), truth)
 
     def estimate_batch(self, batch: SampleBatch, truth: SymToeplitz | None = None) -> tuple[SymToeplitz, float | None]:
         """Estimate and post-process ``batch``, observed by ``quantizer``; return the estimate and its threshold."""

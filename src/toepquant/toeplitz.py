@@ -2,12 +2,13 @@
 
 A symmetric Toeplitz matrix is represented by its generating vector
 ``a``: the entry at ``(j, k)`` is ``a[|j - k|]``.  The matrix functions
-here take a :class:`SymToeplitz`; :func:`avg` makes one from a square array,
-and :func:`sup_l` bounds the norm of one from its generating vector.
+here take a :class:`SymToeplitz`, and :func:`sup_l` bounds the norm of one
+from its generating vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, TypeVar
 
@@ -18,7 +19,6 @@ from .exceptions import InvalidArgumentError, NumericError
 __all__ = [
     "SymToeplitz",
     "toep",
-    "avg",
     "principal_submatrix",
     "op_norm",
     "fro_norm",
@@ -148,27 +148,6 @@ def toep(a: np.ndarray) -> SymToeplitz:
     return SymToeplitz(np.asarray(a, dtype=np.float64))
 
 
-def avg(m: np.ndarray) -> SymToeplitz:
-    """Average the diagonals of a square matrix into a Toeplitz matrix.
-
-    Both the upper and the lower diagonal at each offset are pooled, so the
-    dense form of a symmetric Toeplitz matrix comes back as that matrix.
-    """
-    dense = np.asarray(m, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {dense.shape}")
-    d = dense.shape[0]
-    out = np.empty(d)
-    for s in range(d):
-        vals = np.diagonal(dense, offset=s)
-        if s > 0:
-            vals = np.concatenate([vals, np.diagonal(dense, offset=-s)])
-        # identical diagonals short-circuit so Toeplitz inputs round-trip bit-exactly
-        v0 = vals[0]
-        out[s] = v0 if np.all(vals == v0) else vals.mean()
-    return SymToeplitz(out)
-
-
 def principal_submatrix(t: SymToeplitz, indices) -> np.ndarray:
     """The principal submatrix of ``t`` on ``indices`` (ascending order), as a dense array.
 
@@ -205,12 +184,17 @@ def op_norm(t: SymToeplitz) -> float:
 
     Both blocks go to one ``eigvalsh`` call as a ``(2, ceil(d/2), ceil(d/2))``
     stack, about a quarter of the flops of the d x d call.  At ``d = 1`` the
-    blocks are ``[[a[0]]]`` and ``[[0]]``.
+    blocks are ``[[a[0]]]`` and ``[[0]]``.  A norm that is no finite float
+    raises :class:`NumericError`.
     """
     a = t.a
     if not np.all(np.isfinite(a)):
         raise NumericError("matrix contains non-finite entries")
-    return float(np.abs(np.linalg.eigvalsh(_centrosymmetric_blocks(a))).max())
+    with np.errstate(over="ignore"):
+        blocks = _centrosymmetric_blocks(a)
+    # a block entry is an entry of T in an orthonormal basis, so where one overflows the norm does too
+    norm = float(np.abs(np.linalg.eigvalsh(blocks)).max()) if np.all(np.isfinite(blocks)) else math.inf
+    return _finite_norm("operator", norm)
 
 
 def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
@@ -236,8 +220,28 @@ def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(t: SymToeplitz) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(t.dense()))
+    """Frobenius norm; one that is no finite float raises :class:`NumericError`.
+
+    The squares are summed with every entry scaled by ``2**-e``, the power
+    of two that brings ``max |a|`` into [1/2, 1), and the root is scaled
+    back by ``2**e``.  No square overflows then, and none that counts
+    underflows.  Both scalings are exact, so where no square leaves the
+    normal range either way, the norm is the plain sum's, bit for bit.
+    """
+    peak = max_norm(t)
+    if not math.isfinite(peak):
+        raise NumericError("matrix contains non-finite entries")
+    e = math.frexp(peak)[1]
+    x = np.ldexp(t.dense().ravel(), -e)
+    with np.errstate(over="ignore"):
+        norm = float(np.ldexp(math.sqrt(x.dot(x)), e))
+    return _finite_norm("Frobenius", norm)
+
+
+def _finite_norm(name: str, norm: float) -> float:
+    if not math.isfinite(norm):
+        raise NumericError(f"the {name} norm is not a finite float")
+    return norm
 
 
 def max_norm(t: SymToeplitz) -> float:

@@ -8,7 +8,6 @@ from toepquant import (
     Ruler,
     SampleBatch,
     SymToeplitz,
-    avg,
     banded_estimate,
     full_ruler,
     gen_banded,
@@ -23,6 +22,8 @@ from toepquant import (
     toep,
 )
 from toepquant.exceptions import InvalidArgumentError, NumericError
+
+from reference import avg
 
 
 def brute_force_estimate(rows, indices, d, delta, correction):
@@ -280,6 +281,9 @@ class TestRelativeError:
         eps = 0.01
         shifted = toep(t.a + np.array([eps, 0.0, 0.0]))
         assert relative_error(t, shifted, "op") == pytest.approx(eps / op_norm(t))
+
+    def test_fro_of_a_matrix_whose_squares_underflow(self):
+        assert relative_error(toep([1e-200, 0.0]), toep([2e-200, 0.0]), "fro") == 1.0
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(NumericError, match="relative error undefined for a zero matrix"):

@@ -85,7 +85,7 @@ class TestSimulateEstimate:
     def test_threshold_auto_needs_the_truth(self):
         arm = plain_arm(8, threshold_auto=True)
         with pytest.raises(InvalidArgumentError, match="the oracle threshold needs the true matrix"):
-            arm.estimate(np.ones((5, 8)), np.random.default_rng(0))
+            arm.estimate_batch(observe(np.ones((5, 8)), arm.ruler, arm.quantizer, np.random.default_rng(0)))
 
     def test_recipe_needs_exactly_one_kind(self):
         for kinds in ({}, {"k": 2, "m": 3}):

@@ -20,7 +20,6 @@ from toepquant import (
     QuantizerConfig,
     Ruler,
     SampleBatch,
-    avg,
     draw_dither,
     full_ruler,
     observe,
@@ -38,6 +37,8 @@ from toepquant.cli import _ruler_from_spec, main
 from toepquant.exceptions import InvalidArgumentError
 from toepquant.quantization import _BLOCK
 from toepquant.toeplitz import _centrosymmetric_blocks, op_norm, toep
+
+from reference import avg
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -474,7 +475,7 @@ def _reference_estimate_stdout(path, ruler_text, delta, correction, seed):
     samples = np.loadtxt(path, delimiter=",", ndmin=2)
     ruler = _ruler_from_spec(ruler_text, samples.shape[1])
     arm = Arm("", None, ruler, QuantizerConfig(delta, Dither.TRIANGULAR), Correction(correction))
-    est, _ = arm.estimate(samples, observation_rng(seed, samples.shape[0]))
+    est, _ = arm.estimate_batch(observe(samples, ruler, arm.quantizer, observation_rng(seed, samples.shape[0])))
     out = io.StringIO()
     rows = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
     csv.writer(out).writerows([["key", "value"], *rows, ["seed", str(seed)], ["stream_version", str(STREAM_VERSION)]])

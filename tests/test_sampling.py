@@ -8,7 +8,6 @@ from toepquant import (
     Ruler,
     SampleBatch,
     SymToeplitz,
-    avg,
     full_ruler,
     gen_banded,
     gen_toeplitz_vandermonde,
@@ -22,6 +21,8 @@ from toepquant import (
 from toepquant._seeding import generator_rng
 from toepquant.exceptions import InvalidArgumentError, NumericError
 from toepquant.experiments import draw_truth
+
+from reference import avg
 
 
 def complex_mode_matrix(freqs, powers, d):

@@ -3,7 +3,6 @@ import pytest
 
 from toepquant import (
     SymToeplitz,
-    avg,
     fro_norm,
     max_norm,
     op_norm,
@@ -14,6 +13,8 @@ from toepquant import (
 )
 from toepquant.exceptions import InvalidArgumentError, NumericError
 from toepquant.rulers import full_ruler, ruler_alpha
+
+from reference import avg
 
 
 def char_poly_eigvals(m):
@@ -195,6 +196,45 @@ class TestNorms:
             dense = t.dense()
             assert fro_norm(t) ** 2 == pytest.approx((dense**2).sum(), rel=1e-12)
             assert max_norm(t) == np.abs(dense).max()
+
+    @pytest.mark.parametrize(
+        "a, want",
+        [([1e160, 0.0, 0.0], np.sqrt(3) * 1e160), ([1e-200, 0.0], np.sqrt(2) * 1e-200), ([1e-320], 1e-320)],
+        ids=["squares-overflow", "squares-underflow", "subnormal"],
+    )
+    def test_fro_norm_whose_squares_leave_the_float_range(self, a, want):
+        assert fro_norm(toep(a)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_fro_norm_keeps_the_bytes_of_the_plain_sum(self):
+        # every entry within 2**±300 of 1 and 2**±100 of the largest: every
+        # square and partial sum is a normal float before and after the rescale
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            d = int(rng.integers(1, 20))
+            a = rng.standard_normal(d) * 2.0 ** rng.uniform(-100, 0, d) * 2.0 ** int(rng.integers(-200, 200))
+            a[rng.random(d) < 0.2] = 0.0
+            t = toep(a)
+            assert fro_norm(t) == float(np.linalg.norm(t.dense()))
+
+    @pytest.mark.parametrize(
+        "norm, a",
+        [
+            (op_norm, [1e308, 1e308]),
+            (op_norm, [1e308, -1e308, 1e308]),
+            (op_norm, [0.6e308] * 4),  # finite blocks of order 2, eigenvalue 2.4e308
+            (fro_norm, [1e308] * 3),
+            (fro_norm, [0.0, 1.5e308]),
+        ],
+        ids=["op-block-overflows", "op-block-nan", "op-eigenvalue-overflows", "fro-3x3", "fro-off-diagonal"],
+    )
+    def test_norm_that_is_no_finite_float_raises(self, norm, a):
+        with pytest.raises(NumericError, match="norm is not a finite float"):
+            norm(toep(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fro_norm_non_finite_generating_vector(self, bad):
+        with pytest.raises(NumericError, match="non-finite entries"):
+            fro_norm(toep([1.0, bad]))
 
 
 class TestCosinePolynomial:

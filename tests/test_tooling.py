@@ -12,6 +12,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -56,16 +57,37 @@ def test_tracer_installs_and_uninstalls():
     assert bound() == originals
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """``python *args`` with this checkout's ``src`` first on the module path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "toepquant", "ruler", "--d", "16", "--alpha", "0.5"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "toepquant", "ruler", "--d", "16", "--alpha", "0.5")
     assert done.returncode == 0, done.stderr
     header, row = done.stdout.splitlines()
     assert header.startswith("d,alpha,size")
     assert row.endswith("1 2 3 4 8 12 16")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["estimate", "--simulate", "--delta", "1e150"], 0),  # pair means and norms near 1e300
+        (["ruler", "--d", "16", "--alpha", "5"], 2),
+        (["estimate", "--simulate", "--delta", "1e154"], 3),  # pair means overflow
+    ],
+    ids=["finite", "invalid", "numeric"],
+)
+def test_warnings_as_errors_leave_the_exit_codes(argv, code):
+    # a numpy RuntimeWarning raised as an error would be a traceback with exit 1
+    done = run_python("-W", "error", "-m", "toepquant", *argv)
+    assert (done.returncode, "Traceback" in done.stderr) == (code, False), done.stderr
+    assert len(done.stderr.splitlines()) <= 1
+    if code == 0:
+        values = [float(line.split(",")[1]) for line in done.stdout.splitlines()[1:]]
+        assert all(map(math.isfinite, values))
 
 
 def test_every_module_uses_what_it_imports():
