@@ -18,17 +18,15 @@ samples once per ``(seed, n, ruler)`` on that ruler's columns only, each
 distinct quantizer of a ruler's arms observes that draw once, and every
 arm runs its own correction, post-processing and score on its
 quantizer's observation.  Each ruler's draw starts from the observation
-stream of ``(seed, n)``, and every quantizer's dither is the one a lone
-arm draws from that stream right after the samples.  Where more than one
-quantizer of a ruler dithers, they get it in one of two ways, by the size
-of the U[0, 1) planes they would share (see ``_SHARED_PLANES``): small
-planes are drawn from the stream once, as many as the most any quantizer
-reads (one for uniform, two for triangular dither), and each quantizer
-scales them to its own level; above the bound the stream's state right
-after the samples is kept, and each quantizer draws its own dither from
-that state.  Both are bit for bit a lone arm's dither.  So every result
-row equals one ``simulate_estimate(spec, n, seed, arm)`` call with the
-row's recipe, ``(seed, n)`` and arm, and is reproducible in isolation.
+stream of ``(seed, n)``, and its state right after the samples is kept.
+Every quantizer's dither is the U[0, 1) planes of the stream from that
+state, scaled to its level: where two or more quantizers of the ruler
+dither and the planes fit ``_SHARED_PLANES``, the planes are drawn once,
+as many as the most any quantizer reads (one for uniform, two for
+triangular dither), and shared; otherwise each quantizer draws its own
+from the kept state.  Both are bit for bit a lone arm's dither.  So every
+result row equals one ``simulate_estimate(spec, n, seed, arm)`` call with
+the row's recipe, ``(seed, n)`` and arm, and is reproducible in isolation.
 An arm's ``seconds`` is its own time plus an equal share of its
 quantizer's observation and an equal share of its ruler's draw of
 samples and planes.
@@ -96,7 +94,7 @@ THRESHOLD_AUTO = (0.07, 2.0)
 
 # doubles of U[0, 1) planes (k planes of the (n, |R|) samples) that the
 # dithering quantizers of one ruler's draw may share: 1 Mi, 8 MiB.  Above
-# it each quantizer draws its own dither from the stream's state after the
+# it each quantizer draws its own dither from the state kept after the
 # samples, so no planes are held beside the samples and the rows.  Measured
 # in process on one BLAS thread of a 2-vCPU host: experiment 1's n = 100000
 # planes (1.4 M doubles) regenerate in the time they are scaled, 3 plane
@@ -226,21 +224,16 @@ class _Trial:
             # depends only on its own ruler
             rng = observation_rng(self.seed, n)
             samples = sample_gaussian(self.truth, n, rng, ruler.indices)
-            # every dither is the next uniforms of the stream: a lone
-            # dithering quantizer draws them, several share one draw of
-            # small planes or each draw from the state kept here
-            dither, state = rng, None
+            # every dither is the next uniforms of the stream: shared planes
+            # drawn from it once, or drawn by each quantizer from this state
+            state, dither = rng.bit_generator.state, rng
             planes = [q.planes for q in by_quantizer if q.planes]
-            if len(planes) > 1:
-                if max(planes) * samples.size <= _SHARED_PLANES:
-                    dither = rng.random((max(planes), *samples.shape))
-                else:
-                    state = rng.bit_generator.state
+            if len(planes) > 1 and max(planes) * samples.size <= _SHARED_PLANES:
+                dither = rng.random((max(planes), *samples.shape))
             share = (time.perf_counter() - start) / sum(map(len, by_quantizer.values()))
             for quantizer, group in by_quantizer.items():
                 start = time.perf_counter()
-                if state is not None and quantizer.planes:
-                    rng.bit_generator.state = state
+                rng.bit_generator.state = state
                 batch = observe(samples, ruler, quantizer, dither)
                 observed = (time.perf_counter() - start) / len(group) + share
                 for i in group:
@@ -376,8 +369,8 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise InvalidArgumentError(f"need at least 3 points, got {len(pts)}")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise InvalidArgumentError("log-log fit requires strictly positive coordinates")
+    if not all(0 < v < math.inf for pt in pts for v in pt):
+        raise InvalidArgumentError("log-log fit requires strictly positive coordinates, all finite")
     lx = np.log10([x for x, _ in pts])
     ly = np.log10([y for _, y in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -773,6 +766,8 @@ def emit_plot_script(records: Sequence[dict], csv_path: str | Path) -> Path:
     titled and sorted by the CSV text of its series values, and its points
     are plotted as floats.  Data is inlined so the script is self-contained.
     """
+    if not records:
+        raise InvalidArgumentError("no records to plot")
     csv_path = Path(csv_path)
     plot = _EXPERIMENTS[records[0]["experiment"]].plot
     series: dict[tuple, list[tuple[float, float]]] = {}

@@ -151,9 +151,8 @@ def quantize_vector(x: np.ndarray, cfg: QuantizerConfig, rng: np.random.Generato
     """Dither and quantize a vector, returning the full trace."""
     x = np.asarray(x, dtype=np.float64)
     _check_input(x, cfg.delta)
-    if cfg.delta == 0:
-        zero = np.zeros_like(x)
-        return QuantizationTrace(x, zero, x.copy(), zero.copy(), zero.copy(), 0.0)
-    tau = draw_dither(cfg, x.shape, rng)
-    output = _grid_round(x + tau, cfg.delta)
-    return QuantizationTrace(x, tau, output, output - (x + tau), output - x, cfg.delta)
+    flat = np.atleast_1d(x)  # sums of 0-d arrays are numpy scalars, which _grid_round cannot round in place
+    tau = draw_dither(cfg, flat.shape, rng)  # zeros at delta == 0, where the output is the input
+    output = _grid_round(flat + tau, cfg.delta) if cfg.delta else flat.copy()
+    fields = (tau, output, output - (flat + tau), output - flat)
+    return QuantizationTrace(x, *(f.reshape(x.shape) for f in fields), cfg.delta)

@@ -143,7 +143,7 @@ def sample_gaussian(
     and law N(0, T_R) for the principal submatrix ``T_R`` on ``indices``
     (all d coordinates by default).  Applies ``F = t.psd_factor(indices)``,
     which is computed on the first draw of ``t`` on those indices (raising
-    :class:`NumericError` if ``T_R`` is not PSD) and reused after: one
+    :class:`NumericError` if ``T_R`` is not PSD or not finite) and reused after: one
     (n, w) block of standard normals times ``F^T``, for the factor's width
     ``w``, which is 2k for a mixture of k modes with ``2k <= |R|`` and
     |R| otherwise.  Passing every index draws the same numbers as passing

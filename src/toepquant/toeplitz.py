@@ -101,8 +101,9 @@ class SymToeplitz:
     def psd_factor(self, indices: np.ndarray | None = None) -> np.ndarray:
         """``F`` with ``F F^T = T_R``, the principal submatrix on ``indices`` (all of them by default).
 
-        Rows follow ascending index order.  Computed once per matrix and
-        index set, the one place that picks how:
+        Rows follow ascending index order.  A non-finite entry, or a factor
+        that is not finite, raises :class:`NumericError`.  Computed once per
+        matrix and index set, the one place that picks how:
 
         * a matrix with ``k`` :attr:`modes` and ``2k <= |R|`` gets the exact
           |R| x 2k modal factor ``[sqrt(p) cos(2 pi r f), sqrt(p) sin(2 pi r f)]``
@@ -118,9 +119,15 @@ class SymToeplitz:
         idx = np.arange(self.d) if indices is None else _sorted_indices(indices, self.d)
 
         def compute() -> np.ndarray:
-            if self.modes is not None and 2 * self.modes[0].size <= idx.size:
-                return _modal_factor(*self.modes, idx)
-            return _psd_factor(principal_submatrix(self, idx))
+            if not np.all(np.isfinite(self.a)):
+                raise NumericError("matrix contains non-finite entries")
+            modal = self.modes is not None and 2 * self.modes[0].size <= idx.size
+            with np.errstate(over="ignore", invalid="ignore"):
+                factor = _modal_factor(*self.modes, idx) if modal else _psd_factor(principal_submatrix(self, idx))
+            if not np.all(np.isfinite(factor)):
+                raise NumericError("the PSD factor is not finite")
+            factor.flags.writeable = False
+            return factor
 
         return self.memo(("psd_factor", idx.tobytes()), compute)
 
@@ -128,9 +135,7 @@ class SymToeplitz:
 def _modal_factor(freqs: np.ndarray, powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
     phase = 2.0 * np.pi * np.outer(idx, freqs)
     root = np.sqrt(powers)
-    factor = np.hstack((root * np.cos(phase), root * np.sin(phase)))
-    factor.flags.writeable = False
-    return factor
+    return np.hstack((root * np.cos(phase), root * np.sin(phase)))
 
 
 def _psd_factor(dense: np.ndarray) -> np.ndarray:
@@ -138,9 +143,7 @@ def _psd_factor(dense: np.ndarray) -> np.ndarray:
     scale = float(np.abs(w).max())
     if w.min() < -PSD_REL_TOL * scale:
         raise NumericError(f"matrix has eigenvalue {w.min():.3e} below -{PSD_REL_TOL:.0e} * {scale:.3e}")
-    factor = u * np.sqrt(np.clip(w, 0.0, None))
-    factor.flags.writeable = False
-    return factor
+    return u * np.sqrt(np.clip(w, 0.0, None))
 
 
 def toep(a: np.ndarray) -> SymToeplitz:

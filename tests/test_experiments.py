@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import math
 import re
 import sys
 import threading
@@ -47,6 +48,14 @@ class TestFitLoglogSlope:
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidArgumentError, match="requires strictly positive coordinates"):
             fit_loglog_slope([(10, 1.0), (100, 0.0), (1000, 0.1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_rejected(self, bad, axis):
+        points = [[10, 1.0], [100, 0.5], [1000, 0.1]]
+        points[1][axis] = bad
+        with pytest.raises(InvalidArgumentError, match="requires strictly positive coordinates, all finite"):
+            fit_loglog_slope(points)
 
 
 def plain_arm(d, alpha=1.0, delta=0.0, dither=Dither.TRIANGULAR, correction=Correction.NONE, **post):
@@ -790,6 +799,11 @@ class TestEmitPlotScript:
         assert script_path == tmp_path / "experiment1_medians.gp"
         text = script_path.read_text()
         assert "plot" in text and "hatT" in text and "logscale" in text
+
+    def test_no_records_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="^no records to plot$"):
+            emit_plot_script([], tmp_path / "experiment1_medians.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_series_sort_on_csv_text(self, tmp_path):
         # lines are ordered by the CSV text of their values, so delta=10.0 comes before delta=2.0

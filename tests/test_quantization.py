@@ -145,6 +145,17 @@ class TestQuantizeVector:
         with pytest.raises(NumericError):
             quantize_vector(np.array([1.0, np.nan]), QuantizerConfig(1.0, Dither.NONE), rng)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("dither", list(Dither))
+    def test_zero_d_input_traces_as_a_one_entry_vector(self, delta, dither):
+        cfg = QuantizerConfig(delta, dither)
+        scalar = quantize_vector(np.float64(0.3), cfg, np.random.default_rng(10))
+        vector = quantize_vector(np.array([0.3]), cfg, np.random.default_rng(10))
+        for name in ("x", "tau", "output", "error", "noise"):
+            got, want = getattr(scalar, name), getattr(vector, name)
+            assert isinstance(got, np.ndarray) and got.shape == (), name
+            assert got.tobytes() == want.tobytes(), name
+
     def test_triangular_noise_power(self):
         # with triangular dither the noise second moment is delta^2 / 4
         rng = np.random.default_rng(7)

@@ -188,6 +188,25 @@ class TestSampleGaussian:
             with pytest.raises(NumericError, match="matrix has eigenvalue .* below -"):
                 sample_gaussian(t, 10, rng)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: toep([np.nan, 0.0, 0.0]), "matrix contains non-finite entries"),
+            (lambda: toep([np.inf, 0.0, 0.0]), "matrix contains non-finite entries"),
+            # finite entries whose eigenvalues overflow
+            (lambda: toep([1e308, 1e308, 0.0]), "the PSD factor is not finite"),
+            # an overflowing eigenvalue whose eigenvector has a zero entry: inf * 0
+            (lambda: toep([1e308, 0.0, 1e308]), "the PSD factor is not finite"),
+            (lambda: toeplitz_from_modes([np.nan], [1.0], 4), "matrix contains non-finite entries"),
+            (lambda: toeplitz_from_modes([0.1], [np.inf], 4), "matrix contains non-finite entries"),
+        ],
+        ids=["nan", "inf", "overflow", "overflow-times-zero", "nan-mode", "inf-power"],
+    )
+    def test_non_finite_covariance_rejected(self, make, message):
+        # under the suite's warnings-as-errors a RuntimeWarning would fail this too
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            sample_gaussian(make(), 3, np.random.default_rng(0))
+
     def test_factor_computed_once_per_matrix(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh

@@ -15,10 +15,12 @@ import inspect
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toepquant import STREAM_VERSION, cli, exceptions
@@ -195,3 +197,26 @@ def test_readme_names_the_current_stream_version():
     # the randomness contract marks exactly one version "(current)"
     current = re.findall(r"\*\*Version (\d+)\*\* \(current\)", (ROOT / "README.md").read_text())
     assert current == [str(STREAM_VERSION)]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    # every toepquant line under "Command line", continuations joined, and the
+    # Python example of that section run and print a result
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (shell,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    (python,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    commands = [line for line in shell.replace("\\\n", " ").splitlines() if line.startswith("toepquant ")]
+    assert len(commands) == 6
+    samples = tmp_path / "samples.csv"
+    np.savetxt(samples, np.random.default_rng(0).standard_normal((200, 16)), delimiter=",")
+    for command in commands:
+        argv = [str(samples) if arg == "samples.csv" else arg for arg in shlex.split(command)[1:]]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "results")
+        assert cli.main(argv) == 0, command
+        assert capsys.readouterr().out, command
+    *body, last = ast.parse(python).body
+    namespace: dict = {}
+    exec(compile(ast.Module(body, []), "README.md", "exec"), namespace)
+    rel_error, a = eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace)
+    assert math.isfinite(rel_error) and a.shape == (16,) and np.all(np.isfinite(a))
