@@ -49,8 +49,9 @@ def _pair_means(batch: SampleBatch) -> np.ndarray:
     ruler = batch.ruler
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows.T @ rows
-        dist = ruler.distance_matrix().ravel()
-        sums = np.bincount(dist, weights=gram.ravel(), minlength=ruler.d)
+        # in bincount's element order; bincount would copy the read-only distances
+        sums = np.zeros(ruler.d)
+        np.add.at(sums, ruler.distance_matrix().ravel(), gram.ravel())
         means = sums / (batch.n * ruler.pair_counts)
     if not np.all(np.isfinite(means)):
         raise NumericError("a pair mean of the samples is not finite: their products overflow")

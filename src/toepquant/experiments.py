@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -254,8 +255,12 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     ``(seed, n)``.  OpenBLAS runs on one thread, as in every trial of an
     experiment.
     """
+    if not isinstance(n, numbers.Integral):
+        raise InvalidArgumentError(f"sample count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidArgumentError(f"sample count must be positive, got {n}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
     trial = _Trial(seed, spec)
@@ -324,6 +329,11 @@ class ExperimentConfig:
                 raise InvalidArgumentError(
                     f"experiment {self.experiment} takes {want} {name} value(s), got {tuple(getattr(self, name))}"
                 )
+        for name in _INTEGERS:
+            value = getattr(self, name)
+            values = value if name.endswith("_grid") else (value,)
+            if value is not None and not all(isinstance(v, numbers.Integral) for v in values):
+                raise InvalidArgumentError(f"{name} takes integers only, got {value!r}")
         for name, (least, inclusive) in _LEAST.items():
             value = getattr(self, name)
             if value is None:
@@ -373,6 +383,8 @@ def fit_loglog_slope(points: Iterable[tuple[float, float]]) -> dict[str, float]:
         raise InvalidArgumentError("log-log fit requires strictly positive coordinates, all finite")
     lx = np.log10([x for x, _ in pts])
     ly = np.log10([y for _, y in pts])
+    if np.unique(lx).size < 2:
+        raise InvalidArgumentError(f"need at least 2 distinct x, got {sorted({x for x, _ in pts})}")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.dot(resid, resid))
@@ -588,6 +600,9 @@ _LEAST = {
     "seed": (0, True), "trials": (1, True), "n_cap": (1, True),
     "eps": (0, False),
 }
+
+# fields that count something, one value or a grid of them
+_INTEGERS = ("seed", "trials", "d", "d_grid", "n_grid", "bandwidth", "n_cap")
 
 
 def _mixture(cfg: ExperimentConfig, d: int, variant: str | None) -> GenSpec:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InvalidArgumentError, NotARulerError
+from .toeplitz import _index_array
 
 __all__ = [
     "Ruler",
@@ -46,7 +47,7 @@ class Ruler:
     _dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = np.unique(_index_array(self.indices))
         if idx.size == 0:
             raise InvalidArgumentError("a ruler needs at least one index")
         # at d < 1 every index lies outside [0, d)
@@ -55,7 +56,8 @@ class Ruler:
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
-        dist = np.abs(idx[:, None] - idx[None, :])
+        dist = idx[:, None] - idx[None, :]
+        np.abs(dist, out=dist)
         counts = np.bincount(dist.ravel(), minlength=self.d)
         if np.any(counts == 0):
             missing = np.flatnonzero(counts == 0).tolist()
@@ -84,7 +86,7 @@ class Ruler:
 
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
     """Check the ruler property; return (ok, sorted missing distances), as :class:`Ruler` finds them."""
-    idx = np.asarray(list(indices), dtype=np.int64)
+    idx = np.asarray(list(indices))
     if idx.size == 0:
         return False, list(range(d))
     try:

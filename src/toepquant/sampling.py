@@ -99,8 +99,12 @@ def toeplitz_from_modes(freqs: np.ndarray, powers: np.ndarray, d: int) -> SymToe
     powers = np.asarray(powers, dtype=np.float64)
     if freqs.shape != powers.shape or freqs.ndim != 1:
         raise InvalidArgumentError("freqs and powers must be 1-D of equal length")
-    s = np.arange(d)
-    a = (powers[None, :] * np.cos(2.0 * np.pi * np.outer(s, freqs))).sum(axis=1)
+    # one (d, k) array, written in place at each step
+    terms = np.outer(np.arange(d), freqs)
+    terms *= 2.0 * np.pi
+    np.cos(terms, out=terms)
+    terms *= powers
+    a = terms.sum(axis=1)
     return SymToeplitz(a, (freqs, powers) if np.all(powers >= 0.0) else None)
 
 

@@ -133,9 +133,17 @@ class SymToeplitz:
 
 
 def _modal_factor(freqs: np.ndarray, powers: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    phase = 2.0 * np.pi * np.outer(idx, freqs)
+    # the phase and the factor are the only arrays held: each step writes in place
+    phase = np.outer(idx, freqs)
+    phase *= 2.0 * np.pi
+    k = freqs.size
+    factor = np.empty((idx.size, 2 * k))
+    np.cos(phase, out=factor[:, :k])
+    np.sin(phase, out=factor[:, k:])
     root = np.sqrt(powers)
-    return np.hstack((root * np.cos(phase), root * np.sin(phase)))
+    factor[:, :k] *= root
+    factor[:, k:] *= root
+    return factor
 
 
 def _psd_factor(dense: np.ndarray) -> np.ndarray:
@@ -161,12 +169,27 @@ def principal_submatrix(t: SymToeplitz, indices) -> np.ndarray:
 
 
 def _sorted_indices(indices, d: int) -> np.ndarray:
-    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    idx = np.sort(_index_array(indices))
     if idx.size == 0:
         raise InvalidArgumentError("index set must be non-empty")
     if idx[0] < 0 or idx[-1] >= d:
         raise InvalidArgumentError(f"indices must lie in [0, {d}), got range [{idx[0]}, {idx[-1]}]")
     return idx
+
+
+def _index_array(indices) -> np.ndarray:
+    """``indices`` as an int64 array; one that is not an integer value raises :class:`InvalidArgumentError`."""
+    raw = np.asarray(indices)
+    if raw.dtype.kind in "iu":
+        # an unsigned value past int64 wraps below 0, which every caller's range check rejects
+        return raw.astype(np.int64, copy=False)
+    if raw.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            idx = raw.astype(np.int64)
+        # a fraction, a NaN or a value past int64 does not survive the cast
+        if np.array_equal(idx, raw):
+            return idx
+    raise InvalidArgumentError(f"indices must be integer values, got {raw.dtype} {np.array2string(raw.ravel(), threshold=8)}")
 
 
 def op_norm(t: SymToeplitz) -> float:

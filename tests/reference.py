@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from toepquant import SymToeplitz
+from toepquant import SampleBatch, SymToeplitz
 from toepquant.exceptions import InvalidArgumentError
 
 
@@ -25,3 +25,15 @@ def avg(m: np.ndarray) -> SymToeplitz:
         v0 = vals[0]
         out[s] = v0 if np.all(vals == v0) else vals.mean()
     return SymToeplitz(out)
+
+
+def pair_means(batch: SampleBatch) -> np.ndarray:
+    """The pair means of a batch by ``np.bincount`` over the ruler's distance matrix.
+
+    ``bincount`` adds the weights into each bin in element order, the order
+    the package's pair sums must keep.
+    """
+    rows, ruler = batch.rows, batch.ruler
+    gram = rows.T @ rows
+    sums = np.bincount(ruler.distance_matrix().ravel(), weights=gram.ravel(), minlength=ruler.d)
+    return sums / (batch.n * ruler.pair_counts)

@@ -18,11 +18,16 @@ from toepquant import (
     Dither,
     GenSpec,
     QuantizerConfig,
+    Ruler,
+    SampleBatch,
     emit_plot_script,
     fit_loglog_slope,
+    full_ruler,
+    quantized_estimate,
     ruler_alpha,
     run_experiment,
     simulate_estimate,
+    toeplitz_from_modes,
 )
 from toepquant.exceptions import InvalidArgumentError
 from toepquant import experiments, observe, sample_gaussian, toeplitz
@@ -56,6 +61,10 @@ class TestFitLoglogSlope:
         points[1][axis] = bad
         with pytest.raises(InvalidArgumentError, match="requires strictly positive coordinates, all finite"):
             fit_loglog_slope(points)
+
+    def test_points_sharing_one_x_rejected(self):
+        with pytest.raises(InvalidArgumentError, match=r"need at least 2 distinct x, got \[10.0\]"):
+            fit_loglog_slope([(10, 1.0), (10, 2.0), (10, 3.0)])
 
 
 def plain_arm(d, alpha=1.0, delta=0.0, dither=Dither.TRIANGULAR, correction=Correction.NONE, **post):
@@ -175,6 +184,31 @@ class TestConfig:
     def test_unusable_scalar_rejected(self, experiment, field, value):
         with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
             ExperimentConfig(experiment, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("trials", lambda out: ExperimentConfig(3, out, trials=2.5)),
+            ("n_grid", lambda out: ExperimentConfig(2, out, n_grid=(10.5, 20.5, 30.5))),
+            ("bandwidth", lambda out: ExperimentConfig(5, out, bandwidth=2.5)),
+            ("n_cap", lambda out: ExperimentConfig(4, out, n_cap=1.5)),
+            ("seed", lambda out: ExperimentConfig(1, out, seed=1.5)),
+            ("d", lambda out: ExperimentConfig(1, out, d=16.5)),
+            ("d_grid", lambda out: ExperimentConfig(4, out, d_grid=(16, 32.5))),
+            ("seed", lambda out: simulate_estimate(GenSpec(16, k=4), 10, -1, plain_arm(16))),
+            ("seed", lambda out: simulate_estimate(GenSpec(16, k=4), 10, 1.5, plain_arm(16))),
+            ("sample count", lambda out: simulate_estimate(GenSpec(16, k=4), 2.5, 1, plain_arm(16))),
+        ],
+        ids=[
+            "trials", "n_grid", "bandwidth", "n_cap", "seed", "d", "d_grid",
+            "simulate-negative-seed", "simulate-fractional-seed", "simulate-fractional-n",
+        ],
+    )
+    def test_count_that_is_not_an_integer_rejected_before_any_trial(self, tmp_path, monkeypatch, field, call):
+        monkeypatch.setattr(experiments._Trial, "draw", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(InvalidArgumentError, match=f"^{field} "):
+            run_experiment(call(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", [2**62, 10**400], ids=["2**62", "10**400"])
     def test_n_too_large_for_a_sample_block_rejected(self, n):
@@ -409,6 +443,36 @@ class TestRunExperiment:
             tracemalloc.stop()
         block = n * size * 8  # one (n, |R|) float64 array
         assert peak <= 2 * block + (1 << 20), peak / 2**20
+
+    @pytest.mark.parametrize(
+        "build, held",
+        [
+            # the factor and the phase it is computed from
+            (lambda parts: toeplitz._modal_factor(parts["freqs"], parts["powers"], np.arange(512)), 512 * 3 * 256 * 8),
+            # one (d, k) array of terms
+            (lambda parts: toeplitz_from_modes(parts["freqs"], parts["powers"], 512), 512 * 256 * 8),
+            # the distance matrix the ruler keeps
+            (lambda parts: Ruler(512, np.arange(512)), 512 * 512 * 8),
+            # the gram of the batch
+            (lambda parts: quantized_estimate(parts["batch"], Correction.NONE), 512 * 512 * 8),
+        ],
+        ids=["modal_factor", "toeplitz_from_modes", "Ruler", "quantized_estimate"],
+    )
+    def test_experiment4_builders_at_d512_hold_no_other_d_by_d_array(self, build, held):
+        # two experiment 4 searches at d = 512 build these at once, so their peaks add
+        rng = np.random.default_rng(28)
+        parts = {
+            "freqs": rng.uniform(0.0, 1.0, 256),
+            "powers": np.abs(rng.standard_normal(256)),
+            "batch": SampleBatch(rng.standard_normal((20, 512)), full_ruler(512), 0.0),
+        }
+        tracemalloc.start()
+        try:
+            build(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + (1 << 18), peak / 2**20
 
     @staticmethod
     def exp4_factorizations(tmp_path, monkeypatch, **overrides):

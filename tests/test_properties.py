@@ -35,10 +35,11 @@ from toepquant.experiments import draw_truth
 from toepquant import cli
 from toepquant.cli import _ruler_from_spec, main
 from toepquant.exceptions import InvalidArgumentError
+from toepquant.estimators import _pair_means
 from toepquant.quantization import _BLOCK
 from toepquant.toeplitz import _centrosymmetric_blocks, op_norm, toep
 
-from reference import avg
+from reference import avg, pair_means
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -86,6 +87,16 @@ def test_full_ruler_pair_means_average_the_second_moment(case):
     # subnormal, which no relative tolerance covers; allow one step per product
     underflow = rows.size * ruler.size * np.finfo(np.float64).smallest_subnormal
     np.testing.assert_allclose(est, want, rtol=1e-12, atol=1e-12 * np.abs(want).max() + underflow)
+
+
+@PROPERTY_SETTINGS
+@given(ruler_and_rows())
+@example((ruler_alpha(512, 0.5), np.random.default_rng(2).standard_normal((20, ruler_alpha(512, 0.5).size))))
+@example((full_ruler(512), np.random.default_rng(3).standard_normal((20, 512))))
+def test_pair_means_are_the_bincount_sums_bit_for_bit(case):
+    ruler, rows = case
+    batch = SampleBatch(rows, ruler, 0.0)
+    assert _pair_means(batch).tobytes() == pair_means(batch).tobytes()
 
 
 @st.composite

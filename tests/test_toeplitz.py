@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from toepquant import (
+    Ruler,
     SymToeplitz,
     fro_norm,
+    is_ruler,
     max_norm,
     op_norm,
     principal_submatrix,
+    sample_gaussian,
     sup_l,
     toep,
     toeplitz_from_modes,
@@ -150,6 +153,22 @@ class TestPrincipalSubmatrix:
         assert got.tobytes() == want.tobytes()
         # indices are taken in ascending order
         np.testing.assert_array_equal(principal_submatrix(t, [9, 2, 5]), t.a[[[0, 3, 7], [3, 0, 4], [7, 4, 0]]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: Ruler(4, [0, 1.5, 2.2, 3]),
+        lambda t: Ruler(4, ["0", "1", "2", "3"]),
+        lambda t: is_ruler([0, 1.5, 3], 4),
+        lambda t: principal_submatrix(t, [0.5, 2.9]),
+        lambda t: sample_gaussian(t, 2, np.random.default_rng(0), np.array([0.5, 2.9])),
+    ],
+    ids=["Ruler-fractions", "Ruler-text", "is_ruler", "principal_submatrix", "sample_gaussian"],
+)
+def test_index_that_is_not_an_integer_value_rejected(call):
+    with pytest.raises(InvalidArgumentError, match="^indices must be integer values, got "):
+        call(toep([1.0, 0.5, 0.25, 0.125]))
 
 
 class TestNorms:
