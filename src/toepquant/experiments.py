@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -69,7 +68,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, require_integer, require_sizable
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, SampleBatch, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -149,8 +148,10 @@ class Arm:
         # the messages of threshold_estimate and banded_estimate, which would reject them only after the work
         if self.threshold is not None and not (math.isfinite(self.threshold) and self.threshold >= 0):
             raise InvalidArgumentError(f"zeta must be finite and >= 0, got {float(self.threshold)}")
-        if self.band_est is not None and not 1 <= self.band_est <= self.ruler.d:
-            raise InvalidArgumentError(f"bandwidth must lie in [1, {self.ruler.d}], got {self.band_est}")
+        if self.band_est is not None:
+            require_integer("band_est", self.band_est)
+            if not 1 <= self.band_est <= self.ruler.d:
+                raise InvalidArgumentError(f"bandwidth must lie in [1, {self.ruler.d}], got {self.band_est}")
 
     def estimate_batch(self, batch: SampleBatch, truth: SymToeplitz | None = None) -> tuple[SymToeplitz, float | None]:
         """Estimate and post-process ``batch``, observed by ``quantizer``; return the estimate and its threshold."""
@@ -255,12 +256,12 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     ``(seed, n)``.  OpenBLAS runs on one thread, as in every trial of an
     experiment.
     """
-    if not isinstance(n, numbers.Integral):
-        raise InvalidArgumentError(f"sample count must be an integer, got {n!r}")
+    require_integer("sample count", n)
+    require_integer("seed", seed)
     if n < 1:
         raise InvalidArgumentError(f"sample count must be positive, got {n}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
     trial = _Trial(seed, spec)
@@ -331,9 +332,9 @@ class ExperimentConfig:
                 )
         for name in _INTEGERS:
             value = getattr(self, name)
-            values = value if name.endswith("_grid") else (value,)
-            if value is not None and not all(isinstance(v, numbers.Integral) for v in values):
-                raise InvalidArgumentError(f"{name} takes integers only, got {value!r}")
+            if value is not None:
+                for v in value if name.endswith("_grid") else (value,):
+                    require_integer(name, v)
         for name, (least, inclusive) in _LEAST.items():
             value = getattr(self, name)
             if value is None:
@@ -360,9 +361,11 @@ class ExperimentConfig:
         self._rulers = {(d, alpha): ruler_alpha(d, alpha) for d in dims for alpha in self.alphas}
         for delta in self.deltas:
             QuantizerConfig(delta)
-        # every n draws an (n, |R|) float64 block, at most (n, d)
-        if self.n_grid is not None and max(self.n_grid) * max(dims) > np.iinfo(np.intp).max // 8:
-            raise InvalidArgumentError(f"n grid value too large for an (n, {max(dims)}) sample block, got {self.n_grid}")
+        # every n draws an (n, |R|) float64 block, at most (n, d): each n of
+        # the grid, and the cap that experiment 4's search may reach
+        for name, n in (("n grid value", None if self.n_grid is None else max(self.n_grid)), ("n_cap", self.n_cap)):
+            if n is not None:
+                require_sizable(n * max(dims), f"{name} too large for an (n, {max(dims)}) sample block, got {n}")
         self.out_dir = Path(self.out_dir)
 
     def ruler(self, d: int, alpha: float) -> Ruler:
@@ -525,19 +528,13 @@ class _Runner:
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
         """Smallest n (within ~5%) whose median error meets eps, doubling then halving; no probe exceeds cap.
 
-        A cap that is not a power of two is probed when the doubling passes
-        it, and the halving then runs below it.
+        The doubling stops at the cap, so its last step is the cap itself.
         """
-        if probe(1) <= eps:
-            return 1, False
-        lo, hi = 1, 2
-        while hi <= cap and probe(hi) > eps:
-            lo, hi = hi, hi * 2
-        if hi > cap:
-            # the doubling passed the cap: probe the cap itself unless it was the last doubling
-            if lo == cap or probe(cap) > eps:
+        lo = hi = 1
+        while probe(hi) > eps:
+            if hi >= cap:
                 return cap, True
-            hi = cap
+            lo, hi = hi, min(2 * hi, cap)
         while hi - lo > max(1, lo // 20):
             mid = (lo + hi) // 2
             if probe(mid) <= eps:
@@ -743,25 +740,20 @@ def run_experiment(
 
 
 def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
-    cfg = out.config
-    spec = _EXPERIMENTS[cfg.experiment]
-
-    trial_path = directory / f"experiment{cfg.experiment}.csv"
-    with open(trial_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_SCHEMA)
-        for row in out.rows:
-            writer.writerow(row._replace(seconds=f"{row.seconds:.6f}"))
-    median_path = directory / f"experiment{cfg.experiment}_medians.csv"
-    _write_dicts(median_path, out.medians)
-    paths = [trial_path, median_path]
-
-    if out.summary:
-        paths.append(directory / f"experiment{cfg.experiment}_{spec.summary}.csv")
-        _write_dicts(paths[-1], out.summary)
-
-    plotted = (out.summary, paths[-1]) if spec.plot.summary else (out.medians, median_path)
-    paths.append(emit_plot_script(*plotted))
+    """Write the run's non-empty tables, trials, medians and summary, then the plot script of one of them."""
+    spec, stem = _EXPERIMENTS[out.config.experiment], f"experiment{out.config.experiment}"
+    tables = {
+        "": [{**row._asdict(), "seconds": f"{row.seconds:.6f}"} for row in out.rows],
+        "_medians": out.medians,
+        f"_{spec.summary}": out.summary,
+    }
+    paths = []
+    for suffix, records in tables.items():
+        if records:
+            paths.append(directory / f"{stem}{suffix}.csv")
+            _write_dicts(paths[-1], records)
+    plotted = f"_{spec.summary}" if spec.plot.summary else "_medians"
+    paths.append(emit_plot_script(tables[plotted], directory / f"{stem}{plotted}.csv"))
     return paths
 
 

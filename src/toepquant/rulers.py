@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NotARulerError
+from .exceptions import InvalidArgumentError, NotARulerError, require_integer, require_sizable
 from .toeplitz import _index_array
 
 __all__ = [
@@ -122,14 +122,23 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
     since ``d`` is an integer.  Float error in ``d**alpha`` is far below
     that slack.  :class:`Ruler` would still raise :class:`NotARulerError`
     if a distance were missed.
+
+    A ``d`` that is not an integer, or whose ruler's ``|R| x |R|`` distance
+    matrix (``|R| <= 2 r1``) numpy could not size, raises
+    :class:`InvalidArgumentError` before any index is built.
     """
+    require_integer("dimension", d)
     if d < 1:
         raise InvalidArgumentError(f"dimension must be positive, got {d}")
     _check_alpha(alpha)
     r1 = _round_half_up(d**alpha)
     s = _round_half_up(d ** (1.0 - alpha))
-    tail = [j for j in range(d - 1, d - 1 - r1 * s, -s) if j >= 0]
-    return Ruler(d, np.array(list(range(r1)) + tail, dtype=np.int64))
+    # the ruler holds at most 2 r1 indices, and its distance matrix their square
+    require_sizable(
+        (2 * r1) ** 2, f"dimension {d} too large for a ruler at alpha {alpha}: its distance matrix cannot be sized"
+    )
+    tail = d - 1 - s * np.arange(r1, dtype=np.int64)
+    return Ruler(d, np.concatenate([np.arange(r1, dtype=np.int64), tail[tail >= 0]]))
 
 
 def _check_alpha(alpha: float) -> None:

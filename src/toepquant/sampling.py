@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
+from .exceptions import InvalidArgumentError, require_integer
 from .quantization import QuantizerConfig, draw_dither, _check_input, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
@@ -46,6 +46,9 @@ class GenSpec:
     normalize: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("d", "k", "m"):
+            if getattr(self, name) is not None:
+                require_integer(name, getattr(self, name))
         if self.d < 1:
             raise InvalidArgumentError(f"dimension must be positive, got {self.d}")
         if (self.k is None) == (self.m is None):

@@ -1,5 +1,7 @@
 """Reference computations the tests compare the package against."""
 
+from typing import Callable
+
 import numpy as np
 
 from toepquant import SampleBatch, SymToeplitz
@@ -37,3 +39,28 @@ def pair_means(batch: SampleBatch) -> np.ndarray:
     gram = rows.T @ rows
     sums = np.bincount(ruler.distance_matrix().ravel(), weights=gram.ravel(), minlength=ruler.d)
     return sums / (batch.n * ruler.pair_counts)
+
+
+def bisect_past_cap(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
+    """Experiment 4's search as written when its doubling could pass the cap, then probed the cap on its own.
+
+    Smallest n (within ~5%) whose median error meets eps, doubling then
+    halving; no probe exceeds cap.
+    """
+    if probe(1) <= eps:
+        return 1, False
+    lo, hi = 1, 2
+    while hi <= cap and probe(hi) > eps:
+        lo, hi = hi, hi * 2
+    if hi > cap:
+        # the doubling passed the cap: probe the cap itself unless it was the last doubling
+        if lo == cap or probe(cap) > eps:
+            return cap, True
+        hi = cap
+    while hi - lo > max(1, lo // 20):
+        mid = (lo + hi) // 2
+        if probe(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi, False

@@ -833,6 +833,33 @@ class TestContract:
         assert out == "" and not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["ruler", "--d", str(2**70), "--alpha", "0.5"], f"dimension {2**70} too large for a ruler at alpha 0.5"),
+            (["estimate", "--simulate", "--d", "10000000000"], "dimension 10000000000 too large for a ruler at alpha 1.0"),
+            (["bounds", "--d", "10000000000", "--alpha", "1"], "dimension 10000000000 too large for a ruler at alpha 1.0"),
+            (
+                ["exp", "--id", "4", "--d-grid", "10000000000", "--alphas", "1"],
+                "dimension 10000000000 too large for a ruler at alpha 1.0",
+            ),
+            (
+                ["--trials", "2", "exp", "--id", "4", "--d-grid", "16", "--n-cap", "99999999999999999", "--eps", "1e-300"],
+                "n_cap too large for an (n, 16) sample block, got 99999999999999999",
+            ),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_size_numpy_cannot_take_is_invalid_configuration(self, capsys, tmp_path, monkeypatch, argv, err):
+        # each used to run until the machine's memory ran out: the ruler's
+        # indices were built in Python before anything was sized, and the
+        # search doubled n towards a cap no sample block can take
+        monkeypatch.chdir(tmp_path)
+        code, out, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith(f"invalid configuration: {err}") and stderr.count("\n") == 1
+        assert out == "" and not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
         "argv, k",
         [
             (["estimate", "--simulate", "--d", "1"], 8),

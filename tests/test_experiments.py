@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toepquant import (
     Arm,
@@ -33,6 +35,8 @@ from toepquant.exceptions import InvalidArgumentError
 from toepquant import experiments, observe, sample_gaussian, toeplitz
 from toepquant._blas import openblas_threads
 from toepquant.experiments import THRESHOLD_AUTO, TRIAL_SCHEMA, ExperimentConfig
+
+from reference import bisect_past_cap
 
 
 class TestFitLoglogSlope:
@@ -210,6 +214,27 @@ class TestConfig:
             run_experiment(call(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("d", lambda: experiments.draw_truth(GenSpec(16.5, k=8), 0)),
+            ("k", lambda: GenSpec(16, k=2.5)),
+            ("m", lambda: GenSpec(16, m=2.5)),
+            ("band_est", lambda: Arm("", 0.5, ruler_alpha(16, 0.5), QuantizerConfig(0.0), band_est=2.5)),
+        ],
+        ids=["GenSpec-d", "GenSpec-k", "GenSpec-m", "Arm-band_est"],
+    )
+    def test_fractional_count_of_a_recipe_or_arm_rejected(self, field, call):
+        # a d of 16.5 used to draw a 17-dimensional covariance
+        with pytest.raises(InvalidArgumentError, match=f"^{field} takes integers only, got (16|2)\\.5$"):
+            call()
+
+    def test_n_cap_too_large_for_a_sample_block_rejected(self):
+        # the cap is the largest n experiment 4's search may draw, sized as an n-grid value is
+        with pytest.raises(InvalidArgumentError, match=rf"^n_cap too large for an \(n, 512\) sample block, got {2**62}$"):
+            ExperimentConfig(4, d_grid=(512,), n_cap=2**62)
+        assert ExperimentConfig(4, d_grid=(512,), n_cap=2**50).n_cap == 2**50
+
     @pytest.mark.parametrize("n", [2**62, 10**400], ids=["2**62", "10**400"])
     def test_n_too_large_for_a_sample_block_rejected(self, n):
         # numpy sizes blocks of at most 2**63 - 1 bytes: an (n, 16) float64 block fits at n = 2**55, not at 2**62
@@ -310,6 +335,18 @@ class TestRunExperiment:
                 assert float(r["delta"]) == 5.0
         script = (tmp_path / "experiment1_medians.gp").read_text()
         assert "logscale" in script
+
+    def test_trial_csv_holds_the_rows_in_schema_order(self, tmp_path):
+        out = self.small_exp1(tmp_path)
+        with open(tmp_path / "experiment1.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == list(TRIAL_SCHEMA)
+        assert len(lines) == len(out.rows) == 20
+        for line, row in zip(lines, out.rows):
+            seconds = line[TRIAL_SCHEMA.index("seconds")]
+            # the wall time to six decimals, every other field as str() gives it
+            assert re.fullmatch(r"\d+\.\d{6}", seconds) and abs(float(seconds) - row.seconds) <= 5e-7
+            assert line == [seconds if name == "seconds" else str(getattr(row, name)) for name in TRIAL_SCHEMA]
 
     def test_exp1_deterministic_modulo_seconds(self, tmp_path):
         out_a = self.small_exp1(tmp_path / "a")
@@ -652,6 +689,22 @@ class TestRunExperiment:
             old = doubling_only(lambda n: probe(n, "old"), 0.5, cap)
             new = experiments._Runner._bisect(lambda n: probe(n, "new"), 0.5, cap)
             assert (new, seen["new"]) == (old, seen["old"]), first_met
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 1 << 18), st.integers(1, 1 << 19))
+    @example(24, 19)
+    @example(18, 19)
+    @example(1 << 17, (1 << 17) + 1)
+    def test_bisect_probes_as_when_the_doubling_could_pass_the_cap(self, cap, first_met):
+        seen = {"old": [], "new": []}
+
+        def probe(n, who):
+            seen[who].append(n)
+            return 0.4 if n >= first_met else 0.6
+
+        old = bisect_past_cap(lambda n: probe(n, "old"), 0.5, cap)
+        new = experiments._Runner._bisect(lambda n: probe(n, "new"), 0.5, cap)
+        assert (new, seen["new"]) == (old, seen["old"])
 
     def test_exp4_search_below_a_cap_that_is_not_a_power_of_two(self, tmp_path):
         # a cap of 24 used to end the search at n = 16 with every cell capped

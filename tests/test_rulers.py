@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestRulerAlpha:
     def test_dimension_below_one_rejected(self, d):
         with pytest.raises(InvalidArgumentError, match=f"^dimension must be positive, got {d}$"):
             ruler_alpha(d, 0.5)
+
+    @pytest.mark.parametrize("d, alpha", [(2**70, 0.5), (10**10, 1.0), (2**63, 0.5)])
+    def test_dimension_whose_distance_matrix_cannot_be_sized_rejected(self, d, alpha):
+        # |R| <= 2 r1, and numpy sizes no int64 array of more than 2**60 entries
+        with pytest.raises(InvalidArgumentError, match=f"^dimension {d} too large for a ruler at alpha {alpha}: "):
+            ruler_alpha(d, alpha)
+
+    @pytest.mark.parametrize("d", [16.5, 16.0, np.float64(16), "16"])
+    def test_dimension_that_is_not_an_integer_rejected(self, d):
+        with pytest.raises(InvalidArgumentError, match=f"^dimension takes integers only, got {re.escape(repr(d))}$"):
+            ruler_alpha(d, 0.5)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert ruler_alpha(np.int64(16), 0.5) == ruler_alpha(16, 0.5)
 
     def test_two_block_bound_holds_wherever_rounding_can_land(self):
         # ruler_alpha's proof needs d <= r1 (s + 2) - s for every pair
