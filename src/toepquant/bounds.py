@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError
+from .exceptions import InvalidArgumentError, NumericError, require_integer, require_real
 from .rulers import coverage_coefficient, ruler_alpha
 from .toeplitz import SymToeplitz, principal_submatrix
 
@@ -39,15 +39,10 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _check_scales(op_norm_t: float, delta: float) -> None:
-    """Reject an operator norm or quantization level that is not finite and >= 0."""
-    if not (math.isfinite(op_norm_t) and math.isfinite(delta) and op_norm_t >= 0 and delta >= 0):
-        raise InvalidArgumentError(f"op_norm_t and delta must be finite and >= 0, got {op_norm_t} and {delta}")
-
-
 def big_k(op_norm_t: float, delta: float) -> float:
     """Sub-exponential scale of a quantized pair product: ``2(||T||_2 + 2 delta^2)``."""
-    _check_scales(op_norm_t, delta)
+    require_real("op_norm_t", op_norm_t, 0)
+    require_real("delta", delta, 0)
     return _finite("big_k", 2.0 * (op_norm_t + 2.0 * delta * delta))
 
 
@@ -56,11 +51,9 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
 
     ``eps^2 / (script_l(||T||, delta) * phi(R))``: larger is faster.
     """
-    if not 0 < eps <= 1:
-        raise InvalidArgumentError(f"eps must lie in (0, 1], got {eps}")
+    require_real("eps", eps, 0, 1, low_open=True)
     lv = script_l(op_norm_t, delta)
-    if not (math.isfinite(phi) and phi > 0):
-        raise InvalidArgumentError(f"phi must be finite and positive, got {phi}")
+    require_real("phi", phi, 0, low_open=True)
     value = eps * eps / (lv * phi)
     if not (math.isfinite(value) and value > 0):
         raise InvalidArgumentError("bounds not finite for this configuration: kappa")
@@ -69,13 +62,13 @@ def kappa(eps: float, op_norm_t: float, delta: float, phi: float) -> float:
 
 def _penalty(name: str, op_norm_t: float, delta: float, lam: float) -> float:
     """The penalty ``name``: ``(lam ||T||^2 + delta^4) / ||T||^2``, rejected unless it is a finite float."""
-    _check_scales(op_norm_t, delta)
+    require_real("op_norm_t", op_norm_t, 0)
+    require_real("delta", delta, 0)
     try:
         d4 = delta**4  # a float power raises on overflow
     except OverflowError:
         raise InvalidArgumentError(f"delta^4 must be finite, got delta = {delta}") from None
-    if op_norm_t == 0:
-        raise InvalidArgumentError(f"op_norm_t must be finite and positive, got {op_norm_t}")
+    require_real("op_norm_t", op_norm_t, 0, low_open=True)
     t2 = op_norm_t * op_norm_t
     if not (math.isfinite(t2) and t2 > 0):
         raise InvalidArgumentError(f"||T||^2 must be finite and positive, got op_norm_t = {op_norm_t}")
@@ -89,8 +82,8 @@ def script_l(op_norm_t: float, delta: float) -> float:
 
 def script_l_prime(op_norm_t: float, delta: float, k: int, d: int) -> float:
     """Low-rank penalty: ``(lambda ||T||^2 + delta^4) / ||T||^2`` with ``lambda = k^2/d``."""
-    if not 1 <= k <= d:
-        raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
+    require_integer("d", d, 1)
+    require_integer("k", k, 1, d)
     return _penalty("script_l_prime", op_norm_t, delta, k * k / d)
 
 
@@ -100,10 +93,11 @@ def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_va
     ``L * log(d / (eps * delta)) * max(d^(2-2a), d^(1-a) log d) / eps^2``
     with the hidden constant set to one ("up to constant").
     """
-    if not 0 < eps < 1 or not 0 < delta_prob < 1:
-        raise InvalidArgumentError("eps and delta_prob must lie in (0, 1)")
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
+    require_real("eps", eps, 0, 1, low_open=True, high_open=True)
+    require_real("delta_prob", delta_prob, 0, 1, low_open=True, high_open=True)
+    require_integer("dimension", d, 2)
+    require_real("alpha", alpha, 0.5, 1)
+    require_real("script_l_value", script_l_value, 0)
     growth = max(d ** (2.0 - 2.0 * alpha), d ** (1.0 - alpha) * math.log(d))
     try:
         value = script_l_value * math.log(d / (eps * delta_prob)) * growth / (eps * eps)
@@ -114,12 +108,11 @@ def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_va
 
 def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) -> float:
     """Entrywise deviation scale ``K * sqrt((log|R| + 4p log d) / n)``."""
-    if not (math.isfinite(p) and p >= 1):
-        raise InvalidArgumentError(f"p must be finite and >= 1, got {p}")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    if ruler_size < 1 or d < 1:
-        raise InvalidArgumentError("ruler_size and d must be positive")
+    require_real("big_k_value", big_k_value, 0)
+    require_real("p", p, 1)
+    require_integer("n", n, 1)
+    require_integer("ruler_size", ruler_size, 1)
+    require_real("d", d, 1)
     return _finite("script_k", big_k_value * math.sqrt((math.log(ruler_size) + 4.0 * p * math.log(d)) / n))
 
 
@@ -131,8 +124,7 @@ def threshold_zeta(
     The theory asks for a "sufficiently large" ``C``; the default 1.0 is a
     placeholder and the experiment driver calibrates its own value.
     """
-    if not (math.isfinite(c) and c > 0):
-        raise InvalidArgumentError(f"C must be finite and positive, got {c}")
+    require_real("c", c, 0, low_open=True)
     return _finite("zeta", c * script_k(big_k_value, ruler_size, d, p, n))
 
 
@@ -156,8 +148,7 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     with a non-finite entry raises :class:`NumericError`.
     """
     d = t.d
-    if not 1 <= k <= d:
-        raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
+    require_integer("k", k, 1, d)
     if not np.all(np.isfinite(t.a)):
         raise NumericError("matrix contains non-finite entries")
     sub = principal_submatrix(t, ruler_alpha(d, alpha).indices)
@@ -213,8 +204,7 @@ def evaluate_bounds(
     rank ``k`` is given and the general one otherwise.  A configuration
     for which any of them is not a finite float is rejected.
     """
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
+    require_integer("dimension", d, 2)
     ruler = ruler_alpha(d, alpha)
     phi = coverage_coefficient(ruler)
     # script_l first: a norm or level whose square overflows is named before K is

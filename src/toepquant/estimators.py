@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError
+from .exceptions import InvalidArgumentError, NumericError, require_integer, require_real
 from .sampling import SampleBatch
 from .toeplitz import SymToeplitz, fro_norm, max_norm, op_norm, toep
 
@@ -84,16 +84,14 @@ def quantized_estimate(batch: SampleBatch, correction: Correction) -> SymToeplit
 
 def threshold_estimate(est: SymToeplitz, zeta: float) -> SymToeplitz:
     """Zero every coefficient with ``|a_s| < zeta`` (the diagonal included)."""
-    if not (np.isfinite(zeta) and zeta >= 0):
-        raise InvalidArgumentError(f"zeta must be finite and >= 0, got {zeta}")
+    require_real("zeta", zeta, 0)
     a = np.where(np.abs(est.a) >= zeta, est.a, 0.0)
     return toep(a)
 
 
 def banded_estimate(est: SymToeplitz, m: int) -> SymToeplitz:
     """Zero every coefficient at offsets ``>= m`` (known bandwidth)."""
-    if not 1 <= m <= est.d:
-        raise InvalidArgumentError(f"bandwidth must lie in [1, {est.d}], got {m}")
+    require_integer("bandwidth", m, 1, est.d)
     a = est.a.copy()
     a[m:] = 0.0
     return toep(a)

@@ -1,8 +1,9 @@
 """Exception types, one per CLI exit code: :class:`InvalidArgumentError` means 2, :class:`NumericError` 3.
 
-:func:`require_integer` and :func:`require_sizable` are the argument checks several modules share.
+:func:`require_integer`, :func:`require_real` and :func:`require_sizable` are the argument checks every module shares.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -28,10 +29,37 @@ class NotARulerError(InvalidArgumentError):
         self.missing = missing or []
 
 
-def require_integer(name: str, value: object) -> None:
-    """Reject ``value``, by ``name``, unless it is an integer (a ``numbers.Integral``, numpy's included)."""
-    if not isinstance(value, numbers.Integral):
+def require_integer(name: str, value: object, low: int | None = None, high: int | None = None) -> None:
+    """Reject ``value``, by ``name``, unless it is an integer (numpy's included, not a ``bool``) in [low, high]; ``None`` binds nothing."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidArgumentError(f"{name} takes integers only, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        rule = f"lie in [{low}, {high}]" if high is not None else {0: "be non-negative", 1: "be positive"}.get(low, f"be at least {low}")
+        raise InvalidArgumentError(f"{name} must {rule}, got {value}")
+
+
+def require_real(name: str, value: object, low: float, high: float = math.inf, low_open: bool = False, high_open: bool = False) -> None:
+    """Reject ``value``, by ``name``, unless it is a real (not a ``bool``) that a float holds, finite and in its interval.
+
+    Each end of the interval is included unless it is open; an infinite ``high`` binds nothing.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} takes real numbers only, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range, perhaps too long to print
+        x, value = math.inf, "a number past the float range"
+    if not (math.isfinite(x) and (low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
+        if high < math.inf:
+            rule = f"lie in {'(' if low_open else '['}{_exact(low)}, {_exact(high)}{')' if high_open else ']'}"
+        else:
+            rule = "be finite and " + ("positive" if low == 0 and low_open else f"{'>' if low_open else '>='} {_exact(low)}")
+        raise InvalidArgumentError(f"{name} must {rule}, got {value}")
+
+
+def _exact(bound: float) -> str:
+    """``bound`` as the fraction it is: 1/2 for 0.5, 1 for 1.0."""
+    return "{}/{}".format(*bound.as_integer_ratio()).removesuffix("/1")
 
 
 def require_sizable(entries: int, message: str) -> None:

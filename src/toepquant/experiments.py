@@ -68,7 +68,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import InvalidArgumentError, require_integer, require_sizable
+from .exceptions import InvalidArgumentError, require_integer, require_real, require_sizable
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, SampleBatch, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -145,13 +145,11 @@ class Arm:
     def __post_init__(self) -> None:
         if sum((self.threshold is not None, bool(self.threshold_auto), self.band_est is not None)) > 1:
             raise InvalidArgumentError("an arm takes at most one of threshold, threshold_auto and band_est")
-        # the messages of threshold_estimate and banded_estimate, which would reject them only after the work
-        if self.threshold is not None and not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise InvalidArgumentError(f"zeta must be finite and >= 0, got {float(self.threshold)}")
+        # the checks of threshold_estimate and banded_estimate, which would reject them only after the work
+        if self.threshold is not None:
+            require_real("zeta", self.threshold, 0)
         if self.band_est is not None:
-            require_integer("band_est", self.band_est)
-            if not 1 <= self.band_est <= self.ruler.d:
-                raise InvalidArgumentError(f"bandwidth must lie in [1, {self.ruler.d}], got {self.band_est}")
+            require_integer("bandwidth", self.band_est, 1, self.ruler.d)
 
     def estimate_batch(self, batch: SampleBatch, truth: SymToeplitz | None = None) -> tuple[SymToeplitz, float | None]:
         """Estimate and post-process ``batch``, observed by ``quantizer``; return the estimate and its threshold."""
@@ -178,6 +176,7 @@ def draw_truth(spec: GenSpec, seed: int) -> SymToeplitz:
     so the diagonal is exactly 1.0, and a mixture's powers are divided by
     ``a[0]`` too, so it keeps its exact factor.
     """
+    require_integer("seed", seed, 0)
     g = generator_rng(seed)
     if spec.k is not None:
         truth = gen_toeplitz_vandermonde(spec.d, spec.k, g)
@@ -256,12 +255,8 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     ``(seed, n)``.  OpenBLAS runs on one thread, as in every trial of an
     experiment.
     """
-    require_integer("sample count", n)
-    require_integer("seed", seed)
-    if n < 1:
-        raise InvalidArgumentError(f"sample count must be positive, got {n}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    require_integer("sample count", n, 1)
+    require_integer("seed", seed, 0)
     if arm.ruler.d != spec.d:
         raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
     trial = _Trial(seed, spec)
@@ -312,6 +307,7 @@ class ExperimentConfig:
     variants: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        require_integer("experiment", self.experiment)
         if self.experiment not in _EXPERIMENTS:
             raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {self.experiment}")
         reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
@@ -332,20 +328,12 @@ class ExperimentConfig:
                 )
         for name in _INTEGERS:
             value = getattr(self, name)
-            if value is not None:
-                for v in value if name.endswith("_grid") else (value,):
-                    require_integer(name, v)
-        for name, (least, inclusive) in _LEAST.items():
-            value = getattr(self, name)
-            if value is None:
-                continue
-            # an int is finite however large, though math.isfinite overflows on one past 1e308
-            finite = isinstance(value, int) or math.isfinite(value)
-            if not (finite and (value >= least if inclusive else value > least)):
-                relation = ">=" if inclusive else ">"
-                raise InvalidArgumentError(f"{name} must be finite and {relation} {least}, got {value}")
-        if self.n_grid is not None and any(b <= a for a, b in zip((0,) + tuple(self.n_grid), self.n_grid)):
-            raise InvalidArgumentError(f"n grid must be positive and strictly increasing, got {self.n_grid}")
+            for v in () if value is None else value if name.endswith("_grid") else (value,):
+                require_integer(name, v, 0 if name == "seed" else 1)
+        if self.eps is not None:
+            require_real("eps", self.eps, 0, low_open=True)
+        if self.n_grid is not None and any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise InvalidArgumentError(f"n grid must be strictly increasing, got {self.n_grid}")
         for name in ("d_grid", "deltas", "alphas"):
             values = getattr(self, name)
             if values is not None and len(set(values)) < len(values):
@@ -591,14 +579,7 @@ _VARIANTS = ("fullrank", "rank10")
 # the CPUs this process may run on: experiment 4's workers
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# scalar field -> the least value it takes and whether that value itself is
-# allowed; a NaN or infinite value never is
-_LEAST = {
-    "seed": (0, True), "trials": (1, True), "n_cap": (1, True),
-    "eps": (0, False),
-}
-
-# fields that count something, one value or a grid of them
+# fields that count something, one value or a grid of them; all but the seed start at 1
 _INTEGERS = ("seed", "trials", "d", "d_grid", "n_grid", "bandwidth", "n_cap")
 
 

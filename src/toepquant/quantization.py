@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError
+from .exceptions import InvalidArgumentError, NumericError, require_real
 
 __all__ = [
     "Dither",
@@ -51,8 +51,7 @@ class QuantizerConfig:
     dither: Dither = Dither.TRIANGULAR
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.delta) or self.delta < 0:
-            raise InvalidArgumentError(f"delta must be finite and >= 0, got {self.delta}")
+        require_real("delta", self.delta, 0)
         # the noise power delta^2 / 4 enters the correction and the bounds
         if not math.isfinite(float(self.delta) * float(self.delta)):
             raise InvalidArgumentError(f"delta^2 (the dither's noise power) must be finite, got delta = {self.delta}")

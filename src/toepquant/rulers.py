@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NotARulerError, require_integer, require_sizable
+from .exceptions import InvalidArgumentError, NotARulerError, require_integer, require_real, require_sizable
 from .toeplitz import _index_array
 
 __all__ = [
@@ -47,10 +47,10 @@ class Ruler:
     _dist: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        require_integer("d", self.d, 1)
         idx = np.unique(_index_array(self.indices))
         if idx.size == 0:
             raise InvalidArgumentError("a ruler needs at least one index")
-        # at d < 1 every index lies outside [0, d)
         if idx.min() < 0 or idx.max() >= self.d:
             raise InvalidArgumentError(f"ruler indices must lie in [0, {self.d}), got [{idx.min()}, {idx.max()}]")
         idx.flags.writeable = False
@@ -86,6 +86,7 @@ class Ruler:
 
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
     """Check the ruler property; return (ok, sorted missing distances), as :class:`Ruler` finds them."""
+    require_integer("d", d, 1)
     idx = np.asarray(list(indices))
     if idx.size == 0:
         return False, list(range(d))
@@ -98,8 +99,7 @@ def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
 
 def full_ruler(d: int) -> Ruler:
     """The ruler containing every index ``0..d-1``."""
-    if d < 1:
-        raise InvalidArgumentError(f"dimension must be positive, got {d}")
+    require_integer("dimension", d, 1)
     return Ruler(d, np.arange(d, dtype=np.int64))
 
 
@@ -127,10 +127,8 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
     matrix (``|R| <= 2 r1``) numpy could not size, raises
     :class:`InvalidArgumentError` before any index is built.
     """
-    require_integer("dimension", d)
-    if d < 1:
-        raise InvalidArgumentError(f"dimension must be positive, got {d}")
-    _check_alpha(alpha)
+    require_integer("dimension", d, 1)
+    require_real("alpha", alpha, 0.5, 1)
     r1 = _round_half_up(d**alpha)
     s = _round_half_up(d ** (1.0 - alpha))
     # the ruler holds at most 2 r1 indices, and its distance matrix their square
@@ -139,12 +137,6 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
     )
     tail = d - 1 - s * np.arange(r1, dtype=np.int64)
     return Ruler(d, np.concatenate([np.arange(r1, dtype=np.int64), tail[tail >= 0]]))
-
-
-def _check_alpha(alpha: float) -> None:
-    # a NaN fails the comparison too
-    if not 0.5 <= alpha <= 1.0:
-        raise InvalidArgumentError(f"alpha must lie in [1/2, 1], got {alpha}")
 
 
 def coverage_coefficient(ruler: Ruler) -> float:
@@ -163,7 +155,6 @@ def phi_bound(d: int, alpha: float) -> float:
     second term fixed to one; a heuristic envelope, not a certified bound.
     ``alpha`` must lie in [1/2, 1], as for :func:`ruler_alpha`.
     """
-    if d < 2:
-        raise InvalidArgumentError(f"dimension must be at least 2, got {d}")
-    _check_alpha(alpha)
+    require_integer("dimension", d, 2)
+    require_real("alpha", alpha, 0.5, 1)
     return float(d ** (2.0 - 2.0 * alpha) + d ** (1.0 - alpha) * math.log(d))

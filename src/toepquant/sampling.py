@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, require_integer
+from .exceptions import InvalidArgumentError, require_integer, require_real
 from .quantization import QuantizerConfig, draw_dither, _check_input, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
@@ -46,18 +46,16 @@ class GenSpec:
     normalize: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("d", "k", "m"):
-            if getattr(self, name) is not None:
-                require_integer(name, getattr(self, name))
-        if self.d < 1:
-            raise InvalidArgumentError(f"dimension must be positive, got {self.d}")
+        require_integer("d", self.d, 1)
         if (self.k is None) == (self.m is None):
             raise InvalidArgumentError("specify exactly one of k (mixture) or m (banded)")
-        if self.k is not None and not 1 <= self.k <= self.d:
+        if self.k is not None:
+            require_integer("k", self.k)
             # k may be a recipe's default that was never given, so both are named
-            raise InvalidArgumentError(f"a mixture of k modes needs 1 <= k <= d, got k = {self.k} and d = {self.d}")
-        if self.m is not None and not 1 <= self.m < self.d:
-            raise InvalidArgumentError(f"m must lie in [1, {self.d}), got {self.m}")
+            if not 1 <= self.k <= self.d:
+                raise InvalidArgumentError(f"a mixture of k modes needs 1 <= k <= d, got k = {self.k} and d = {self.d}")
+        if self.m is not None:
+            require_integer("m", self.m, 1, self.d - 1)
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,7 @@ class SampleBatch:
     delta: float
 
     def __post_init__(self) -> None:
+        require_real("delta", self.delta, 0)
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.ruler.size:
             raise InvalidArgumentError(
@@ -102,6 +101,7 @@ def toeplitz_from_modes(freqs: np.ndarray, powers: np.ndarray, d: int) -> SymToe
     powers = np.asarray(powers, dtype=np.float64)
     if freqs.shape != powers.shape or freqs.ndim != 1:
         raise InvalidArgumentError("freqs and powers must be 1-D of equal length")
+    require_integer("d", d, 1)
     # one (d, k) array, written in place at each step
     terms = np.outer(np.arange(d), freqs)
     terms *= 2.0 * np.pi
@@ -117,8 +117,8 @@ def gen_toeplitz_vandermonde(d: int, k: int, rng: np.random.Generator) -> SymToe
     Frequencies are uniform on [0, 1] (redrawn on exact collision) and
     amplitudes are absolute standard normals.
     """
-    if not 1 <= k <= d:
-        raise InvalidArgumentError(f"k must lie in [1, {d}], got {k}")
+    require_integer("d", d, 1)
+    require_integer("k", k, 1, d)
     freqs = rng.uniform(0.0, 1.0, k)
     while np.unique(freqs).size < k:
         freqs = rng.uniform(0.0, 1.0, k)
@@ -132,8 +132,8 @@ def gen_banded(d: int, m: int, rng: np.random.Generator) -> SymToeplitz:
     ``a_s = p * max(0, 1 - s/m)`` with a random amplitude ``p >= 1/2``;
     diagonals at offsets ``>= m`` are exactly zero.
     """
-    if not 1 <= m < d:
-        raise InvalidArgumentError(f"m must lie in [1, {d}), got {m}")
+    require_integer("d", d, 1)
+    require_integer("m", m, 1, d - 1)
     p = float(np.abs(rng.standard_normal())) + 0.5
     a = np.zeros(d)
     s = np.arange(m)
@@ -156,8 +156,7 @@ def sample_gaussian(
     |R| otherwise.  Passing every index draws the same numbers as passing
     none.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"sample count must be positive, got {n}")
+    require_integer("sample count", n, 1)
     factor = t.psd_factor(indices)
     return rng.standard_normal((n, factor.shape[1])) @ factor.T
 

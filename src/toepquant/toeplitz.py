@@ -14,7 +14,7 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError
+from .exceptions import InvalidArgumentError, NumericError, require_integer
 
 __all__ = [
     "SymToeplitz",
@@ -288,8 +288,7 @@ def sup_l(e: np.ndarray, grid: int) -> float:
     if e.ndim != 1 or e.size < 1:
         raise InvalidArgumentError("generating vector must be 1-D and non-empty")
     d = e.size
-    if grid < 8 * d * d:
-        raise InvalidArgumentError(f"grid must be at least 8*d^2 = {8 * d * d}, got {grid}")
+    require_integer("grid", grid, 8 * d * d)
     coef = np.concatenate([e[:1], 2.0 * e[1:]])
     # rfft evaluates the polynomial at x = k/grid for k = 0..grid//2; the
     # remaining half of [0, 1] is covered by the symmetry L(1 - x) = L(x).

@@ -188,8 +188,12 @@ class TestThresholdZeta:
             threshold_zeta(1.0, 7, 16, 2.0, 0)
         with pytest.raises(InvalidArgumentError):
             threshold_zeta(1.0, 7, 16, 2.0, 100, 0.0)
-        for ruler_size, d in ((0, 16), (7, 0.5), (-1, 16)):
-            with pytest.raises(InvalidArgumentError, match="ruler_size and d must be positive"):
+        for ruler_size, d, message in (
+            (0, 16, "ruler_size must be positive, got 0"),
+            (7, 0.5, "d must be finite and >= 1, got 0.5"),
+            (-1, 16, "ruler_size must be positive, got -1"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
                 script_k(1.0, ruler_size, d, 2.0, 100)
 
 

@@ -176,17 +176,17 @@ class TestConfig:
             ExperimentConfig(**fields)
 
     @pytest.mark.parametrize(
-        "experiment, field, value",
+        "experiment, field, value, message",
         [
-            (4, "eps", float("nan")),
-            (4, "eps", float("inf")),
-            (4, "eps", -1.0),
-            (4, "n_cap", 0),
-            (1, "seed", -1),
+            (4, "eps", float("nan"), "eps must be finite and positive, got nan"),
+            (4, "eps", float("inf"), "eps must be finite and positive, got inf"),
+            (4, "eps", -1.0, "eps must be finite and positive, got -1.0"),
+            (4, "n_cap", 0, "n_cap must be positive, got 0"),
+            (1, "seed", -1, "seed must be non-negative, got -1"),
         ],
     )
-    def test_unusable_scalar_rejected(self, experiment, field, value):
-        with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+    def test_unusable_scalar_rejected(self, experiment, field, value, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             ExperimentConfig(experiment, **{field: value})
 
     @pytest.mark.parametrize(
@@ -220,7 +220,7 @@ class TestConfig:
             ("d", lambda: experiments.draw_truth(GenSpec(16.5, k=8), 0)),
             ("k", lambda: GenSpec(16, k=2.5)),
             ("m", lambda: GenSpec(16, m=2.5)),
-            ("band_est", lambda: Arm("", 0.5, ruler_alpha(16, 0.5), QuantizerConfig(0.0), band_est=2.5)),
+            ("bandwidth", lambda: Arm("", 0.5, ruler_alpha(16, 0.5), QuantizerConfig(0.0), band_est=2.5)),
         ],
         ids=["GenSpec-d", "GenSpec-k", "GenSpec-m", "Arm-band_est"],
     )

@@ -347,7 +347,7 @@ class TestGenSpec:
             GenSpec(8, k=2, m=3)
 
     def test_range_checks(self):
-        with pytest.raises(InvalidArgumentError, match="^dimension must be positive, got 0$"):
+        with pytest.raises(InvalidArgumentError, match="^d must be positive, got 0$"):
             GenSpec(0, k=1)
         for k in (9, 0):
             want = f"^a mixture of k modes needs 1 <= k <= d, got k = {k} and d = 8$"

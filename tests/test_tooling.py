@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, config knobs, error types and the README's stream version.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, where range rules are stated, config knobs, error types and the README's stream version.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -143,6 +143,49 @@ def test_every_import_is_the_package_the_standard_library_or_numpy():
                 continue
             foreign += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     assert foreign == []
+
+
+# the words of a scalar range rule, which only exceptions.require_integer and require_real may state
+RANGE_WORDS = (
+    "must lie in", "must be finite and", "must be positive", "must be at least", "must be non-negative",
+    "takes integers only",
+)
+
+# the checks that state a range inline, by how their messages start: values
+# derived from the arguments, and the entries of index sets and arrays
+INLINE_RANGES = (
+    "||T||^2 ", "delta^2 ", "delta^4 ", "bounds not finite ", "ruler indices must lie in ", "indices must lie in ",
+    "the powers of modes ",
+)
+
+
+def message_text(node: ast.expr) -> str:
+    """The text of a string or f-string literal, ``{}`` for each replacement field; "" for any other expression."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_every_scalar_range_is_stated_in_exceptions():
+    messages = []
+    for path in sorted((ROOT / "src" / "toepquant").glob("*.py")):
+        if path.name == "exceptions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "InvalidArgumentError"
+                and node.exc.args
+            ):
+                messages.append((f"{path.name}:{node.lineno}", message_text(node.exc.args[0])))
+    inline = [
+        f"{where} {text}" for where, text in messages
+        if any(word in text for word in RANGE_WORDS) and not text.startswith(INLINE_RANGES)
+    ]
+    assert inline == []
+    # every inline check listed still exists
+    assert [p for p in INLINE_RANGES if not any(text.startswith(p) for _, text in messages)] == []
 
 
 def test_every_config_field_is_a_command_line_option():
