@@ -136,7 +136,7 @@ REALS = {
     "ExperimentConfig alphas": (lambda v: ExperimentConfig(1, alphas=(v,)), "alpha", (0.4,)),
 }
 
-# the library calls that raised another error, or none, before one rule checked them all
+# calls whose value an inline check let through: an int past the float range, text, a fraction or a bool
 DRIFT = {
     "QuantizerConfig(10**400)": (lambda: QuantizerConfig(10**400), "delta"),
     "Arm(threshold=10**400)": (lambda: Arm("", 1.0, full_ruler(16), QuantizerConfig(0.0), threshold=10**400), "zeta"),
@@ -187,7 +187,7 @@ def test_bad_count_or_real_rejected_by_name(call, value, name):
 
 
 def test_one_rule_words_one_message():
-    # a seed of -1 read "seed must be finite and >= 0" from the config and "seed must be non-negative" from a trial
+    # the config and a trial state the seed's range in the same words
     messages = set()
     for call in (lambda: ExperimentConfig(1, seed=-1), lambda: simulate_estimate(SPEC, 10, -1, ARM)):
         with pytest.raises(InvalidArgumentError) as info:
