@@ -184,6 +184,7 @@ class TestConfig:
             (4, "n_cap", 0, "n_cap must be positive, got 0"),
             (1, "seed", -1, "seed must be non-negative, got -1"),
         ],
+        ids=["4-eps-nan", "4-eps-inf", "4-eps--1.0", "4-n_cap-0", "1-seed--1"],
     )
     def test_unusable_scalar_rejected(self, experiment, field, value, message):
         with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
