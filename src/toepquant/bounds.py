@@ -87,21 +87,22 @@ def script_l_prime(op_norm_t: float, delta: float, k: int, d: int) -> float:
     return _penalty("script_l_prime", op_norm_t, delta, k * k / d)
 
 
-def vsc_predict(d: int, eps: float, delta_prob: float, alpha: float, script_l_value: float) -> float:
+def vsc_predict(d: int, eps: float, prob_delta: float, alpha: float, script_l_value: float) -> float:
     """Predicted vector sample complexity for the two-block ruler family.
 
     ``L * log(d / (eps * delta)) * max(d^(2-2a), d^(1-a) log d) / eps^2``
     with the hidden constant set to one ("up to constant").
     """
     require_real("eps", eps, 0, 1, low_open=True, high_open=True)
-    require_real("delta_prob", delta_prob, 0, 1, low_open=True, high_open=True)
+    require_real("prob_delta", prob_delta, 0, 1, low_open=True, high_open=True)
     require_integer("dimension", d, 2)
+    require_real("dimension", d, 2)  # d is raised to float powers
     require_real("alpha", alpha, 0.5, 1)
     require_real("script_l_value", script_l_value, 0)
     growth = max(d ** (2.0 - 2.0 * alpha), d ** (1.0 - alpha) * math.log(d))
     try:
-        value = script_l_value * math.log(d / (eps * delta_prob)) * growth / (eps * eps)
-    except ZeroDivisionError:  # eps * delta_prob or eps^2 underflowed to zero
+        value = script_l_value * math.log(d / (eps * prob_delta)) * growth / (eps * eps)
+    except ZeroDivisionError:  # eps * prob_delta or eps^2 underflowed to zero
         value = math.inf
     return _finite("vsc_pred", value)
 
@@ -111,6 +112,7 @@ def script_k(big_k_value: float, ruler_size: int, d: float, p: float, n: int) ->
     require_real("big_k_value", big_k_value, 0)
     require_real("p", p, 1)
     require_integer("n", n, 1)
+    require_real("n", n, 1)  # a float is divided by n
     require_integer("ruler_size", ruler_size, 1)
     require_real("d", d, 1)
     return _finite("script_k", big_k_value * math.sqrt((math.log(ruler_size) + 4.0 * p * math.log(d)) / n))

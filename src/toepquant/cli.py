@@ -30,7 +30,7 @@ from ._seeding import STREAM_VERSION, observation_rng
 from .bounds import evaluate_bounds
 from .estimators import Correction, relative_error
 from .estimators import quantized_estimate, ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps them)
-from .exceptions import InvalidArgumentError, NumericError, ToepquantError
+from .exceptions import InvalidArgumentError, NumericError, ToepquantError, require_indices
 from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, phi_bound, ruler_alpha
@@ -78,9 +78,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _ruler_from_spec(text: str, d: int) -> Ruler:
     """An alpha ("0.5") or 1-based indices ("1,2,5,8,10") range-checked as given."""
     if "," in text:
-        idx = np.asarray(_parse_ints(text), dtype=np.int64)
-        if idx.size and (idx.min() < 1 or idx.max() > d):
-            raise InvalidArgumentError(f"ruler indices must lie in [1, {d}], got [{idx.min()}, {idx.max()}]")
+        idx = require_indices("ruler indices", _parse_ints(text), 1, d)
         values, counts = np.unique(idx, return_counts=True)
         if np.any(counts > 1):
             raise InvalidArgumentError(f"ruler indices must not repeat, got {values[counts > 1].tolist()} more than once")
@@ -368,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
-    # OverflowError: an integer option too large to be a float, such as --d 10**400
+    # OverflowError: a safety net for an integer too large for a float that no argument check caught
     except (ToepquantError, ValueError, OSError, OverflowError, argparse.ArgumentTypeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return INVALID_CONFIG

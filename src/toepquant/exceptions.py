@@ -1,6 +1,6 @@
 """Exception types, one per CLI exit code: :class:`InvalidArgumentError` means 2, :class:`NumericError` 3.
 
-:func:`require_integer`, :func:`require_real` and :func:`require_sizable` are the argument checks every module shares.
+:func:`require_integer`, :func:`require_real`, :func:`require_indices` and :func:`require_sizable` are the argument checks every module shares.
 """
 
 import math
@@ -55,6 +55,24 @@ def require_real(name: str, value: object, low: float, high: float = math.inf, l
         else:
             rule = "be finite and " + ("positive" if low == 0 and low_open else f"{'>' if low_open else '>='} {_exact(low)}")
         raise InvalidArgumentError(f"{name} must {rule}, got {value}")
+
+
+def require_indices(name: str, indices: object, low: int, high: int) -> np.ndarray:
+    """``indices`` as a sorted 1-D int64 array, repeats kept; rejected, by ``name``, unless a non-empty 1-D set of integer values in [low, high].
+
+    Integer arrays and integer-valued float arrays and lists pass; fractions,
+    NaN, text and bool arrays do not.  A rejection reports the values given,
+    before any cast: a uint64 past int64 does not wrap.
+    """
+    raw = np.asarray(indices)
+    if raw.ndim != 1 or raw.size == 0:
+        raise InvalidArgumentError(f"{name} must be a non-empty 1-D set, got shape {raw.shape}")
+    if raw.dtype.kind not in "iu" and not (raw.dtype.kind == "f" and np.array_equal(raw, np.trunc(raw))):
+        raise InvalidArgumentError(f"{name} must be integer values, got {raw.dtype} {np.array2string(raw, threshold=8)}")
+    idx = np.sort(raw)
+    if idx[0] < low or idx[-1] > high:
+        raise InvalidArgumentError(f"{name} must lie in [{low}, {high}], got [{idx[0]}, {idx[-1]}]")
+    return idx.astype(np.int64, copy=False)
 
 
 def _exact(bound: float) -> str:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NotARulerError, require_integer, require_real, require_sizable
-from .toeplitz import _index_array
+from .exceptions import NotARulerError, require_indices, require_integer, require_real, require_sizable
 
 __all__ = [
     "Ruler",
@@ -48,11 +47,7 @@ class Ruler:
 
     def __post_init__(self) -> None:
         require_integer("d", self.d, 1)
-        idx = np.unique(_index_array(self.indices))
-        if idx.size == 0:
-            raise InvalidArgumentError("a ruler needs at least one index")
-        if idx.min() < 0 or idx.max() >= self.d:
-            raise InvalidArgumentError(f"ruler indices must lie in [0, {self.d}), got [{idx.min()}, {idx.max()}]")
+        idx = np.unique(require_indices("ruler indices", self.indices, 0, self.d - 1))
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -87,8 +82,11 @@ class Ruler:
 def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
     """Check the ruler property; return (ok, sorted missing distances), as :class:`Ruler` finds them."""
     require_integer("d", d, 1)
-    idx = np.asarray(list(indices))
-    if idx.size == 0:
+    try:
+        idx = np.asarray(list(indices))
+    except TypeError:  # a scalar, which Ruler rejects by name
+        idx = indices
+    if np.shape(idx) == (0,):
         return False, list(range(d))
     try:
         Ruler(d, idx)
@@ -98,9 +96,8 @@ def is_ruler(indices, d: int) -> tuple[bool, list[int]]:
 
 
 def full_ruler(d: int) -> Ruler:
-    """The ruler containing every index ``0..d-1``."""
-    require_integer("dimension", d, 1)
-    return Ruler(d, np.arange(d, dtype=np.int64))
+    """The ruler containing every index ``0..d-1``: :func:`ruler_alpha` at alpha 1, whose checks of ``d`` it shares."""
+    return ruler_alpha(d, 1.0)
 
 
 def ruler_alpha(d: int, alpha: float) -> Ruler:
@@ -123,11 +120,12 @@ def ruler_alpha(d: int, alpha: float) -> Ruler:
     that slack.  :class:`Ruler` would still raise :class:`NotARulerError`
     if a distance were missed.
 
-    A ``d`` that is not an integer, or whose ruler's ``|R| x |R|`` distance
-    matrix (``|R| <= 2 r1``) numpy could not size, raises
-    :class:`InvalidArgumentError` before any index is built.
+    A ``d`` that is not an integer, is past the float range, or whose
+    ruler's ``|R| x |R|`` distance matrix (``|R| <= 2 r1``) numpy could not
+    size, raises :class:`InvalidArgumentError` before any index is built.
     """
     require_integer("dimension", d, 1)
+    require_real("dimension", d, 1)  # d**alpha is a float
     require_real("alpha", alpha, 0.5, 1)
     r1 = _round_half_up(d**alpha)
     s = _round_half_up(d ** (1.0 - alpha))
@@ -156,5 +154,6 @@ def phi_bound(d: int, alpha: float) -> float:
     ``alpha`` must lie in [1/2, 1], as for :func:`ruler_alpha`.
     """
     require_integer("dimension", d, 2)
+    require_real("dimension", d, 2)  # d is raised to float powers
     require_real("alpha", alpha, 0.5, 1)
     return float(d ** (2.0 - 2.0 * alpha) + d ** (1.0 - alpha) * math.log(d))

@@ -14,7 +14,7 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError, require_integer
+from .exceptions import InvalidArgumentError, NumericError, require_indices, require_integer
 
 __all__ = [
     "SymToeplitz",
@@ -116,7 +116,7 @@ class SymToeplitz:
           are fine; eigenvalues below ``-PSD_REL_TOL * ||T_R||_2`` raise
           :class:`NumericError`, on every call.
         """
-        idx = np.arange(self.d) if indices is None else _sorted_indices(indices, self.d)
+        idx = np.arange(self.d) if indices is None else require_indices("indices", indices, 0, self.d - 1)
 
         def compute() -> np.ndarray:
             if not np.all(np.isfinite(self.a)):
@@ -164,32 +164,8 @@ def principal_submatrix(t: SymToeplitz, indices) -> np.ndarray:
 
     It is read as ``a[|R_i - R_j|]``; ``t`` is never expanded to d x d.
     """
-    idx = _sorted_indices(indices, t.d)
+    idx = require_indices("indices", indices, 0, t.d - 1)
     return t.a[np.abs(idx[:, None] - idx[None, :])]
-
-
-def _sorted_indices(indices, d: int) -> np.ndarray:
-    idx = np.sort(_index_array(indices))
-    if idx.size == 0:
-        raise InvalidArgumentError("index set must be non-empty")
-    if idx[0] < 0 or idx[-1] >= d:
-        raise InvalidArgumentError(f"indices must lie in [0, {d}), got range [{idx[0]}, {idx[-1]}]")
-    return idx
-
-
-def _index_array(indices) -> np.ndarray:
-    """``indices`` as an int64 array; one that is not an integer value raises :class:`InvalidArgumentError`."""
-    raw = np.asarray(indices)
-    if raw.dtype.kind in "iu":
-        # an unsigned value past int64 wraps below 0, which every caller's range check rejects
-        return raw.astype(np.int64, copy=False)
-    if raw.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):
-            idx = raw.astype(np.int64)
-        # a fraction, a NaN or a value past int64 does not survive the cast
-        if np.array_equal(idx, raw):
-            return idx
-    raise InvalidArgumentError(f"indices must be integer values, got {raw.dtype} {np.array2string(raw.ravel(), threshold=8)}")
 
 
 def op_norm(t: SymToeplitz) -> float:
@@ -284,9 +260,7 @@ def sup_l(e: np.ndarray, grid: int) -> float:
     derivative bound ``|L'(y)| <= 4 pi d^2 max|e|``, so the returned value
     always dominates the operator norm of ``toep(e)``.
     """
-    e = np.asarray(e, dtype=np.float64)
-    if e.ndim != 1 or e.size < 1:
-        raise InvalidArgumentError("generating vector must be 1-D and non-empty")
+    e = SymToeplitz(e).a
     d = e.size
     require_integer("grid", grid, 8 * d * d)
     coef = np.concatenate([e[:1], 2.0 * e[1:]])

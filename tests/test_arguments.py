@@ -1,11 +1,12 @@
-"""One rule for every count and real argument of the package's public functions and constructors.
+"""One rule for every count, real and index-set argument of the package's public functions and constructors.
 
 A count is an integer (a Python or numpy one, not a ``bool``) within its
-range; a real is a finite number that a float holds, within its interval.
+range; a real is a finite number that a float holds, within its interval;
+an index set is a non-empty 1-D set of integer values within its range.
 Every bad value raises ``InvalidArgumentError`` with a message that names
-the parameter, as ``exceptions.require_integer`` and
-``exceptions.require_real`` word it.  Nothing built here is larger than
-d = 16.
+the parameter, as ``exceptions.require_integer``,
+``exceptions.require_real`` and ``exceptions.require_indices`` word it.
+Nothing built here is larger than d = 16.
 """
 
 import math
@@ -45,11 +46,13 @@ from toepquant import (
 )
 from toepquant.exceptions import InvalidArgumentError
 from toepquant.experiments import ExperimentConfig, draw_truth
+from toepquant.toeplitz import principal_submatrix
 
 T16 = toep(0.5 ** np.arange(16))
 R16 = ruler_alpha(16, 0.5)
 SPEC = GenSpec(16, k=4)
 ARM = Arm("", 1.0, full_ruler(16), QuantizerConfig(0.0))
+MODAL16 = toeplitz_from_modes([0.1], [1.0], 16)
 
 
 def rng():
@@ -110,7 +113,8 @@ REALS = {
     "script_l_prime op_norm_t": (lambda v: script_l_prime(v, 1.0, 1, 16), "op_norm_t", (-1.0, 0.0)),
     "script_l_prime delta": (lambda v: script_l_prime(1.0, v, 1, 16), "delta", (-1.0,)),
     "vsc_predict eps": (lambda v: vsc_predict(16, v, 0.05, 0.5, 1.0), "eps", (0.0, 1.0)),
-    "vsc_predict delta_prob": (lambda v: vsc_predict(16, 0.1, v, 0.5, 1.0), "delta_prob", (0.0, 1.0)),
+    # labelled by the parameter's former name, which the test ids keep
+    "vsc_predict delta_prob": (lambda v: vsc_predict(16, 0.1, v, 0.5, 1.0), "prob_delta", (0.0, 1.0)),
     "vsc_predict alpha": (lambda v: vsc_predict(16, 0.1, 0.05, v, 1.0), "alpha", (0.4, 1.1)),
     "vsc_predict script_l_value": (lambda v: vsc_predict(16, 0.1, 0.05, 0.5, v), "script_l_value", (-1.0,)),
     "script_k big_k_value": (lambda v: script_k(v, 7, 16, 2.0, 100), "big_k_value", (-1.0,)),
@@ -121,7 +125,7 @@ REALS = {
     "evaluate_bounds alpha": (lambda v: evaluate_bounds(16, v, 0.0, 0.1, 0.05), "alpha", (0.4,)),
     "evaluate_bounds delta": (lambda v: evaluate_bounds(16, 0.5, v, 0.1, 0.05), "delta", (-1.0,)),
     "evaluate_bounds eps": (lambda v: evaluate_bounds(16, 0.5, 0.0, v, 0.05), "eps", (0.0, 1.0)),
-    "evaluate_bounds prob_delta": (lambda v: evaluate_bounds(16, 0.5, 0.0, 0.1, v), "delta_prob", (0.0, 1.0)),
+    "evaluate_bounds prob_delta": (lambda v: evaluate_bounds(16, 0.5, 0.0, 0.1, v), "prob_delta", (0.0, 1.0)),
     "evaluate_bounds op_norm_t": (lambda v: evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, op_norm_t=v), "op_norm_t", (0.0,)),
     "evaluate_bounds p": (lambda v: evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, p=v), "p", (0.5,)),
     "evaluate_bounds c": (lambda v: evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, c=v), "c", (0.0,)),
@@ -149,6 +153,13 @@ DRIFT = {
     ),
     "ExperimentConfig(deltas=(10**400, 1.0))": (lambda: ExperimentConfig(2, deltas=(10**400, 1.0)), "delta"),
     "threshold_estimate(10**400)": (lambda: threshold_estimate(T16, 10**400), "zeta"),
+    # counts that a float cannot hold, whose 401 digits no message prints
+    "ruler_alpha(10**400)": (lambda: ruler_alpha(10**400, 0.5), "dimension"),
+    "full_ruler(10**400)": (lambda: full_ruler(10**400), "dimension"),
+    "phi_bound(10**400)": (lambda: phi_bound(10**400, 0.5), "dimension"),
+    "vsc_predict(10**400)": (lambda: vsc_predict(10**400, 0.1, 0.05, 0.5, 1.0), "dimension"),
+    "script_k(n=10**400)": (lambda: script_k(1.0, 7, 16, 2.0, 10**400), "n"),
+    "evaluate_bounds(n=10**400)": (lambda: evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, n=10**400), "n"),
     'QuantizerConfig("1")': (lambda: QuantizerConfig("1"), "delta"),
     "gen_toeplitz_vandermonde(16.5)": (lambda: gen_toeplitz_vandermonde(16.5, 2, rng()), "d"),
     "toeplitz_from_modes(d=2.5)": (lambda: toeplitz_from_modes([0.1], [1.0], 2.5), "d"),
@@ -167,6 +178,29 @@ DRIFT = {
     "simulate_estimate(n=True)": (lambda: simulate_estimate(SPEC, True, 0, ARM), "sample count"),
 }
 
+# label -> (call with the index set in the parameter's place, the name its message gives)
+INDEX_SETS = {
+    "Ruler": (lambda v: Ruler(16, v), "ruler indices"),
+    "is_ruler": (lambda v: is_ruler(v, 16), "ruler indices"),
+    "principal_submatrix": (lambda v: principal_submatrix(T16, v), "indices"),
+    "SymToeplitz.psd_factor": (lambda v: MODAL16.psd_factor(v), "indices"),
+    "sample_gaussian": (lambda v: sample_gaussian(T16, 2, rng(), v), "indices"),
+}
+
+# label -> a value that is no index set at d = 16
+BAD_INDICES = {
+    "0-d": 3,
+    "2-D": [[0, 1], [2, 3]],
+    "empty": [],
+    "fraction": [0, 1.5],
+    "nan": [0, math.nan],
+    "text": ["0", "1"],
+    "bools": np.array([True, False]),
+    "negative": [-1, 0],
+    "d": [0, 16],
+    "uint64 2**64-1": np.array([0, 2**64 - 1], dtype=np.uint64),
+}
+
 
 def _cases():
     for label, (call, name, outside) in COUNTS.items():
@@ -179,11 +213,32 @@ def _cases():
         yield pytest.param(lambda _, call=call: call(), None, name, id=label)
 
 
-@pytest.mark.parametrize("call, value, name", _cases())
-def test_bad_count_or_real_rejected_by_name(call, value, name):
+def _index_cases():
+    for label, (call, name) in INDEX_SETS.items():
+        for what, value in BAD_INDICES.items():
+            # is_ruler answers an empty set: it realizes no distance
+            if (label, what) != ("is_ruler", "empty"):
+                yield pytest.param(call, value, name, id=f"{label} indices={what}")
+    # the entries of a generating vector are any reals, so only its shape is checked
+    for what in ("0-d", "2-D", "empty"):
+        yield pytest.param(lambda v: sup_l(v, 2048), BAD_INDICES[what], "generating vector", id=f"sup_l e={what}")
+
+
+def assert_rejected_by_name(call, value, name):
     with pytest.raises(InvalidArgumentError) as info:
         call(value)
     assert re.search(rf"(?<!\w){re.escape(name)}(?!\w)", str(info.value)), str(info.value)
+    assert str(10**400) not in str(info.value)
+
+
+@pytest.mark.parametrize("call, value, name", _cases())
+def test_bad_count_or_real_rejected_by_name(call, value, name):
+    assert_rejected_by_name(call, value, name)
+
+
+@pytest.mark.parametrize("call, value, name", _index_cases())
+def test_bad_index_set_rejected_by_name(call, value, name):
+    assert_rejected_by_name(call, value, name)
 
 
 def test_one_rule_words_one_message():

@@ -409,6 +409,13 @@ class TestEstimate:
         assert code == 2
         assert "must lie in [1, 16], got [1, 17]" in err
 
+    # every bad index set the command line can spell: empty, a fraction, NaN, text, bools, an index below 1 or past d
+    @pytest.mark.parametrize("spec", [",", "1.5,2", "nan,1", "a,b", "True,False", "-1,1", "0,1,2", "1,17", f"1,{2**64 - 1}"])
+    def test_bad_ruler_index_set_is_one_line_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "estimate", "--simulate", f"--ruler={spec}")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("source", ["--input", "--simulate"])
     def test_repeated_ruler_index_rejected(self, capsys, tmp_path, source):
         path = tmp_path / "samples.csv"
@@ -829,7 +836,8 @@ class TestContract:
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err == "invalid configuration: int too large to convert to float\n"
+        name = "n" if "--n" in argv else "dimension"
+        assert err == f"invalid configuration: {name} must be finite and >= 1, got a number past the float range\n"
         assert out == "" and not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(

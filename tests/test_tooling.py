@@ -145,18 +145,15 @@ def test_every_import_is_the_package_the_standard_library_or_numpy():
     assert foreign == []
 
 
-# the words of a scalar range rule, which only exceptions.require_integer and require_real may state
+# the words of a range rule, which only exceptions.require_integer, require_real and require_indices may state
 RANGE_WORDS = (
     "must lie in", "must be finite and", "must be positive", "must be at least", "must be non-negative",
     "takes integers only",
 )
 
 # the checks that state a range inline, by how their messages start: values
-# derived from the arguments, and the entries of index sets and arrays
-INLINE_RANGES = (
-    "||T||^2 ", "delta^2 ", "delta^4 ", "bounds not finite ", "ruler indices must lie in ", "indices must lie in ",
-    "the powers of modes ",
-)
+# derived from the arguments, and the entries of arrays
+INLINE_RANGES = ("||T||^2 ", "delta^2 ", "delta^4 ", "bounds not finite ", "the powers of modes ")
 
 
 def message_text(node: ast.expr) -> str:

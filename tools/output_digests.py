@@ -108,6 +108,9 @@ REJECTED = [
     ["estimate", "--simulate", "--d", "1", "--k", "1", "--ruler", "0.4"],
     ["estimate", "--simulate", "--k", "2", "--m", "3"],
     ["estimate", "--simulate", "--ruler", "1,2,2,3"],
+    ["estimate", "--simulate", "--ruler", "0,1,2"],
+    ["estimate", "--simulate", "--ruler", "1,17"],
+    ["estimate", "--simulate", "--ruler", ","],
     ["estimate", "--simulate", "--ruler", "x"],
     ["estimate", "--simulate", "--delta", "1e155"],
     ["estimate", "--simulate", "--delta", "1e-308"],
