@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, NumericError, require_integer, require_real
+from .exceptions import InvalidArgumentError, require_integer, require_real
 from .rulers import coverage_coefficient, ruler_alpha
 from .toeplitz import SymToeplitz, principal_submatrix
 
@@ -83,6 +83,7 @@ def script_l(op_norm_t: float, delta: float) -> float:
 def script_l_prime(op_norm_t: float, delta: float, k: int, d: int) -> float:
     """Low-rank penalty: ``(lambda ||T||^2 + delta^4) / ||T||^2`` with ``lambda = k^2/d``."""
     require_integer("d", d, 1)
+    require_real("d", d, 1)  # k * k / d is a float
     require_integer("k", k, 1, d)
     return _penalty("script_l_prime", op_norm_t, delta, k * k / d)
 
@@ -146,13 +147,11 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
     ``T`` are read from one spectrum: with ``w`` the moduli of its
     eigenvalues in decreasing order, ``T_k`` keeps the first k, so
     ``||T||_2 = w[0]``, ``||T - T_k||_2 = w[k]`` (0 at k = d) and
-    ``||T - T_k||_F^2`` is the sum of ``w[i]^2`` over i >= k.  A ``T``
-    with a non-finite entry raises :class:`NumericError`.
+    ``||T - T_k||_F^2`` is the sum of ``w[i]^2`` over i >= k.  ``T``'s
+    entries are finite (see :class:`~toepquant.toeplitz.SymToeplitz`).
     """
     d = t.d
     require_integer("k", k, 1, d)
-    if not np.all(np.isfinite(t.a)):
-        raise NumericError("matrix contains non-finite entries")
     sub = principal_submatrix(t, ruler_alpha(d, alpha).indices)
     left = float(np.abs(np.linalg.eigvalsh(sub)).max()) ** 2
     w = np.append(np.sort(np.abs(np.linalg.eigvalsh(t.dense())))[::-1], 0.0)

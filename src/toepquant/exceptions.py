@@ -35,7 +35,7 @@ def require_integer(name: str, value: object, low: int | None = None, high: int 
         raise InvalidArgumentError(f"{name} takes integers only, got {value!r}")
     if (low is not None and value < low) or (high is not None and value > high):
         rule = f"lie in [{low}, {high}]" if high is not None else {0: "be non-negative", 1: "be positive"}.get(low, f"be at least {low}")
-        raise InvalidArgumentError(f"{name} must {rule}, got {value}")
+        raise InvalidArgumentError(f"{name} must {rule}, got {_shown(value)}")
 
 
 def require_real(name: str, value: object, low: float, high: float = math.inf, low_open: bool = False, high_open: bool = False) -> None:
@@ -47,14 +47,14 @@ def require_real(name: str, value: object, low: float, high: float = math.inf, l
         raise InvalidArgumentError(f"{name} takes real numbers only, got {value!r}")
     try:
         x = float(value)
-    except OverflowError:  # an integer past the float range, perhaps too long to print
-        x, value = math.inf, "a number past the float range"
+    except OverflowError:  # an integer past the float range
+        x = math.inf
     if not (math.isfinite(x) and (low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
         if high < math.inf:
             rule = f"lie in {'(' if low_open else '['}{_exact(low)}, {_exact(high)}{')' if high_open else ']'}"
         else:
             rule = "be finite and " + ("positive" if low == 0 and low_open else f"{'>' if low_open else '>='} {_exact(low)}")
-        raise InvalidArgumentError(f"{name} must {rule}, got {value}")
+        raise InvalidArgumentError(f"{name} must {rule}, got {_shown(value)}")
 
 
 def require_indices(name: str, indices: object, low: int, high: int) -> np.ndarray:
@@ -73,6 +73,15 @@ def require_indices(name: str, indices: object, low: int, high: int) -> np.ndarr
     if idx[0] < low or idx[-1] > high:
         raise InvalidArgumentError(f"{name} must lie in [{low}, {high}], got [{idx[0]}, {idx[-1]}]")
     return idx.astype(np.int64, copy=False)
+
+
+def _shown(value: numbers.Real) -> str:
+    """``value`` as a message prints it; an integer past the float range, perhaps too long to print, by that fact."""
+    try:
+        float(value)
+    except OverflowError:
+        return "a number past the float range"
+    return str(value)
 
 
 def _exact(bound: float) -> str:

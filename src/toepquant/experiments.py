@@ -68,7 +68,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import InvalidArgumentError, require_integer, require_real, require_sizable
+from .exceptions import InvalidArgumentError, _shown, require_integer, require_real, require_sizable
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, SampleBatch, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -353,7 +353,7 @@ class ExperimentConfig:
         # the grid, and the cap that experiment 4's search may reach
         for name, n in (("n grid value", None if self.n_grid is None else max(self.n_grid)), ("n_cap", self.n_cap)):
             if n is not None:
-                require_sizable(n * max(dims), f"{name} too large for an (n, {max(dims)}) sample block, got {n}")
+                require_sizable(n * max(dims), f"{name} too large for an (n, {max(dims)}) sample block, got {_shown(n)}")
         self.out_dir = Path(self.out_dir)
 
     def ruler(self, d: int, alpha: float) -> Ruler:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError, require_integer, require_real
+from .exceptions import InvalidArgumentError, _shown, require_integer, require_real, require_sizable
 from .quantization import QuantizerConfig, draw_dither, _check_input, _grid_round
 from .rulers import Ruler
 from .toeplitz import SymToeplitz, toep
@@ -53,7 +53,7 @@ class GenSpec:
             require_integer("k", self.k)
             # k may be a recipe's default that was never given, so both are named
             if not 1 <= self.k <= self.d:
-                raise InvalidArgumentError(f"a mixture of k modes needs 1 <= k <= d, got k = {self.k} and d = {self.d}")
+                raise InvalidArgumentError(f"a mixture of k modes needs 1 <= k <= d, got k = {_shown(self.k)} and d = {self.d}")
         if self.m is not None:
             require_integer("m", self.m, 1, self.d - 1)
 
@@ -102,13 +102,19 @@ def toeplitz_from_modes(freqs: np.ndarray, powers: np.ndarray, d: int) -> SymToe
     if freqs.shape != powers.shape or freqs.ndim != 1:
         raise InvalidArgumentError("freqs and powers must be 1-D of equal length")
     require_integer("d", d, 1)
+    _require_modal_size(d, freqs.size)
     # one (d, k) array, written in place at each step
     terms = np.outer(np.arange(d), freqs)
     terms *= 2.0 * np.pi
     np.cos(terms, out=terms)
     terms *= powers
-    a = terms.sum(axis=1)
+    with np.errstate(over="ignore"):  # the constructor refuses an overflowing sum
+        a = terms.sum(axis=1)
     return SymToeplitz(a, (freqs, powers) if np.all(powers >= 0.0) else None)
+
+
+def _require_modal_size(d: int, k: int) -> None:
+    require_sizable(d * max(k, 1), f"d too large for the (d, {k}) array of a mixture of {k} modes, got {_shown(d)}")
 
 
 def gen_toeplitz_vandermonde(d: int, k: int, rng: np.random.Generator) -> SymToeplitz:
@@ -119,6 +125,7 @@ def gen_toeplitz_vandermonde(d: int, k: int, rng: np.random.Generator) -> SymToe
     """
     require_integer("d", d, 1)
     require_integer("k", k, 1, d)
+    _require_modal_size(d, k)
     freqs = rng.uniform(0.0, 1.0, k)
     while np.unique(freqs).size < k:
         freqs = rng.uniform(0.0, 1.0, k)
@@ -134,6 +141,7 @@ def gen_banded(d: int, m: int, rng: np.random.Generator) -> SymToeplitz:
     """
     require_integer("d", d, 1)
     require_integer("m", m, 1, d - 1)
+    require_sizable(d, f"d too large for a generating vector, got {_shown(d)}")
     p = float(np.abs(rng.standard_normal())) + 0.5
     a = np.zeros(d)
     s = np.arange(m)

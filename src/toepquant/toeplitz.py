@@ -33,7 +33,7 @@ _V = TypeVar("_V")
 
 @dataclass(frozen=True, eq=False)
 class SymToeplitz:
-    """A d-by-d symmetric Toeplitz matrix stored as its generating vector.
+    """A d-by-d symmetric Toeplitz matrix stored as its generating vector; a non-finite entry raises :class:`NumericError`.
 
     Values that depend only on the matrix, such as the PSD factor of a
     principal submatrix and the operator norm, are computed on first use and
@@ -56,6 +56,8 @@ class SymToeplitz:
         a = np.asarray(self.a, dtype=np.float64)
         if a.ndim != 1 or a.size < 1:
             raise InvalidArgumentError("generating vector must be 1-D and non-empty")
+        if not np.all(np.isfinite(a)):
+            raise NumericError("matrix contains non-finite entries")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -84,7 +86,8 @@ class SymToeplitz:
         return self.a[np.abs(s[:, None] - s[None, :])]
 
     def __sub__(self, other: "SymToeplitz") -> "SymToeplitz":
-        return SymToeplitz(self.a - other.a)
+        with np.errstate(over="ignore"):  # the constructor refuses an overflowing difference
+            return SymToeplitz(self.a - other.a)
 
     def memo(self, key: Hashable, compute: Callable[[], _V]) -> _V:
         """``compute()`` on the first call for ``key``; the kept value after.
@@ -101,9 +104,9 @@ class SymToeplitz:
     def psd_factor(self, indices: np.ndarray | None = None) -> np.ndarray:
         """``F`` with ``F F^T = T_R``, the principal submatrix on ``indices`` (all of them by default).
 
-        Rows follow ascending index order.  A non-finite entry, or a factor
-        that is not finite, raises :class:`NumericError`.  Computed once per
-        matrix and index set, the one place that picks how:
+        Rows follow ascending index order.  A factor that is not finite
+        raises :class:`NumericError`.  Computed once per matrix and index
+        set, the one place that picks how:
 
         * a matrix with ``k`` :attr:`modes` and ``2k <= |R|`` gets the exact
           |R| x 2k modal factor ``[sqrt(p) cos(2 pi r f), sqrt(p) sin(2 pi r f)]``
@@ -119,8 +122,6 @@ class SymToeplitz:
         idx = np.arange(self.d) if indices is None else require_indices("indices", indices, 0, self.d - 1)
 
         def compute() -> np.ndarray:
-            if not np.all(np.isfinite(self.a)):
-                raise NumericError("matrix contains non-finite entries")
             modal = self.modes is not None and 2 * self.modes[0].size <= idx.size
             with np.errstate(over="ignore", invalid="ignore"):
                 factor = _modal_factor(*self.modes, idx) if modal else _psd_factor(principal_submatrix(self, idx))
@@ -169,7 +170,7 @@ def principal_submatrix(t: SymToeplitz, indices) -> np.ndarray:
 
 
 def op_norm(t: SymToeplitz) -> float:
-    """Operator (spectral) norm of a symmetric Toeplitz matrix; its entries must be finite.
+    """Operator (spectral) norm of a symmetric Toeplitz matrix, whose entries are finite (see :class:`SymToeplitz`).
 
     ``t`` is never expanded to d x d.  It is centrosymmetric (``J T J = T``
     with ``J`` the exchange matrix), so its spectrum is the union of the
@@ -189,11 +190,8 @@ def op_norm(t: SymToeplitz) -> float:
     blocks are ``[[a[0]]]`` and ``[[0]]``.  A norm that is no finite float
     raises :class:`NumericError`.
     """
-    a = t.a
-    if not np.all(np.isfinite(a)):
-        raise NumericError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):
-        blocks = _centrosymmetric_blocks(a)
+        blocks = _centrosymmetric_blocks(t.a)
     # a block entry is an entry of T in an orthonormal basis, so where one overflows the norm does too
     norm = float(np.abs(np.linalg.eigvalsh(blocks)).max()) if np.all(np.isfinite(blocks)) else math.inf
     return _finite_norm("operator", norm)
@@ -222,7 +220,7 @@ def _centrosymmetric_blocks(a: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(t: SymToeplitz) -> float:
-    """Frobenius norm; one that is no finite float raises :class:`NumericError`.
+    """Frobenius norm of a matrix of finite entries; one that is no finite float raises :class:`NumericError`.
 
     The squares are summed with every entry scaled by ``2**-e``, the power
     of two that brings ``max |a|`` into [1/2, 1), and the root is scaled
@@ -230,10 +228,7 @@ def fro_norm(t: SymToeplitz) -> float:
     underflows.  Both scalings are exact, so where no square leaves the
     normal range either way, the norm is the plain sum's, bit for bit.
     """
-    peak = max_norm(t)
-    if not math.isfinite(peak):
-        raise NumericError("matrix contains non-finite entries")
-    e = math.frexp(peak)[1]
+    e = math.frexp(max_norm(t))[1]
     x = np.ldexp(t.dense().ravel(), -e)
     with np.errstate(over="ignore"):
         norm = float(np.ldexp(math.sqrt(x.dot(x)), e))
@@ -252,7 +247,7 @@ def max_norm(t: SymToeplitz) -> float:
 
 
 def sup_l(e: np.ndarray, grid: int) -> float:
-    """Certified upper bound on ``sup_x |L(x)|`` over [0, 1].
+    """Certified upper bound on ``sup_x |L(x)|`` over [0, 1]; a non-finite entry of ``e`` raises :class:`NumericError`.
 
     ``L(x) = e[0] + 2 * sum_{s>=1} e[s] cos(2 pi s x)`` is the cosine
     polynomial of ``e``.  Evaluates it on ``grid`` equispaced points via

@@ -160,6 +160,17 @@ DRIFT = {
     "vsc_predict(10**400)": (lambda: vsc_predict(10**400, 0.1, 0.05, 0.5, 1.0), "dimension"),
     "script_k(n=10**400)": (lambda: script_k(1.0, 7, 16, 2.0, 10**400), "n"),
     "evaluate_bounds(n=10**400)": (lambda: evaluate_bounds(16, 0.5, 0.0, 0.1, 0.05, n=10**400), "n"),
+    "script_l_prime(d=10**400)": (lambda: script_l_prime(1.0, 1.0, 10**400, 10**400), "d"),
+    "Arm(band_est=10**400)": (
+        lambda: Arm("", 1.0, full_ruler(16), QuantizerConfig(0.0), band_est=10**400), "bandwidth",
+    ),
+    "GenSpec(k=10**400)": (lambda: GenSpec(16, k=10**400), "k"),
+    "ExperimentConfig(n_grid=(6, 10**400))": (lambda: ExperimentConfig(1, n_grid=(6, 10**400)), "n grid"),
+    # dimensions whose arrays numpy cannot size
+    "gen_banded(10**400)": (lambda: gen_banded(10**400, 2, rng()), "d"),
+    "gen_banded(2**62)": (lambda: gen_banded(2**62, 2, rng()), "d"),
+    "toeplitz_from_modes(d=10**400)": (lambda: toeplitz_from_modes([0.1], [1.0], 10**400), "d"),
+    "gen_toeplitz_vandermonde(10**400)": (lambda: gen_toeplitz_vandermonde(10**400, 5, rng()), "d"),
     'QuantizerConfig("1")': (lambda: QuantizerConfig("1"), "delta"),
     "gen_toeplitz_vandermonde(16.5)": (lambda: gen_toeplitz_vandermonde(16.5, 2, rng()), "d"),
     "toeplitz_from_modes(d=2.5)": (lambda: toeplitz_from_modes([0.1], [1.0], 2.5), "d"),
@@ -219,7 +230,8 @@ def _index_cases():
             # is_ruler answers an empty set: it realizes no distance
             if (label, what) != ("is_ruler", "empty"):
                 yield pytest.param(call, value, name, id=f"{label} indices={what}")
-    # the entries of a generating vector are any reals, so only its shape is checked
+    # the entries of a generating vector are finite reals, a rule of their own
+    # (NumericError, see test_toeplitz.py), so only its shape is checked here
     for what in ("0-d", "2-D", "empty"):
         yield pytest.param(lambda v: sup_l(v, 2048), BAD_INDICES[what], "generating vector", id=f"sup_l e={what}")
 

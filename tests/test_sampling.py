@@ -199,8 +199,9 @@ class TestSampleGaussian:
             (lambda: toep([1e308, 0.0, 1e308]), "the PSD factor is not finite"),
             (lambda: toeplitz_from_modes([np.nan], [1.0], 4), "matrix contains non-finite entries"),
             (lambda: toeplitz_from_modes([0.1], [np.inf], 4), "matrix contains non-finite entries"),
+            (lambda: toeplitz_from_modes([0.0, 0.0], [1e308, 1e308], 4), "matrix contains non-finite entries"),
         ],
-        ids=["nan", "inf", "overflow", "overflow-times-zero", "nan-mode", "inf-power"],
+        ids=["nan", "inf", "overflow", "overflow-times-zero", "nan-mode", "inf-power", "powers-overflow"],
     )
     def test_non_finite_covariance_rejected(self, make, message):
         # under the suite's warnings-as-errors a RuntimeWarning would fail this too

@@ -4,13 +4,16 @@ import pytest
 from toepquant import (
     Ruler,
     SymToeplitz,
+    banded_estimate,
     fro_norm,
     is_ruler,
     max_norm,
     op_norm,
     principal_submatrix,
+    relative_error,
     sample_gaussian,
     sup_l,
+    threshold_estimate,
     toep,
     toeplitz_from_modes,
 )
@@ -276,3 +279,60 @@ class TestCosinePolynomial:
     def test_sup_grid_too_small(self):
         with pytest.raises(InvalidArgumentError):
             sup_l(np.ones(4), 100)
+
+
+def with_entry(size, at, value):
+    """``size`` ones with ``value`` at the first, a middle or the last place."""
+    a = np.ones(size)
+    a[{"first": 0, "middle": size // 2, "last": size - 1}[at]] = value
+    return a
+
+
+# label -> the call that builds a matrix whose entry at ``at`` is ``bad``
+NON_FINITE_MATRICES = {
+    "SymToeplitz": lambda bad, at: SymToeplitz(with_entry(5, at, bad)),
+    "toep": lambda bad, at: toep(with_entry(5, at, bad)),
+    # a non-finite power makes every entry non-finite
+    "toeplitz_from_modes": lambda bad, at: toeplitz_from_modes([0.1, 0.2, 0.3], with_entry(3, at, bad), 4),
+    "sup_l": lambda bad, at: sup_l(with_entry(5, at, bad), 2048),
+    # 1e308 - (-1e308) overflows to inf; a difference of finite entries is never NaN
+    "__sub__": lambda bad, at: (
+        toep(with_entry(5, at, np.copysign(1e308, bad))) - toep(with_entry(5, at, -np.copysign(1e308, bad)))
+    ),
+}
+
+
+def _non_finite_cases():
+    for label, make in NON_FINITE_MATRICES.items():
+        for bad in (np.nan, np.inf, -np.inf):
+            if (label, np.isnan(bad)) != ("__sub__", True):
+                for at in ("first", "middle", "last"):
+                    yield pytest.param(make, bad, at, id=f"{label}-{bad}-{at}")
+
+
+@pytest.mark.parametrize("make, bad, at", _non_finite_cases())
+def test_a_matrix_with_a_non_finite_entry_is_refused_where_it_is_built(make, bad, at):
+    # under the suite's warnings-as-errors a RuntimeWarning would fail this too
+    with pytest.raises(NumericError, match="^matrix contains non-finite entries$"):
+        make(bad, at)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: max_norm(toep([np.nan, 0.0])),
+        lambda: relative_error(toep([1.0, 0.0]), toep([np.inf, 0.0]), "max"),
+        lambda: relative_error(toep([np.nan, 0.0]), toep([1.0, 0.0]), "max"),
+        lambda: threshold_estimate(toep([np.nan, 0.0, 0.0]), 0.1),
+        lambda: banded_estimate(toep([np.nan, 0.0, 0.0]), 1),
+        lambda: sup_l(np.array([np.nan, 1.0]), 64),
+        # a NaN matrix t had t != t while hash(t) == hash(t)
+        lambda: (lambda t: t == t)(toep([np.nan, 1.0])),
+    ],
+    ids=["max_norm-nan", "relative_error-inf-estimate", "relative_error-nan-truth", "threshold_estimate-nan",
+         "banded_estimate-nan", "sup_l-nan", "eq-nan"],
+)
+def test_no_reader_sees_a_non_finite_matrix(read):
+    # each once answered nan, inf, False or a zeroed NaN instead of raising
+    with pytest.raises(NumericError, match="^matrix contains non-finite entries$"):
+        read()

@@ -26,7 +26,8 @@ writes into a temporary directory.  The set:
 * the exit code and the stderr of each command line in ``REJECTED``: every
   one the README quotes an error for, but the two that exhaust memory
   (``estimate --simulate --d 100000`` and ``exp --id 4 --d-grid 100000``),
-  and one per range rule of an argument the command line reaches.  The
+  one per range rule of an argument the command line reaches, and
+  counts past the float range or past what numpy can size.  The
   small input files they read are written by the script, and the path of
   its temporary directory reads ``WORK`` in their messages.
 
@@ -169,6 +170,15 @@ REJECTED = [
     ["exp", "--id", "4", "--n-cap", "0"],
     ["exp", "--id", "4", "--eps", "0"],
     ["--seed", "-1", "gen", "--d", "16", "--k", "1"],
+    # counts past the float range, whose digits no message prints, and
+    # dimensions whose arrays numpy cannot size
+    ["estimate", "--simulate", "--bandwidth", BIG],
+    ["estimate", "--simulate", "--k", BIG],
+    ["bounds", "--d", "16", "--k", BIG],
+    ["exp", "--id", "5", "--m", BIG],
+    ["gen", "--d", BIG, "--m", "2"],
+    ["gen", "--d", BIG, "--k", "2"],
+    ["gen", "--d", "4611686018427387904", "--m", "2"],
 ]
 
 
