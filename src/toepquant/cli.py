@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 invalid configuration or arguments
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import os
@@ -31,19 +30,13 @@ from .bounds import evaluate_bounds
 from .estimators import Correction, relative_error
 from .estimators import quantized_estimate, ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps them)
 from .exceptions import InvalidArgumentError, NumericError, ToepquantError, require_indices
-from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, draw_truth, run_experiment, simulate_estimate
+from .experiments import _EXPERIMENTS, Arm, ExperimentConfig, _write_dicts, draw_truth, run_experiment, simulate_estimate
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, coverage_coefficient, phi_bound, ruler_alpha
 from .sampling import GenSpec, observe
 
 INVALID_CONFIG = 2
 NUMERIC_FAILURE = 3
-
-
-def _csv_out(rows: list[list], header: list[str]) -> None:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _parse_list(text: str, kind: type, name: str) -> tuple:
@@ -92,17 +85,15 @@ def _ruler_from_spec(text: str, d: int) -> Ruler:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     t = draw_truth(GenSpec(args.d, k=args.k, m=args.m), args.seed)
-    _csv_out([[s, repr(float(v))] for s, v in enumerate(t.a)], ["s", "a"])
+    _write_dicts(sys.stdout, [{"s": s, "a": v} for s, v in enumerate(t.a)])
     return 0
 
 
 def cmd_ruler(args: argparse.Namespace) -> int:
     ruler = ruler_alpha(args.d, args.alpha)
-    indices = " ".join(str(i + 1) for i in ruler.indices)
-    _csv_out(
-        [[args.d, repr(args.alpha), ruler.size, repr(coverage_coefficient(ruler)), repr(phi_bound(args.d, args.alpha)), indices]],
-        ["d", "alpha", "size", "phi", "phi_bound", "indices_1based"],
-    )
+    record = {"d": args.d, "alpha": args.alpha, "size": ruler.size, "phi": coverage_coefficient(ruler)}
+    record |= {"phi_bound": phi_bound(args.d, args.alpha), "indices_1based": " ".join(map(str, ruler.indices + 1))}
+    _write_dicts(sys.stdout, [record])
     return 0
 
 
@@ -131,11 +122,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         spec = GenSpec(opt["d"], k=opt["k"] if args.m is None else args.k, m=opt["m"], normalize=opt["normalize"])
         sim = simulate_estimate(spec, opt["n"], args.seed, arm_at(spec.d))
         est = sim.estimate
-        extra = [["rel_error_op", repr(sim.rel_error)]] + [
-            [f"rel_error_{norm}", repr(float(relative_error(sim.truth, est, norm)))] for norm in ("fro", "max")
-        ]
+        extra = {"rel_error_op": sim.rel_error} | {f"rel_error_{n}": relative_error(sim.truth, est, n) for n in ("fro", "max")}
         if sim.zeta is not None:
-            extra.append(["zeta", repr(float(sim.zeta))])
+            extra["zeta"] = sim.zeta
     else:
         if args.threshold_auto:
             raise InvalidArgumentError(
@@ -147,10 +136,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         samples, arm = _load_samples(Path(args.input), arm_at)
         batch = observe(samples, arm.ruler, arm.quantizer, observation_rng(args.seed, samples.shape[0]))
         est, _ = arm.estimate_batch(batch)
-        extra = []
+        extra = {}
 
-    coefficients = [[f"a[{s}]", repr(float(v))] for s, v in enumerate(est.a)]
-    _csv_out(coefficients + extra + [["seed", str(args.seed)], ["stream_version", str(STREAM_VERSION)]], ["key", "value"])
+    values = {f"a[{s}]": v for s, v in enumerate(est.a)} | extra | {"seed": args.seed, "stream_version": STREAM_VERSION}
+    _write_dicts(sys.stdout, [{"key": key, "value": value} for key, value in values.items()])
     return 0
 
 
@@ -238,15 +227,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not args.alpha or not args.delta:
         raise InvalidArgumentError(f"--alpha and --delta each take a value, got {args.alpha!r} and {args.delta!r}")
     given = {name: value for name, value in vars(args).items() if name not in _NOT_BOUNDS}
-    rows: list[list] = []
-    header: list[str] | None = None
-    for alpha in args.alpha:
-        for delta in args.delta:
-            record = vars(evaluate_bounds(**given | {"alpha": alpha, "delta": delta}))
-            if header is None:
-                header = list(record.keys())
-            rows.append([("" if record[k] is None else repr(record[k]) if isinstance(record[k], float) else str(record[k])) for k in header])
-    _csv_out(rows, header)
+    records = [vars(evaluate_bounds(**given | {"alpha": alpha, "delta": delta})) for alpha in args.alpha for delta in args.delta]
+    _write_dicts(sys.stdout, records)
     return 0
 
 

@@ -84,6 +84,12 @@ def _shown(value: numbers.Real) -> str:
     return str(value)
 
 
+def _shown_tuple(values: tuple) -> str:
+    """The tuple of ``values`` as a message prints it, each number as :func:`_shown` prints it."""
+    shown = [_shown(v) if isinstance(v, numbers.Real) else repr(v) for v in values]
+    return f"({', '.join(shown)}{',' * (len(shown) == 1)})"
+
+
 def _exact(bound: float) -> str:
     """``bound`` as the fraction it is: 1/2 for 0.5, 1 for 1.0."""
     return "{}/{}".format(*bound.as_integer_ratio()).removesuffix("/1")

@@ -52,7 +52,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from .estimators import (
     threshold_estimate,
 )
 from .estimators import ruler_estimate  # noqa: F401  (uncalled; perfbench/tracing.py wraps this binding)
-from .exceptions import InvalidArgumentError, _shown, require_integer, require_real, require_sizable
+from .exceptions import InvalidArgumentError, _shown, _shown_tuple, require_integer, require_real, require_sizable
 from .quantization import Dither, QuantizerConfig
 from .rulers import Ruler, ruler_alpha
 from .sampling import GenSpec, SampleBatch, gen_banded, gen_toeplitz_vandermonde, observe, sample_gaussian
@@ -324,7 +324,7 @@ class ExperimentConfig:
             if isinstance(default, tuple) and not fewest <= len(getattr(self, name)) <= most:
                 want = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
                 raise InvalidArgumentError(
-                    f"experiment {self.experiment} takes {want} {name} value(s), got {tuple(getattr(self, name))}"
+                    f"experiment {self.experiment} takes {want} {name} value(s), got {_shown_tuple(getattr(self, name))}"
                 )
         for name in _INTEGERS:
             value = getattr(self, name)
@@ -333,11 +333,11 @@ class ExperimentConfig:
         if self.eps is not None:
             require_real("eps", self.eps, 0, low_open=True)
         if self.n_grid is not None and any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise InvalidArgumentError(f"n grid must be strictly increasing, got {self.n_grid}")
+            raise InvalidArgumentError(f"n grid must be strictly increasing, got {_shown_tuple(self.n_grid)}")
         for name in ("d_grid", "deltas", "alphas"):
             values = getattr(self, name)
             if values is not None and len(set(values)) < len(values):
-                raise InvalidArgumentError(f"{name} must not repeat a value, got {tuple(values)}")
+                raise InvalidArgumentError(f"{name} must not repeat a value, got {_shown_tuple(values)}")
         if self.variants is not None and not set(self.variants) <= set(_VARIANTS):
             raise InvalidArgumentError(f"variants must be a non-empty subset of {_VARIANTS}, got {self.variants}")
         # build every recipe, ruler and quantizer of the run, so a value that
@@ -732,17 +732,21 @@ def _write_files(out: ExperimentOutput, directory: Path) -> list[Path]:
     for suffix, records in tables.items():
         if records:
             paths.append(directory / f"{stem}{suffix}.csv")
-            _write_dicts(paths[-1], records)
+            with open(paths[-1], "w", newline="") as fh:
+                _write_dicts(fh, records)
     plotted = f"_{spec.summary}" if spec.plot.summary else "_medians"
     paths.append(emit_plot_script(tables[plotted], directory / f"{stem}{plotted}.csv"))
     return paths
 
 
-def _write_dicts(path: Path, records: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-        writer.writeheader()
-        writer.writerows(records)
+def _write_dicts(fh: TextIO, records: list[dict]) -> None:
+    """Write ``records`` to ``fh`` as a CSV table headed by the first one's keys.
+
+    The csv module writes a float, numpy's too, as its shortest repr and ``None`` as an empty field.
+    """
+    writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
+    writer.writeheader()
+    writer.writerows(records)
 
 
 def emit_plot_script(records: Sequence[dict], csv_path: str | Path) -> Path:

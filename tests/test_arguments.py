@@ -166,6 +166,10 @@ DRIFT = {
     ),
     "GenSpec(k=10**400)": (lambda: GenSpec(16, k=10**400), "k"),
     "ExperimentConfig(n_grid=(6, 10**400))": (lambda: ExperimentConfig(1, n_grid=(6, 10**400)), "n grid"),
+    # a grid rule that prints the whole grid
+    "ExperimentConfig(n_grid=(10**400, 6))": (lambda: ExperimentConfig(1, n_grid=(10**400, 6)), "n grid"),
+    "ExperimentConfig(5, n_grid=(6, 10**400))": (lambda: ExperimentConfig(5, n_grid=(6, 10**400)), "n_grid"),
+    "ExperimentConfig(4, d_grid=(10**400, 10**400))": (lambda: ExperimentConfig(4, d_grid=(10**400, 10**400)), "d_grid"),
     # dimensions whose arrays numpy cannot size
     "gen_banded(10**400)": (lambda: gen_banded(10**400, 2, rng()), "d"),
     "gen_banded(2**62)": (lambda: gen_banded(2**62, 2, rng()), "d"),

@@ -17,8 +17,11 @@ from toepquant import (
     GenSpec,
     STREAM_VERSION,
     QuantizerConfig,
+    coverage_coefficient,
+    evaluate_bounds,
     full_ruler,
     observe,
+    phi_bound,
     ruler_alpha,
     ruler_estimate,
     run_experiment,
@@ -29,7 +32,7 @@ from toepquant._blas import openblas_threads
 from toepquant._seeding import observation_rng
 from toepquant.exceptions import NumericError
 from toepquant.cli import build_parser, main
-from toepquant.experiments import ExperimentConfig
+from toepquant.experiments import ExperimentConfig, draw_truth
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,13 @@ class TestGen:
         rows = parse_csv(out)
         assert rows[0] == ["s", "a"]
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("recipe", [{"k": 8}, {"m": 3}], ids=["k", "m"])
+    def test_fields_are_the_repr_of_the_library_values(self, capsys, recipe):
+        ((option, value),) = recipe.items()
+        code, out, _ = run_cli(capsys, "--seed", "123", "gen", "--d", "16", f"--{option}", str(value))
+        a = draw_truth(GenSpec(16, **recipe), 123).a
+        assert (code, parse_csv(out)) == (0, [["s", "a"]] + [[repr(s), repr(float(v))] for s, v in enumerate(a)])
 
     def test_deterministic(self, capsys):
         _, out_a, _ = run_cli(capsys, "--seed", "7", "gen", "--d", "5", "--k", "2")
@@ -141,6 +151,15 @@ class TestRuler:
         assert rec["indices_1based"] == "1 2 3 4 8 12 16"
         assert rec["size"] == "7"
         assert float(rec["phi"]) > 0
+
+    @pytest.mark.parametrize("d, alpha", [(16, 0.5), (16, 0.75), (512, 1.0)])
+    def test_fields_are_the_repr_of_the_library_values(self, capsys, d, alpha):
+        code, out, _ = run_cli(capsys, "ruler", "--d", str(d), "--alpha", str(alpha))
+        ruler = ruler_alpha(d, alpha)
+        values = [d, alpha, ruler.size, coverage_coefficient(ruler), phi_bound(d, alpha)]
+        indices = " ".join(repr(i + 1) for i in ruler.indices.tolist())
+        header = ["d", "alpha", "size", "phi", "phi_bound", "indices_1based"]
+        assert (code, parse_csv(out)) == (0, [header, [*map(repr, values), indices]])
 
     def test_bad_alpha_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "ruler", "--d", "16", "--alpha", "0.3")
@@ -573,6 +592,17 @@ class TestBounds:
         rec = dict(zip(rows[0], rows[1]))
         assert rec["ruler_size"] == "7"
         assert float(rec["script_l"]) >= 1.0
+
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_fields_are_the_repr_of_the_library_values(self, capsys, k):
+        # without --k, the k, script_l_prime and lambda_low_rank fields have no value and print empty
+        argv = ["bounds", "--d", "16", "--alpha", "0.5,1.0", "--delta", "0,2"] + ([] if k is None else ["--k", str(k)])
+        code, out, _ = run_cli(capsys, *argv)
+        records = [vars(evaluate_bounds(16, alpha, delta, 0.1, 0.05, k=k)) for alpha in (0.5, 1.0) for delta in (0.0, 2.0)]
+        rows = [["" if v is None else repr(v) for v in record.values()] for record in records]
+        assert (code, parse_csv(out)) == (0, [list(records[0])] + rows)
+        empty = {name for name, value in zip(list(records[0]), rows[0]) if value == ""}
+        assert empty == (set() if k else {"k", "script_l_prime", "lambda_low_rank"})
 
     def test_cartesian_lists(self, capsys):
         code, out, _ = run_cli(

@@ -186,15 +186,6 @@ class TestNorms:
         # eigenvalues -1 - 2 and -1 + 2: the norm is the modulus of the negative one
         assert op_norm(toep([-1.0, 2.0])) == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("d", [1, 4, 5])
-    def test_op_norm_non_finite_generating_vector(self, bad, d):
-        for s in range(d):
-            a = np.ones(d)
-            a[s] = bad
-            with pytest.raises(NumericError):
-                op_norm(toep(a))
-
     def test_op_norm_matches_char_poly(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -252,11 +243,6 @@ class TestNorms:
     def test_norm_that_is_no_finite_float_raises(self, norm, a):
         with pytest.raises(NumericError, match="norm is not a finite float"):
             norm(toep(a))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_fro_norm_non_finite_generating_vector(self, bad):
-        with pytest.raises(NumericError, match="non-finite entries"):
-            fro_norm(toep([1.0, bad]))
 
 
 class TestCosinePolynomial:

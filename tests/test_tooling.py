@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, where range and entry rules are stated, config knobs, error types and the README's stream version.
+"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, where range and entry rules are stated and CSV tables written, config knobs, error types and the README's stream version.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -185,25 +185,42 @@ def test_every_scalar_range_is_stated_in_exceptions():
     assert [p for p in INLINE_RANGES if not any(text.startswith(p) for _, text in messages)] == []
 
 
-def raise_sites(text: str) -> list[str]:
-    """``module.Class.function`` of every ``raise`` under ``src/`` whose message is the literal ``text``."""
-    sites = []
+def sites(match) -> list[str]:
+    """``module.Class.function`` of every node under ``src/`` that ``match`` accepts."""
+    found = []
 
     def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-            if message_text(node.exc.args[0]) == text:
-                sites.append(scope)
+        if match(node):
+            found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, f"{scope}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope)
 
     for path in sorted((ROOT / "src" / "toepquant").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    return sites
+    return found
+
+
+def raise_sites(text: str) -> list[str]:
+    """``module.Class.function`` of every ``raise`` under ``src/`` whose message is the literal ``text``."""
+    return sites(
+        lambda node: isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and bool(node.exc.args) and message_text(node.exc.args[0]) == text
+    )
 
 
 def test_matrix_entries_are_checked_only_where_a_matrix_is_built():
     # a SymToeplitz holds finite entries, so no reader of one checks them again
     assert raise_sites("matrix contains non-finite entries") == ["toeplitz.SymToeplitz.__post_init__"]
+
+
+def test_every_csv_table_is_written_by_one_writer():
+    # the CLI tables and the run files print their values alike because one function writes them all
+    def builds_a_csv_writer(node: ast.AST) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in ("writer", "DictWriter")
+
+    assert sites(builds_a_csv_writer) == ["experiments._write_dicts"]
 
 
 def test_every_config_field_is_a_command_line_option():

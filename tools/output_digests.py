@@ -23,6 +23,9 @@ writes into a temporary directory.  The set:
   numpy alone from a fixed seed (d = 128 with 8000 rows, d = 512 with
   2000 rows), so they do not depend on the tree under test;
 * the stdout of ``bounds --d 128 --alpha 0.5,0.75,1.0 --delta 0,2,5 --k 10``;
+* the stdout of ``gen --d 16`` at ``--k 8`` and at ``--m 3``, and of
+  ``ruler`` at ``--d 16`` and ``512``, each at ``--alpha`` 0.5, 0.75 and
+  1.0;
 * the exit code and the stderr of each command line in ``REJECTED``: every
   one the README quotes an error for, but the two that exhaust memory
   (``estimate --simulate --d 100000`` and ``exp --id 4 --d-grid 100000``),
@@ -31,7 +34,7 @@ writes into a temporary directory.  The set:
   small input files they read are written by the script, and the path of
   its temporary directory reads ``WORK`` in their messages.
 
-Only numpy and toepquant are imported.  A run of the first four kinds
+Only numpy and toepquant are imported.  A run of the first five kinds
 that exits non-zero stops the script with that run's command line.
 """
 
@@ -72,6 +75,12 @@ SIMULATIONS = [
 INPUTS = {128: 8000, 512: 2000}
 
 BOUNDS = ["bounds", "--d", "128", "--alpha", "0.5,0.75,1.0", "--delta", "0,2,5", "--k", "10"]
+
+TABLES = [
+    ["gen", "--d", "16", "--k", "8"],
+    ["gen", "--d", "16", "--m", "3"],
+    *(["ruler", "--d", d, "--alpha", alpha] for d in ("16", "512") for alpha in ("0.5", "0.75", "1.0")),
+]
 
 # an integer option past the float range
 BIG = str(10**400)
@@ -176,6 +185,9 @@ REJECTED = [
     ["estimate", "--simulate", "--k", BIG],
     ["bounds", "--d", "16", "--k", BIG],
     ["exp", "--id", "5", "--m", BIG],
+    ["exp", "--id", "1", "--n-grid", BIG + ",6"],
+    ["exp", "--id", "5", "--n-grid", "6," + BIG],
+    ["exp", "--id", "4", "--d-grid", BIG + "," + BIG],
     ["gen", "--d", BIG, "--m", "2"],
     ["gen", "--d", BIG, "--k", "2"],
     ["gen", "--d", "4611686018427387904", "--m", "2"],
@@ -236,7 +248,7 @@ def listing(work: Path) -> list[tuple[str, str]]:
             trial_csv = re.fullmatch(r"experiment\d+\.csv", path.name)
             data = without_seconds(path) if trial_csv else path.read_bytes()
             out.append((digest(data), f"{label}: {path.name}{' without seconds' if trial_csv else ''}"))
-    for argv in SIMULATIONS + [BOUNDS]:
+    for argv in SIMULATIONS + [BOUNDS] + TABLES:
         out.append((digest(run(argv)), " ".join(argv)))
     rng = np.random.default_rng(int(SEED))
     for d, n in INPUTS.items():
