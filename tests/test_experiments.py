@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import io
 import math
 import re
 import sys
@@ -904,6 +905,25 @@ class TestWorkers:
         assert three.summary == one.summary
         assert three.medians == one.medians
         assert [r._replace(seconds=0) for r in three.rows] == [r._replace(seconds=0) for r in one.rows]
+
+
+class TestWriteDicts:
+    # every CSV table, CLI and run file alike, goes through _write_dicts, so these are its output rules
+    @pytest.mark.parametrize(
+        "value",
+        [0.1, 1 / 3, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 123456789.0, math.inf, -math.inf, math.nan],
+        ids=repr,
+    )
+    def test_a_float_prints_as_its_shortest_repr(self, value):
+        for v in (value, np.float64(value)):
+            fh = io.StringIO()
+            experiments._write_dicts(fh, [{"x": v}])
+            assert fh.getvalue() == f"x\r\n{value!r}\r\n"
+
+    def test_none_prints_as_an_empty_field_and_an_int_as_its_digits(self):
+        fh = io.StringIO()
+        experiments._write_dicts(fh, [{"k": None, "d": 16, "name": "a b"}, {"k": 4, "d": 10**20, "name": ""}])
+        assert fh.getvalue() == "k,d,name\r\n,16,a b\r\n4,100000000000000000000,\r\n"
 
 
 class TestEmitPlotScript:
