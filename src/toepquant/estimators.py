@@ -110,7 +110,7 @@ def relative_error(
     try:
         fn = norms[norm]
     except KeyError:
-        raise InvalidArgumentError(f"norm must be one of {sorted(norms)}, got {norm!r}")
+        raise InvalidArgumentError(f"norm must be one of {sorted(norms)}, got {norm!r}") from None
     denom = kept_op_norm(t) if norm == "op" else fn(t)
     if denom == 0.0:
         raise NumericError("relative error undefined for a zero matrix")

@@ -258,7 +258,7 @@ def simulate_estimate(spec: GenSpec, n: int, seed: int, arm: Arm) -> SimResult:
     require_integer("sample count", n, 1)
     require_integer("seed", seed, 0)
     if arm.ruler.d != spec.d:
-        raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {spec.d}")
+        raise InvalidArgumentError(f"the arm's ruler is for dimension {arm.ruler.d}, the recipe's is {_shown(spec.d)}")
     trial = _Trial(seed, spec)
     with single_blas_thread():
         (outcome,) = trial.draw(n, [arm])
@@ -309,7 +309,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         require_integer("experiment", self.experiment)
         if self.experiment not in _EXPERIMENTS:
-            raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {self.experiment}")
+            raise InvalidArgumentError(f"experiment must be one of {sorted(_EXPERIMENTS)}, got {_shown(self.experiment)}")
         reads, sizes = _EXPERIMENTS[self.experiment].reads, _EXPERIMENTS[self.experiment].sizes
         # a field defaulting to None is per-experiment, its default in the
         # table: every other field is read by all
@@ -401,29 +401,22 @@ class _Runner:
     def __init__(self, cfg: ExperimentConfig, progress: Callable[[str], None] | None):
         self.cfg = cfg
         self.note = progress or (lambda msg: None)
-        self.rows: list[ResultRow] = []
-        self.medians: list[dict] = []
-        self.summary: list[dict] = []
+        self.out = ExperimentOutput(cfg, [], [])
 
     def seeded_trials(self, spec: GenSpec, *key: int) -> list[_Trial]:
         """The run's trials of recipe ``spec`` at seeds ``(cfg.seed, *key, trial)``."""
         cfg = self.cfg
         return [_Trial(derive_seed(cfg.seed, *key, t), spec) for t in range(cfg.trials)]
 
-    def run_trials(self, trials: list[_Trial], ns: Sequence[int], arms: Sequence[Arm]) -> list[list[list[_Outcome]]]:
-        """Every trial at every n, in this thread; the outcomes per arm, then per n, then per trial."""
-        per_trial = [{n: trial.draw(n, arms) for n in ns} for trial in trials]
-        return [[[draws[n][i] for draws in per_trial] for n in ns] for i in range(len(arms))]
-
-    def record(self, d: int, n: int, arm: Arm, outcomes: Sequence[_Outcome]) -> float:
-        """Add one row per trial and the median row of one (d, n, arm) cell; return the median."""
-        cfg = self.cfg
+    def record(self, n: int, arm: Arm, outcomes: Sequence[_Outcome]) -> float:
+        """Add one row per trial and the median row of one (n, arm) cell; return the median."""
+        cfg, d = self.cfg, arm.ruler.d
         alpha, delta = float(arm.alpha), float(arm.quantizer.delta)
         for t, o in enumerate(outcomes):
             row = ResultRow(cfg.experiment, d, alpha, delta, n, arm.tag, t, float(o.rel_error), o.seconds, o.seed)
-            self.rows.append(row)
+            self.out.rows.append(row)
         med = _median(o.rel_error for o in outcomes)
-        self.medians.append(
+        self.out.medians.append(
             {
                 "experiment": cfg.experiment,
                 "d": d,
@@ -444,39 +437,41 @@ class _Runner:
         for d in cfg.d_grid or (cfg.d,):
             arms = entry.arms(cfg, d)
             trials = self.seeded_trials(cfg.spec(d), cfg.experiment)
-            for arm, cells in zip(arms, self.run_trials(trials, cfg.n_grid, arms)):
-                medians = [self.record(d, n, arm, cell) for n, cell in zip(cfg.n_grid, cells)]
+            per_trial = [[trial.draw(n, arms) for n in cfg.n_grid] for trial in trials]
+            for i, arm in enumerate(arms):
+                cells = [[draws[j][i] for draws in per_trial] for j in range(len(cfg.n_grid))]
+                medians = [self.record(n, arm, cell) for n, cell in zip(cfg.n_grid, cells)]
                 self.note(
                     f"experiment {cfg.experiment}: finished series d={d} alpha={arm.alpha} "
                     f"delta={arm.quantizer.delta} tag={arm.tag}"
                 )
-                record = entry.summarize(cfg, d, arm, medians, cells)
+                record = entry.summarize(cfg, arm, medians, cells)
                 if record is not None:
-                    self.summary.append(record)
+                    self.out.summary.append(record)
 
     # ----- experiment 4: total complexity versus dimension -----
 
     def run_total_complexity(self) -> None:
-        """Experiment 4: one search of n per (variant, alpha, d) series, the searches spread over ``_CPUS`` workers.
+        """Experiment 4: one search of n per (variant, alpha, d) arm, the searches spread over ``_CPUS`` workers.
 
         Results are recorded in series order as they arrive.  After a
         failure no further search starts.
         """
         cfg = self.cfg
         quantizer = QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR)
-        series = [
-            (Arm(tag, alpha, cfg.ruler(d, alpha), quantizer), vi, ai, d)
-            for vi, tag in enumerate(_VARIANTS)
+        arms = [
+            Arm(tag, alpha, cfg.ruler(d, alpha), quantizer)
+            for tag in _VARIANTS
             if tag in cfg.variants
-            for ai, alpha in enumerate(cfg.alphas)
+            for alpha in cfg.alphas
             for d in cfg.d_grid
         ]
         with ThreadPoolExecutor(_CPUS) as pool:
-            for (arm, _, _, d), (probes, n_star, capped) in zip(series, pool.map(self.search, series)):
+            for arm, (probes, n_star, capped) in zip(arms, pool.map(self.search, arms)):
                 for n, outcomes in probes.items():
-                    self.record(d, n, arm, outcomes)
-                esc = arm.ruler.size
-                self.summary.append(
+                    self.record(n, arm, outcomes)
+                d, esc = arm.ruler.d, arm.ruler.size
+                self.out.summary.append(
                     {
                         "experiment": 4,
                         "tag": arm.tag,
@@ -493,30 +488,29 @@ class _Runner:
                     f"{' (capped)' if capped else ''} esc={esc}"
                 )
 
-    def search(self, series: tuple[Arm, int, int, int]) -> tuple[dict[int, list[_Outcome]], int, bool]:
-        """The search of one ``(arm, variant index, alpha index, d)`` series, every trial in this thread.
+    def search(self, arm: Arm) -> tuple[dict[int, list[_Outcome]], int, bool]:
+        """The search of n for one arm, every trial in this thread.
 
         Returns the outcomes of each probe, in probe order, and the
         search's n* and whether the cap stopped it.  Only the outcomes
         outlive the search, not its covariances and their factors.
         """
-        arm, vi, ai, d = series
-        trials = self.seeded_trials(self.cfg.spec(d, arm.tag), 4, vi, ai, d)
+        cfg, d = self.cfg, arm.ruler.d
+        trials = self.seeded_trials(cfg.spec(d, arm.tag), 4, _VARIANTS.index(arm.tag), cfg.alphas.index(arm.alpha), d)
         probes: dict[int, list[_Outcome]] = {}
 
         def probe(n: int) -> float:
-            if n not in probes:
-                probes[n] = [trial.draw(n, [arm])[0] for trial in trials]
+            probes[n] = [trial.draw(n, [arm])[0] for trial in trials]
             return _median(o.rel_error for o in probes[n])
 
-        n_star, capped = self._bisect(probe, self.cfg.eps, self.cfg.n_cap)
+        n_star, capped = self._bisect(probe, cfg.eps, cfg.n_cap)
         return probes, n_star, capped
 
     @staticmethod
     def _bisect(probe: Callable[[int], float], eps: float, cap: int) -> tuple[int, bool]:
         """Smallest n (within ~5%) whose median error meets eps, doubling then halving; no probe exceeds cap.
 
-        The doubling stops at the cap, so its last step is the cap itself.
+        The doubling stops at the cap, so its last step is the cap itself, and no n is probed twice.
         """
         lo = hi = 1
         while probe(hi) > eps:
@@ -560,7 +554,7 @@ class _Experiment:
     ``summary`` names its summary file, ``experiment<id>_<summary>.csv``,
     when it has summary records.  ``run`` is experiment 4's search or, by
     default, :meth:`_Runner.run_grid`, which runs the arms ``arms(cfg, d)``
-    and adds each arm's record ``summarize(cfg, d, arm, medians, cells)``, if
+    and adds each arm's record ``summarize(cfg, arm, medians, cells)``, if
     any, from its median error and the outcomes of its trials at each n.
     """
 
@@ -570,7 +564,7 @@ class _Experiment:
     sizes: dict[str, tuple[int, float]] = field(default_factory=dict)
     summary: str = "summary"
     arms: Callable[[ExperimentConfig, int], list[Arm]] | None = None
-    summarize: Callable[..., dict | None] = lambda cfg, d, arm, medians, cells: None
+    summarize: Callable[..., dict | None] = lambda cfg, arm, medians, cells: None
     run: Callable[[_Runner], None] = _Runner.run_grid
 
 
@@ -611,10 +605,10 @@ def _banded_arms(cfg: ExperimentConfig, d: int) -> list[Arm]:
     return [hat, replace(hat, tag="breveZeta", threshold_auto=True), replace(hat, tag="breveM", band_est=cfg.bandwidth)]
 
 
-def _slope(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[float], cells: list) -> dict:
+def _slope(cfg: ExperimentConfig, arm: Arm, medians: list[float], cells: list) -> dict:
     return {
         "experiment": 2,
-        "d": d,
+        "d": arm.ruler.d,
         "alpha": arm.alpha,
         "delta": arm.quantizer.delta,
         "tag": arm.tag,
@@ -622,7 +616,7 @@ def _slope(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[float], cells:
     }
 
 
-def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[float], cells: list) -> dict | None:
+def _threshold_recovery(cfg: ExperimentConfig, arm: Arm, medians: list[float], cells: list) -> dict | None:
     if not arm.threshold_auto:
         return None
     (n,), (cell,), m = cfg.n_grid, cells, cfg.bandwidth
@@ -631,7 +625,7 @@ def _threshold_recovery(cfg: ExperimentConfig, d: int, arm: Arm, medians: list[f
     return {
         "experiment": 5,
         "tag": arm.tag,
-        "d": d,
+        "d": arm.ruler.d,
         "n": n,
         "delta": arm.quantizer.delta,
         "median_rel_error": medians[0],
@@ -712,8 +706,8 @@ def run_experiment(
         runner = _Runner(cfg, progress)
         _EXPERIMENTS[cfg.experiment].run(runner)
 
-        runner.rows.sort(key=ResultRow.key)
-        out = ExperimentOutput(cfg, runner.rows, runner.medians, runner.summary)
+        out = runner.out
+        out.rows.sort(key=ResultRow.key)
         for path in _write_files(out, Path(staging)):
             os.replace(path, cfg.out_dir / path.name)
             out.paths.append(cfg.out_dir / path.name)

@@ -4,7 +4,7 @@ from typing import Callable
 
 import numpy as np
 
-from toepquant import SampleBatch, SymToeplitz
+from toepquant import Correction, SampleBatch, SymToeplitz
 from toepquant.exceptions import InvalidArgumentError
 
 
@@ -64,3 +64,28 @@ def bisect_past_cap(probe: Callable[[int], float], eps: float, cap: int) -> tupl
         else:
             lo = mid
     return hi, False
+
+
+def brute_force_estimate(rows, indices, d, delta, correction):
+    """Triple-loop reference for the bias-corrected pair-product estimator."""
+    rows = np.asarray(rows)
+    indices = list(indices)
+    n = rows.shape[0]
+    a = []
+    for s in range(d):
+        pairs = [
+            (u, v)
+            for u in range(len(indices))
+            for v in range(len(indices))
+            if abs(indices[u] - indices[v]) == s
+        ]
+        total = 0.0
+        for l in range(n):
+            for u, v in pairs:
+                total += rows[l][u] * rows[l][v]
+        a.append(total / (n * len(pairs)))
+    if correction is Correction.TRIANGULAR_QUARTER:
+        a[0] -= delta**2 / 4
+    elif correction is Correction.UNIFORM_SIXTH:
+        a[0] -= delta**2 / 6
+    return np.array(a)

@@ -166,6 +166,10 @@ DRIFT = {
     ),
     "GenSpec(k=10**400)": (lambda: GenSpec(16, k=10**400), "k"),
     "ExperimentConfig(n_grid=(6, 10**400))": (lambda: ExperimentConfig(1, n_grid=(6, 10**400)), "n grid"),
+    "ExperimentConfig(10**400)": (lambda: ExperimentConfig(10**400), "experiment"),
+    "simulate_estimate(GenSpec(10**400, k=1))": (
+        lambda: simulate_estimate(GenSpec(10**400, k=1), 10, 0, ARM), "dimension",
+    ),
     # a grid rule that prints the whole grid
     "ExperimentConfig(n_grid=(10**400, 6))": (lambda: ExperimentConfig(1, n_grid=(10**400, 6)), "n grid"),
     "ExperimentConfig(5, n_grid=(6, 10**400))": (lambda: ExperimentConfig(5, n_grid=(6, 10**400)), "n_grid"),

@@ -23,32 +23,7 @@ from toepquant import (
 )
 from toepquant.exceptions import InvalidArgumentError, NumericError
 
-from reference import avg
-
-
-def brute_force_estimate(rows, indices, d, delta, correction):
-    """Triple-loop reference for the bias-corrected pair-product estimator."""
-    rows = np.asarray(rows)
-    indices = list(indices)
-    n = rows.shape[0]
-    a = []
-    for s in range(d):
-        pairs = [
-            (u, v)
-            for u in range(len(indices))
-            for v in range(len(indices))
-            if abs(indices[u] - indices[v]) == s
-        ]
-        total = 0.0
-        for l in range(n):
-            for u, v in pairs:
-                total += rows[l][u] * rows[l][v]
-        a.append(total / (n * len(pairs)))
-    if correction is Correction.TRIANGULAR_QUARTER:
-        a[0] -= delta**2 / 4
-    elif correction is Correction.UNIFORM_SIXTH:
-        a[0] -= delta**2 / 6
-    return np.array(a)
+from reference import avg, brute_force_estimate
 
 
 def raw_batch(rows, d, indices=None):
@@ -292,6 +267,11 @@ class TestRelativeError:
     def test_unknown_norm(self):
         with pytest.raises(InvalidArgumentError):
             relative_error(toep([1.0]), toep([1.0]), "spectral")
+
+    def test_unknown_norm_is_not_chained_to_the_lookup(self):
+        with pytest.raises(InvalidArgumentError) as info:
+            relative_error(toep([1.0]), toep([1.0]), "l1")
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):

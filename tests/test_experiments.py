@@ -707,6 +707,21 @@ class TestRunExperiment:
         old = bisect_past_cap(lambda n: probe(n, "old"), 0.5, cap)
         new = experiments._Runner._bisect(lambda n: probe(n, "new"), 0.5, cap)
         assert (new, seen["new"]) == (old, seen["old"])
+        # experiment 4's search runs a probe's trials without asking whether it ran them before
+        assert len(set(seen["new"])) == len(seen["new"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 1 << 18), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_bisect_never_probes_an_n_twice_whatever_the_outcomes(self, cap, eps, random):
+        # outcomes need not fall with n: each probe meets eps by chance
+        seen = []
+
+        def probe(n):
+            seen.append(n)
+            return random.random()
+
+        experiments._Runner._bisect(probe, eps, cap)
+        assert len(set(seen)) == len(seen), seen
 
     def test_exp4_search_below_a_cap_that_is_not_a_power_of_two(self, tmp_path):
         # a cap of 24 used to end the search at n = 16 with every cell capped
@@ -773,14 +788,14 @@ class TestWorkers:
 
     @staticmethod
     def series_runner(monkeypatch, workers, dims, search):
-        """An experiment 4 runner on ``workers`` pool threads whose search of a series is ``search``.
+        """An experiment 4 runner on ``workers`` pool threads whose search of an arm is ``search(vi, d)``.
 
-        Its series are both variants at alpha 1 and each of ``dims``: the
-        series ``(vi, d)`` is the ``vi * len(dims) + dims.index(d)``-th.
+        Its arms are both variants at alpha 1 and each of ``dims``: the arm
+        of variant index ``vi`` at ``d`` is the ``vi * len(dims) + dims.index(d)``-th.
         """
         monkeypatch.setattr(experiments, "_CPUS", workers)
         runner = experiments._Runner(ExperimentConfig(4, d_grid=tuple(dims), alphas=(1.0,)), None)
-        monkeypatch.setattr(runner, "search", lambda series: search(series[1], series[3]))
+        monkeypatch.setattr(runner, "search", lambda arm: search(experiments._VARIANTS.index(arm.tag), arm.ruler.d))
         return runner
 
     @needs_openblas
@@ -817,7 +832,7 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         series = [(vi, d) for vi in (0, 1) for d in dims]
-        assert [rec["n_star"] for rec in runner.summary] == [d + 1000 * vi for vi, d in series]
+        assert [rec["n_star"] for rec in runner.out.summary] == [d + 1000 * vi for vi, d in series]
         assert sorted(ran_in) == series
         assert len(set(ran_in.values())) > 1
 
@@ -862,7 +877,7 @@ class TestWorkers:
         monkeypatch.setattr(experiments, "draw_truth", recording)
         cfg = ExperimentConfig(4, seed=5, trials=3, d_grid=(32,), alphas=(0.5,), eps=0.3, n_cap=1 << 10)
         arm = Arm("rank10", 0.5, cfg.ruler(32, 0.5), QuantizerConfig(cfg.deltas[0], Dither.TRIANGULAR))
-        probes, n_star, _ = experiments._Runner(cfg, None).search((arm, 1, 0, 32))
+        probes, n_star, _ = experiments._Runner(cfg, None).search(arm)
         gc.collect()
         assert len(truths) == 3 and all(ref() is None for ref in truths)
         assert len(probes) > 1 and n_star in probes

@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, ``python -m toepquant``, imports, where range and entry rules are stated and CSV tables written, config knobs, error types and the README's stream version.
+"""Tooling around the package: the traced benchmark, the digest tool's rejected command lines, ``python -m toepquant``, imports, where range and entry rules are stated and CSV tables written, config knobs, error types and the README's stream version.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -31,14 +31,19 @@ from toepquant.experiments import _EXPERIMENTS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+DIGESTS = ROOT / "tools" / "output_digests.py"
 ERROR_TYPES = [v for v in vars(exceptions).values() if isinstance(v, type) and issubclass(v, BaseException)]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_script(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_script("perfbench_tracing", TRACING)
 
 
 def test_tracer_installs_and_uninstalls():
@@ -90,6 +95,16 @@ def test_warnings_as_errors_leave_the_exit_codes(argv, code):
     if code == 0:
         values = [float(line.split(",")[1]) for line in done.stdout.splitlines()[1:]]
         assert all(map(math.isfinite, values))
+
+
+def test_every_command_line_the_digest_tool_rejects_exits_2_or_3(tmp_path):
+    # the tool digests these exits and messages; here each is held to the exit-code contract
+    digests = load_script("output_digests", DIGESTS)
+    for name, text in digests.BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    for argv in digests.REJECTED:
+        code, err = digests.rejection([arg.replace("WORK", str(tmp_path)) for arg in argv])
+        assert code in (2, 3) and "Traceback" not in err, (" ".join(argv)[:200], code, err)
 
 
 def test_every_module_uses_what_it_imports():
