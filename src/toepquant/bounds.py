@@ -162,18 +162,8 @@ def lambda_diag(t: SymToeplitz, k: int, alpha: float) -> SubmatrixNormCheck:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All theoretical quantities for one configuration, inputs echoed."""
+    """All theoretical quantities for one configuration."""
 
-    d: int
-    alpha: float
-    delta: float
-    eps: float
-    prob_delta: float
-    op_norm_t: float
-    k: int | None
-    p: float
-    n: int
-    c: float
     ruler_size: int
     phi: float
     big_k: float
@@ -215,16 +205,6 @@ def evaluate_bounds(
     lam = k * k / d if k is not None else None
     skv = script_k(kv, ruler.size, d, p, n)
     return BoundsReport(
-        d=d,
-        alpha=alpha,
-        delta=delta,
-        eps=eps,
-        prob_delta=prob_delta,
-        op_norm_t=op_norm_t,
-        k=k,
-        p=p,
-        n=n,
-        c=c,
         ruler_size=ruler.size,
         phi=phi,
         big_k=kv,

@@ -227,8 +227,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not args.alpha or not args.delta:
         raise InvalidArgumentError(f"--alpha and --delta each take a value, got {args.alpha!r} and {args.delta!r}")
     given = {name: value for name, value in vars(args).items() if name not in _NOT_BOUNDS}
-    records = [vars(evaluate_bounds(**given | {"alpha": alpha, "delta": delta})) for alpha in args.alpha for delta in args.delta]
-    _write_dicts(sys.stdout, records)
+    points = [given | {"alpha": alpha, "delta": delta} for alpha in args.alpha for delta in args.delta]
+    _write_dicts(sys.stdout, [point | vars(evaluate_bounds(**point)) for point in points])
     return 0
 
 

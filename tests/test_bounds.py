@@ -275,7 +275,7 @@ class TestEvaluateBounds:
         assert rep.script_l >= 1.0
         assert rep.script_l_prime == pytest.approx(script_l_prime(3.0, 2.0, 4, 16))
         assert rep.lambda_low_rank == pytest.approx(1.0)
-        assert rep.zeta == pytest.approx(rep.c * rep.script_k)
+        assert rep.zeta == pytest.approx(rep.script_k)  # zeta = c * script_k, and c defaults to 1.0
         assert rep.up_to_constant
         for v in (rep.phi, rep.kappa, rep.vsc_pred, rep.zeta, rep.script_k):
             assert v >= 0.0

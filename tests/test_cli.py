@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import gzip
+import inspect
 import io
 import os
 import threading
@@ -12,6 +13,7 @@ import pytest
 
 from toepquant import (
     Arm,
+    BoundsReport,
     Correction,
     Dither,
     GenSpec,
@@ -598,11 +600,21 @@ class TestBounds:
         # without --k, the k, script_l_prime and lambda_low_rank fields have no value and print empty
         argv = ["bounds", "--d", "16", "--alpha", "0.5,1.0", "--delta", "0,2"] + ([] if k is None else ["--k", str(k)])
         code, out, _ = run_cli(capsys, *argv)
-        records = [vars(evaluate_bounds(16, alpha, delta, 0.1, 0.05, k=k)) for alpha in (0.5, 1.0) for delta in (0.0, 2.0)]
+        calls = [
+            dict(d=16, alpha=alpha, delta=delta, eps=0.1, prob_delta=0.05, op_norm_t=1.0, k=k, p=2.0, n=1000, c=1.0)
+            for alpha in (0.5, 1.0)
+            for delta in (0.0, 2.0)
+        ]
+        records = [call | vars(evaluate_bounds(**call)) for call in calls]
         rows = [["" if v is None else repr(v) for v in record.values()] for record in records]
         assert (code, parse_csv(out)) == (0, [list(records[0])] + rows)
         empty = {name for name, value in zip(list(records[0]), rows[0]) if value == ""}
         assert empty == (set() if k else {"k", "script_l_prime", "lambda_low_rank"})
+
+    def test_header_is_the_parameters_then_the_report_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--d", "16")
+        header = list(inspect.signature(evaluate_bounds).parameters) + [f.name for f in dataclasses.fields(BoundsReport)]
+        assert (code, parse_csv(out)[0]) == (0, header)
 
     def test_cartesian_lists(self, capsys):
         code, out, _ = run_cli(

@@ -113,10 +113,12 @@ def generating_vectors(draw):
 @example(np.array([1.0, -3.0]))
 @example(np.array([2.0, 1.0, 0.5]))
 @example(np.zeros(7))
+@example(np.array([0.0, 2.22507386e-313] + [0.0] * 7))  # a subnormal norm, where the two differ by one ulp
 def test_toeplitz_op_norm_split_matches_the_dense_spectrum(a):
     t = toep(a)
     want = np.abs(np.linalg.eigvalsh(t.dense())).max()
-    assert abs(op_norm(t) - want) <= 1e-13 * want
+    # the relative term is below one ulp of a subnormal norm, so a few ulps are allowed on top
+    assert abs(op_norm(t) - want) <= 1e-13 * want + 4 * np.spacing(want)
 
 
 @PROPERTY_SETTINGS

@@ -1,4 +1,4 @@
-"""Tooling around the package: the traced benchmark, the digest tool's rejected command lines, ``python -m toepquant``, imports, where range and entry rules are stated and CSV tables written, config knobs, error types and the README's stream version.
+"""Tooling around the package: the traced benchmark, the digest tool's rejected command lines, the suite's warning filters, ``python -m toepquant``, imports, where range and entry rules are stated and CSV tables written, config knobs, error types and the README's stream version.
 
 ``perfbench/tracing.py`` refuses to run when a name it wraps is no longer
 bound, so a refactor that drops one breaks the traced benchmark.  The
@@ -95,6 +95,31 @@ def test_warnings_as_errors_leave_the_exit_codes(argv, code):
     if code == 0:
         values = [float(line.split(",")[1]) for line in done.stdout.splitlines()[1:]]
         assert all(map(math.isfinite, values))
+
+
+FALSIFIED_THEN_PASSING = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_falsified_property(x):
+    assert x < 10
+
+
+def test_after_it():
+    pass
+'''
+
+
+def test_a_falsified_property_leaves_the_session_running(tmp_path):
+    # under the suite's warnings-as-errors config, hypothesis's report of a falsifying
+    # example once raised a DeprecationWarning in a pytest hook, an INTERNALERROR that ended the session
+    (tmp_path / "test_two.py").write_text(FALSIFIED_THEN_PASSING)
+    argv = ["-m", "pytest", "-v", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)]
+    done = subprocess.run([sys.executable, *argv, "test_two.py"], capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "test_two.py::test_after_it PASSED" in done.stdout, done.stdout[-2000:]
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout[-2000:]
+    assert "1 failed, 1 passed" in done.stdout
 
 
 def test_every_command_line_the_digest_tool_rejects_exits_2_or_3(tmp_path):
